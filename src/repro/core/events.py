@@ -23,7 +23,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from repro.errors import BusError, CodecError
-from repro.ids import ServiceId
+from repro.ids import ServiceId, wire_service_id
 from repro.matching.filters import TYPE_ATTR
 from repro.transport import wire
 from repro.transport.wire import Value
@@ -203,10 +203,7 @@ def decode_event(buf: wire.Buffer, offset: int = 0) -> tuple[Event, int]:
     # Sender id, interned: a cell sees the same few senders on every event.
     if pos + 6 > size:
         raise CodecError("truncated event: missing sender id")
-    sender_key = int.from_bytes(buf[pos:pos + 6], "big")
-    sender = _SENDER_CACHE.get(sender_key)
-    if sender is None:
-        sender = _wire_sender(sender_key)
+    sender = wire_service_id(int.from_bytes(buf[pos:pos + 6], "big"))
     pos += 6
     # Sequence number (inlined wire.decode_varint fast path).
     if pos < size and buf[pos] < 0x80:
@@ -237,23 +234,10 @@ def decode_event(buf: wire.Buffer, offset: int = 0) -> tuple[Event, int]:
 
 
 #: Interned wire bytes -> event type string; bounded like the sender
-#: cache so adversarial type churn cannot grow it without limit.
+#: cache (:func:`repro.ids.wire_service_id`) so adversarial type churn
+#: cannot grow it without limit.
 _TYPE_CACHE: dict[bytes, str] = {}
 _TYPE_CACHE_MAX = 1024
-
-#: Interned 48-bit value -> ServiceId.  ``ServiceId`` construction (int
-#: subclass plus range validation) is measurable per event; bounded so a
-#: sender flood cannot grow the cache without limit.
-_SENDER_CACHE: dict[int, ServiceId] = {}
-_SENDER_CACHE_MAX = 4096
-
-
-def _wire_sender(sender_key: int) -> ServiceId:
-    if len(_SENDER_CACHE) >= _SENDER_CACHE_MAX:
-        _SENDER_CACHE.clear()
-    sender = ServiceId(sender_key)     # 6 wire bytes: always within 48 bits
-    _SENDER_CACHE[sender_key] = sender
-    return sender
 
 
 # -- management event factories --------------------------------------------

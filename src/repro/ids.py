@@ -54,6 +54,24 @@ class ServiceId(int):
         return cls(int.from_bytes(raw, "big"))
 
 
+#: Interned 48-bit value -> ServiceId.  Construction (int subclass plus
+#: range validation) is measurable per datagram and per event, and a cell
+#: sees the same few senders; bounded against a sender flood.
+_WIRE_IDS: dict[int, ServiceId] = {}
+_WIRE_IDS_MAX = 4096
+
+
+def wire_service_id(value: int) -> ServiceId:
+    """The interned :class:`ServiceId` for a 6-byte wire field (which is
+    what keeps ``value`` within 48 bits)."""
+    service_id = _WIRE_IDS.get(value)
+    if service_id is None:
+        if len(_WIRE_IDS) >= _WIRE_IDS_MAX:
+            _WIRE_IDS.clear()
+        service_id = _WIRE_IDS[value] = ServiceId(value)
+    return service_id
+
+
 def service_id_from_socket(host: str, port: int) -> ServiceId:
     """Derive a ServiceId from an IPv4 address and port (paper Section IV).
 

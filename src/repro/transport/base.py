@@ -28,9 +28,11 @@ from typing import Callable, Hashable
 
 from repro.errors import TransportClosedError
 from repro.ids import ServiceId
+from repro.sim.kernel import Scheduler
 
 Address = Hashable
 ReceiveCallback = Callable[[Address, bytes], None]
+TurnEndCallback = Callable[[], None]
 
 
 @dataclass
@@ -54,11 +56,17 @@ class Transport:
     otherwise datagrams queue for :meth:`recv`.
     """
 
-    def __init__(self, service_id: ServiceId, local_address: Address) -> None:
+    def __init__(self, service_id: ServiceId, local_address: Address,
+                 scheduler: Scheduler | None = None) -> None:
         self._service_id = service_id
         self._local_address = local_address
         self._receiver: ReceiveCallback | None = None
         self._inbox: deque[tuple[Address, bytes]] = deque()
+        # Receive turn (call_at_turn_end): arrivals are ``scheduler``
+        # events, or a socket drain bracketed by _turn_open/_end_turn().
+        self._turn_scheduler = scheduler
+        self._turn_open = False
+        self._turn_end: dict[TurnEndCallback, None] = {}    # ordered set
         self._closed = False
         self.stats = TransportStats()
 
@@ -119,6 +127,26 @@ class Transport:
         """Datagrams waiting in the pull queue."""
         return len(self._inbox)
 
+    def call_at_turn_end(self, callback: TurnEndCallback) -> None:
+        """Run ``callback()`` once when the current *receive turn* ends.
+
+        A turn is one batch of arrivals handed up back to back: one drain
+        of a UDP socket, or everything arriving at one scheduler instant.
+        It is the reliable channel's unit of acknowledgement: deferred
+        work costs once per turn, not per datagram, and is never later
+        than the turn that caused it (no timer).  On a socket transport
+        outside a drain (packets fed in by hand, or pulled with
+        :meth:`recv`) the callback runs at once.
+        """
+        if self._turn_scheduler is not None:
+            if not self._turn_end:
+                # Behind every arrival already queued for this instant.
+                self._turn_scheduler.call_soon(self._end_turn)
+        elif not self._turn_open:
+            callback()
+            return
+        self._turn_end[callback] = None
+
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
@@ -145,6 +173,15 @@ class Transport:
         self._inbox.append((src, payload))
         if len(self._inbox) > self.stats.receive_queue_high_water:
             self.stats.receive_queue_high_water = len(self._inbox)
+
+    def _end_turn(self) -> None:
+        """Close the receive turn and run what was deferred to its end."""
+        self._turn_open = False
+        callbacks, self._turn_end = self._turn_end, {}
+        if self._closed:
+            return          # closed mid-turn: nothing may be sent any more
+        for callback in callbacks:
+            callback()
 
     def _check_open(self) -> None:
         if self._closed:

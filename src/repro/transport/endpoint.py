@@ -323,9 +323,14 @@ class PacketEndpoint:
         except PacketError:
             self.decode_errors += 1
             return
-        if packet.sender == self.service_id:
+        sender = packet.sender
+        if sender == self.service_id:
             return          # broadcast echo of our own traffic
-        self.learn_peer(packet.sender, src)
+        # learn_peer keeps "forward entry => matching reverse entry": an
+        # unchanged forward entry has nothing to learn; first contact, a
+        # roam or an address handover takes the full path.
+        if self._peer_addresses.get(sender) != src:
+            self.learn_peer(sender, src)
         if packet.type in _CONTROL_TYPES:
             if self._control_handler is not None:
                 self._control_handler(packet, src)

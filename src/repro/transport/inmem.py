@@ -84,7 +84,7 @@ class InMemoryTransport(Transport):
 
     def __init__(self, hub: InMemoryHub, name: str) -> None:
         super().__init__(service_id=service_id_from_name(name),
-                         local_address=name)
+                         local_address=name, scheduler=hub.scheduler)
         self._hub = hub
 
     def _send_datagram(self, dest, payload: bytes) -> None:

@@ -33,6 +33,11 @@ parse the same bytes as an ordinary packet whose payload happens to start
 with the block, and the reliability layer ignores ACK payloads, so the
 extension is wire-compatible in both directions (same magic, same
 version, same header).
+
+Construction: every field is validated once, where it enters the program
+— by ``Packet(...)`` for values a caller supplies, by :meth:`Packet.decode`
+against the datagram, by the reliable channel's own serial arithmetic —
+and the latter two then build through :meth:`Packet.trusted`.
 """
 
 from __future__ import annotations
@@ -43,14 +48,21 @@ import zlib
 from dataclasses import dataclass, field
 
 from repro.errors import PacketError
-from repro.ids import ServiceId
+from repro.ids import ServiceId, wire_service_id
 
 MAGIC = b"\xa5\x5e"
 VERSION = 1
 
-_HEADER = struct.Struct("!2sBBB6sIIHI")
+#: The 48-bit sender id is read and written as a u16 + u32 pair, so
+#: neither direction builds a 6-byte object per datagram.
+_HEADER = struct.Struct("!2sBBBHIIIHI")
 HEADER_SIZE = _HEADER.size            # 25 bytes
-_CRC_FIELD = struct.Struct("!I")      # trailing header field, patched in
+#: Everything before the checksum, which is the header's last field and
+#: covers the header with that field zeroed.
+_HEADER_NO_CRC = struct.Struct("!2sBBBHIIIH")
+_CRC_FIELD = struct.Struct("!I")
+_CRC_OFFSET = _HEADER_NO_CRC.size
+_ZERO_CRC = bytes(_CRC_FIELD.size)
 MAX_PAYLOAD = 0xFFFF
 
 _SACK_RANGE = struct.Struct("!II")
@@ -68,7 +80,8 @@ def _sack_wire_size(sack: tuple[tuple[int, int], ...]) -> int:
     return 1 + _SACK_RANGE.size * len(sack) if sack else 0
 
 
-def _decode_sack(payload: bytes) -> tuple[tuple[tuple[int, int], ...], bytes]:
+def _decode_sack(payload: "bytes | memoryview"
+                 ) -> "tuple[tuple[tuple[int, int], ...], bytes | memoryview]":
     """Split a SACK-flagged payload into (ranges, remaining payload)."""
     if not payload:
         raise PacketError("SACK flag set but payload is empty")
@@ -80,6 +93,9 @@ def _decode_sack(payload: bytes) -> tuple[tuple[tuple[int, int], ...], bytes]:
             f"payload carries {len(payload)}")
     ranges = tuple(_SACK_RANGE.unpack_from(payload, 1 + _SACK_RANGE.size * i)
                    for i in range(count))
+    for start, stop in ranges:
+        if not start or not stop:      # 0 is "nothing acknowledged", never a seq
+            raise PacketError(f"SACK range out of range: {start}-{stop}")
     return ranges, payload[end:]
 
 
@@ -116,6 +132,13 @@ class PacketFlags(enum.IntFlag):
     #: Payload starts with a selective-acknowledgement block (see module
     #: docstring).  Set/cleared automatically from :attr:`Packet.sack`.
     SACK = 4
+
+
+#: Flag bits -> flags, so decode skips ``IntFlag`` arithmetic per datagram.
+_FLAGS_FROM_BITS = tuple(PacketFlags(bits) for bits in range(8))
+_SACK_BIT = int(PacketFlags.SACK)
+#: Caller- or wire-chosen bits.  SACK mirrors the field; unnamed bits drop.
+_FREE_BITS = int(PacketFlags.FRAGMENT | PacketFlags.NO_ACK)
 
 
 @dataclass(frozen=True)
@@ -156,67 +179,93 @@ class Packet:
         flags = flags | PacketFlags.SACK if self.sack else flags & ~PacketFlags.SACK
         object.__setattr__(self, "flags", flags)
 
+    @classmethod
+    def trusted(cls, type: PacketType, sender: ServiceId, seq: int, ack: int,
+                payload: "bytes | memoryview" = b"",
+                sack: tuple[tuple[int, int], ...] = (),
+                flag_bits: int = 0) -> "Packet":
+        """Build a packet from fields already validated: by :meth:`decode`
+        against the datagram, or by the reliable channel (its own serial
+        arithmetic; payloads size-checked on the way in).  Checks nothing;
+        the SACK flag still mirrors the field.  Anything built from a
+        caller's values goes through ``Packet(...)``.
+        """
+        flag_bits &= _FREE_BITS
+        if sack:
+            flag_bits |= _SACK_BIT
+        packet = object.__new__(cls)
+        # One dict fill in place of eight frozen-dataclass setattr calls;
+        # ``version`` stays the class default (decode accepts no other).
+        packet.__dict__.update(
+            type=type, sender=sender, seq=seq, ack=ack, payload=payload,
+            flags=_FLAGS_FROM_BITS[flag_bits], sack=sack)
+        return packet
+
     def encode(self) -> bytes:
         """Serialise to wire bytes, computing the checksum.
 
-        Scatter-gather: the checksum streams over (header, SACK block,
-        payload) without concatenating them first, and the datagram is
-        joined exactly once — the old double header pack plus
-        header+payload concatenation copied the payload twice per send.
+        Scatter-gather: the checksum streams over (header with a zeroed
+        checksum field, SACK block, payload) without concatenating them
+        first, and the datagram is joined exactly once.
         """
         sack_block = _encode_sack(self.sack) if self.sack else b""
-        header = bytearray(_HEADER.pack(
-            MAGIC, self.version, int(self.type), int(self.flags),
-            self.sender.to_bytes48(), self.seq, self.ack,
-            len(sack_block) + len(self.payload), 0))
-        crc = zlib.crc32(header)
+        payload = self.payload
+        sender = self.sender
+        header = _HEADER_NO_CRC.pack(
+            MAGIC, self.version, self.type, self.flags,
+            sender >> 32, sender & 0xFFFFFFFF, self.seq, self.ack,
+            len(sack_block) + len(payload))
+        crc = zlib.crc32(_ZERO_CRC, zlib.crc32(header))
         if sack_block:
             crc = zlib.crc32(sack_block, crc)
-        crc = zlib.crc32(self.payload, crc) & 0xFFFFFFFF
-        _CRC_FIELD.pack_into(header, HEADER_SIZE - 4, crc)
-        return b"".join((header, sack_block, self.payload))
+        if payload:
+            crc = zlib.crc32(payload, crc)
+        return b"".join((header, _CRC_FIELD.pack(crc), sack_block, payload))
 
     @classmethod
     def decode(cls, datagram: "bytes | bytearray | memoryview") -> "Packet":
         """Parse wire bytes, verifying magic, length and checksum.
 
-        Accepts any buffer.  The decoded packet's payload is a zero-copy
-        ``memoryview`` slice of ``datagram`` (which stays alive through
-        the view); downstream decoders slice it further without copying.
+        Accepts any buffer.  A decoded packet's payload, when it has one,
+        is a zero-copy ``memoryview`` slice of ``datagram`` (which stays
+        alive through the view); downstream decoders slice it further
+        without copying.
         """
-        if len(datagram) < HEADER_SIZE:
-            raise PacketError(f"datagram shorter than header: {len(datagram)}")
-        (magic, version, ptype, flags, sender6, seq, ack,
+        size = len(datagram)
+        if size < HEADER_SIZE:
+            raise PacketError(f"datagram shorter than header: {size}")
+        (magic, version, ptype, flag_bits, sender_hi, sender_lo, seq, ack,
          paylen, crc) = _HEADER.unpack_from(datagram)
         if magic != MAGIC:
             raise PacketError(f"bad magic: {magic!r}")
         if version != VERSION:
             raise PacketError(f"unsupported packet version: {version}")
-        if len(datagram) != HEADER_SIZE + paylen:
+        if size != HEADER_SIZE + paylen:
             raise PacketError(
                 f"length mismatch: header says {paylen}, "
-                f"datagram carries {len(datagram) - HEADER_SIZE}")
-        payload: "bytes | memoryview" = memoryview(datagram)[HEADER_SIZE:]
-        if not payload.readonly:
-            # Zero-copy slicing is only safe over an immutable backing
-            # buffer; writable input (bytearray) is copied once here.
-            # repro-lint: ignore[RL003] mutable backing buffer: must copy
-            payload = bytes(payload)
-        header_no_crc = _HEADER.pack(magic, version, ptype, flags, sender6,
-                                     seq, ack, paylen, 0)
-        expected = zlib.crc32(payload, zlib.crc32(header_no_crc)) & 0xFFFFFFFF
+                f"datagram carries {size - HEADER_SIZE}")
+        # Streamed over the received bytes; no header re-pack to zero it.
+        expected = zlib.crc32(_ZERO_CRC, zlib.crc32(datagram[:_CRC_OFFSET]))
+        payload: "bytes | memoryview" = b""
+        if paylen:
+            payload = memoryview(datagram)[HEADER_SIZE:]
+            if not payload.readonly:
+                # Zero-copy slicing is only safe over an immutable backing
+                # buffer; writable input (bytearray) is copied once here.
+                # repro-lint: ignore[RL003] mutable backing buffer: must copy
+                payload = bytes(payload)
+            expected = zlib.crc32(payload, expected)
         if crc != expected:
             raise PacketError(f"checksum mismatch: {crc:#010x} != {expected:#010x}")
         packet_type = _TYPE_FROM_BYTE.get(ptype)
         if packet_type is None:
             raise PacketError(f"unknown packet type: {ptype}")
         sack: tuple[tuple[int, int], ...] = ()
-        if flags & PacketFlags.SACK:
+        if flag_bits & _SACK_BIT:
             sack, payload = _decode_sack(payload)
-        return cls(type=packet_type, sender=ServiceId.from_bytes48(sender6),
-                   seq=seq, ack=ack, payload=payload, sack=sack,
-                   flags=PacketFlags(flags) & ~PacketFlags.SACK,
-                   version=version)
+        return cls.trusted(packet_type,
+                           wire_service_id(sender_hi << 32 | sender_lo),
+                           seq, ack, payload, sack, flag_bits)
 
     @property
     def wire_size(self) -> int:

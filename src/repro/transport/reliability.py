@@ -17,12 +17,23 @@ further sends queue.  Every DATA packet carries a 32-bit sequence number
 wraps back to 1) and a piggy-backed cumulative acknowledgement.
 
 *Selective acknowledgements.*  The receiver delivers in sequence order,
-buffering out-of-order arrivals, and answers every DATA packet with an ACK
-carrying its cumulative ack (the last in-order sequence delivered) plus
-SACK ranges — the inclusive ``(start, end)`` runs it holds beyond the
-cumulative point (:mod:`repro.transport.packets` encodes them in a flagged
-payload prefix).  The sender marks SACKed packets and never retransmits
-them; only genuine holes are resent.
+buffering out-of-order arrivals.  An ACK carries its cumulative ack (the
+last in-order sequence delivered) plus SACK ranges — the inclusive
+``(start, end)`` runs it holds beyond the cumulative point
+(:mod:`repro.transport.packets` encodes them in a flagged payload prefix).
+The sender marks SACKed packets and never retransmits them; only genuine
+holes are resent.
+
+*One cumulative ACK per receive turn.*  An in-order DATA packet marks the
+channel ack-due; the due ACK leaves when the transport's receive turn
+ends (:meth:`Transport.call_at_turn_end`: the socket drain, or scheduler
+instant, that delivered it — no timer, so no added delay).  A burst of k
+is answered by one ACK, an isolated packet in the turn it arrived, and a
+reverse DATA packet that leaves first carries the ack and cancels the
+due ACK.  Loss signals are never deferred: an out-of-order, duplicate or
+buffer-overrunning arrival flushes any due ACK, then ACKs at once with
+the SACK block, so the sender counts the same duplicate acks as with an
+ACK per packet.  A closed channel acknowledges nothing.
 
 *Retransmit policy.*  Each in-flight packet keeps its **own** retransmit
 deadline and backoff: the retransmit timer is armed for the earliest
@@ -75,7 +86,13 @@ from repro.errors import ConfigurationError, PacketError
 from repro.ids import ServiceId
 from repro.sim.kernel import Scheduler, Timer
 from repro.transport.base import Address, Transport
-from repro.transport.packets import MAX_SACK_RANGES, Packet, PacketFlags, PacketType
+from repro.transport.packets import (
+    MAX_PAYLOAD,
+    MAX_SACK_RANGES,
+    Packet,
+    PacketFlags,
+    PacketType,
+)
 
 DeliverCallback = Callable[[ServiceId, bytes], None]
 
@@ -104,7 +121,7 @@ def serial_lt(a: int, b: int) -> bool:
 
 def serial_leq(a: int, b: int) -> bool:
     """RFC-1982 serial ``a <= b``."""
-    return a == b or serial_lt(a, b)
+    return ((b - a) % _SEQ_MOD) < _SEQ_HALF
 
 
 def serial_succ(seq: int) -> int:
@@ -167,6 +184,7 @@ class ReliableChannel:
         if not 0 < initial_seq < _SEQ_MOD:
             raise ConfigurationError(f"initial_seq out of range: {initial_seq}")
         self._transport = transport
+        self._sender = transport.service_id
         self._scheduler = scheduler
         self._peer_address = peer_address
         self._deliver = deliver
@@ -184,7 +202,9 @@ class ReliableChannel:
         # session-resumption experiments; both ends must agree on it.
         self._next_seq = initial_seq
         self._pending: deque[bytes] = deque()          # not yet transmitted
-        self._in_flight: dict[int, _InFlight] = {}     # seq -> state
+        # seq -> state; filled in sequence order, so iteration is oldest
+        # first, across the wrap too.
+        self._in_flight: dict[int, _InFlight] = {}
         self._retransmit_timer: Timer | None = None
         self._timer_deadline = math.inf
         self._last_cum_ack = 0                         # highest cumulative seen
@@ -195,6 +215,8 @@ class ReliableChannel:
         self._expected_seq = initial_seq
         self._last_delivered = 0                       # 0 = nothing yet
         self._reorder: dict[int, bytes] = {}
+        # Delivered in order since the last packet that carried our ack.
+        self._ack_due = False
         self._peer_id: ServiceId | None = None
 
         self._closed = False
@@ -262,6 +284,8 @@ class ReliableChannel:
                             flags=PacketFlags.NO_ACK, payload=payload)
             self._transport.send(self._peer_address, packet.encode())
             return
+        if len(payload) > MAX_PAYLOAD:    # _transmit does not check again
+            raise PacketError(f"payload too large: {len(payload)} bytes")
         self._pending.append(payload)
         self._pump()
 
@@ -283,8 +307,7 @@ class ReliableChannel:
         already received but whose ack was lost may be re-sent — the
         bus-level per-sender watermark absorbs those duplicates.
         """
-        payloads = [self._in_flight[seq].payload
-                    for seq in self._oldest_first()]
+        payloads = [entry.payload for entry in self._in_flight.values()]
         payloads.extend(self._pending)
         self.close()
         return payloads
@@ -313,59 +336,57 @@ class ReliableChannel:
         if self._closed:
             return
         self._peer_id = packet.sender
+        ptype = packet.type
         # Every packet type may carry a piggy-backed cumulative ack; pure
         # ACKs also carry SACK ranges and feed duplicate-ack detection.
         self._process_ack(packet.ack, packet.sack,
-                          pure_ack=packet.type == PacketType.ACK)
-        if packet.type == PacketType.ACK:
+                          pure_ack=ptype == PacketType.ACK)
+        if ptype == PacketType.ACK:
             return
-        if packet.type == PacketType.RAW:
-            self._deliver(packet.sender, packet.payload)
-            return
-        if packet.type == PacketType.DATA:
+        if ptype == PacketType.DATA:
             self._process_data(packet)
             return
-        raise PacketError(f"channel cannot handle packet type {packet.type.name}")
+        if ptype == PacketType.RAW:
+            self._deliver(packet.sender, packet.payload)
+            return
+        raise PacketError(f"channel cannot handle packet type {ptype.name}")
 
     def close(self) -> None:
-        """Drop all queued state.  Used when the peer is purged from the SMC."""
+        """Drop all queued state — a due ACK included.  Used when the peer
+        is purged from the SMC, or has roamed to another address."""
         self._closed = True
         self._pending.clear()
         self._in_flight.clear()
         self._reorder.clear()
-        if self._retransmit_timer is not None:
-            self._retransmit_timer.cancel()
-            self._retransmit_timer = None
-        self._timer_deadline = math.inf
+        self._ack_due = False
+        self._cancel_timer()
 
     # -- send machinery ----------------------------------------------------
 
-    def _oldest_first(self) -> list[int]:
-        """In-flight sequence numbers, oldest first, wrap-safe."""
-        base = self._next_seq
-        return sorted(self._in_flight, key=lambda s: (s - base) % _SEQ_MOD)
-
     def _pump(self) -> None:
+        pending, in_flight = self._pending, self._in_flight
+        if not pending or len(in_flight) >= self._window:
+            return
         now = self._scheduler.now()
-        while self._pending and len(self._in_flight) < self._window:
-            payload = self._pending.popleft()
+        rto = self._rto_initial
+        while pending and len(in_flight) < self._window:
+            payload = pending.popleft()
             seq = self._next_seq
             self._next_seq = serial_succ(seq)
-            self._in_flight[seq] = _InFlight(
-                payload=payload, rto=self._rto_initial,
-                deadline=now + self._rto_initial, sent_at=now)
+            in_flight[seq] = _InFlight(payload=payload, rto=rto,
+                                       deadline=now + rto, sent_at=now)
             self._transmit(seq, payload)
-        self._ensure_timer()
+        self._arm_timer(now + rto)
 
     def _transmit(self, seq: int, payload: bytes) -> None:
-        packet = Packet(type=PacketType.DATA,
-                        sender=self._transport.service_id,
-                        seq=seq, ack=self._last_delivered, payload=payload)
+        packet = Packet.trusted(PacketType.DATA, self._sender, seq,
+                                self._last_delivered, payload)
+        self._ack_due = False               # this packet carries the ack
         self._transport.send(self._peer_address, packet.encode())
         self.stats.sent += 1
 
-    def _ensure_timer(self) -> None:
-        """Arm the retransmit timer for the earliest outstanding deadline.
+    def _arm_timer(self, deadline: float) -> None:
+        """Have the retransmit timer fire no later than ``deadline``.
 
         Never *postpones* an armed timer: new transmissions carry later
         deadlines, and resetting the timer on every send would perpetually
@@ -373,15 +394,6 @@ class ReliableChannel:
         send stream.  A timer left early by an acked packet fires
         spuriously and re-arms — harmless.
         """
-        deadline = min((entry.deadline
-                        for entry in self._in_flight.values()
-                        if not entry.sacked), default=None)
-        if deadline is None:
-            if self._retransmit_timer is not None:
-                self._retransmit_timer.cancel()
-                self._retransmit_timer = None
-            self._timer_deadline = math.inf
-            return
         if self._retransmit_timer is not None:
             if self._timer_deadline <= deadline + 1e-12:
                 return
@@ -390,14 +402,29 @@ class ReliableChannel:
         self._retransmit_timer = self._scheduler.call_at(
             deadline, self._on_retransmit_timeout)
 
-    def _on_retransmit_timeout(self) -> None:
-        self._retransmit_timer = None
+    def _cancel_timer(self) -> None:
+        if self._retransmit_timer is not None:
+            self._retransmit_timer.cancel()
+            self._retransmit_timer = None
         self._timer_deadline = math.inf
+
+    def _ensure_timer(self) -> None:
+        """Re-derive the timer from every outstanding deadline: the loss
+        paths' O(window) form; sends and cumulative acks move it in O(1)."""
+        deadline = min((entry.deadline
+                        for entry in self._in_flight.values()
+                        if not entry.sacked), default=None)
+        if deadline is None:
+            self._cancel_timer()
+        else:
+            self._arm_timer(deadline)
+
+    def _on_retransmit_timeout(self) -> None:
+        self._cancel_timer()                # it has fired: forget it
         if self._closed or not self._in_flight:
             return
         now = self._scheduler.now()
-        for seq in self._oldest_first():
-            entry = self._in_flight[seq]
+        for seq, entry in list(self._in_flight.items()):
             if entry.sacked or entry.deadline > now + 1e-12:
                 continue
             entry.retries += 1
@@ -415,8 +442,7 @@ class ReliableChannel:
         self._ensure_timer()
 
     def _give_up(self) -> None:
-        undelivered = [self._in_flight[seq].payload
-                       for seq in self._oldest_first()]
+        undelivered = [entry.payload for entry in self._in_flight.values()]
         undelivered.extend(self._pending)
         self.stats.give_ups += len(undelivered)
         self.close()
@@ -426,28 +452,37 @@ class ReliableChannel:
 
     def _process_ack(self, ack: int, sack: tuple[tuple[int, int], ...],
                      *, pure_ack: bool) -> None:
+        in_flight = self._in_flight
+        if not in_flight:
+            return                          # nothing outstanding to acknowledge
         now = self._scheduler.now()
         for start, end in sack:
-            for seq in list(self._in_flight):
-                if serial_leq(start, seq) and serial_leq(seq, end):
-                    entry = self._in_flight[seq]
-                    if not entry.sacked:
-                        entry.sacked = True
-                        if not entry.resent:
-                            self._record_rtt(now - entry.sent_at)
-        acked = [seq for seq in self._in_flight
-                 if serial_leq(seq, ack)] if ack else []
+            for seq, entry in in_flight.items():
+                if (serial_leq(start, seq) and serial_leq(seq, end)
+                        and not entry.sacked):
+                    entry.sacked = True
+                    if not entry.resent:
+                        self._record_rtt(now - entry.sent_at)
+        # A cumulative ack covers a prefix of the oldest-first window.
+        acked = []
+        if ack:
+            for seq in in_flight:
+                if not serial_leq(seq, ack):
+                    break
+                acked.append(seq)
         if acked:
             for seq in acked:
-                entry = self._in_flight.pop(seq)
+                entry = in_flight.pop(seq)
                 # SACKed entries were sampled when the SACK arrived.
                 if not entry.resent and not entry.sacked:
                     self._record_rtt(now - entry.sent_at)
             self._last_cum_ack = ack
             self._dup_acks = 0
             self._fast_rtx_seq = None
-            self._pump()                    # refills the window, re-arms timer
-        elif pure_ack and ack == self._last_cum_ack and self._in_flight:
+            if not in_flight:
+                self._cancel_timer()
+            self._pump()                    # refills the window
+        elif pure_ack and ack == self._last_cum_ack:
             # A duplicate cumulative ack: the receiver got something beyond
             # a hole.  Three in a row fast-retransmit the hole.
             self._dup_acks += 1
@@ -459,8 +494,7 @@ class ReliableChannel:
 
     def _fast_retransmit(self) -> None:
         """Resend the oldest unSACKed packet, once per loss episode."""
-        for seq in self._oldest_first():
-            entry = self._in_flight[seq]
+        for seq, entry in self._in_flight.items():
             if entry.sacked:
                 continue
             if seq == self._fast_rtx_seq:
@@ -504,8 +538,12 @@ class ReliableChannel:
             while self._expected_seq in self._reorder:
                 self._deliver_in_order(packet.sender,
                                        self._reorder.pop(self._expected_seq))
-            self._send_ack()
+            if self._ack_due:               # no reverse DATA carried it yet
+                self._transport.call_at_turn_end(self._flush_ack)
             return
+        # A loss signal: the sender counts duplicate acks, so the due ACK
+        # goes out first, on its own, and this arrival is acked at once.
+        self._flush_ack()
         if serial_lt(seq, self._expected_seq) or seq in self._reorder:
             self.stats.duplicates += 1
             self._send_ack()
@@ -525,6 +563,7 @@ class ReliableChannel:
         self._expected_seq = serial_succ(seq)
         self._last_delivered = seq
         self.stats.delivered += 1
+        self._ack_due = True        # before the upcall: its reply may carry it
         self._deliver(sender, payload)
 
     def _sack_ranges(self) -> tuple[tuple[int, int], ...]:
@@ -544,10 +583,15 @@ class ReliableChannel:
         ranges.append((start, prev))
         return tuple(ranges[:MAX_SACK_RANGES])
 
+    def _flush_ack(self) -> None:
+        """Send the due ACK, if one still is (the end-of-turn callback)."""
+        if self._ack_due:
+            self._send_ack()
+
     def _send_ack(self) -> None:
-        packet = Packet(type=PacketType.ACK,
-                        sender=self._transport.service_id,
-                        ack=self._last_delivered, sack=self._sack_ranges())
+        packet = Packet.trusted(PacketType.ACK, self._sender, 0,
+                                self._last_delivered, b"", self._sack_ranges())
+        self._ack_due = False
         self._transport.send(self._peer_address, packet.encode())
         self.stats.acks_sent += 1
 

@@ -20,7 +20,7 @@ class SimTransport(Transport):
 
     def __init__(self, network: SimNetwork, name: str) -> None:
         super().__init__(service_id=service_id_from_name(name),
-                         local_address=name)
+                         local_address=name, scheduler=network.scheduler)
         self._network = network
         network.set_receiver(name, self._deliver)
 

@@ -175,18 +175,23 @@ class UdpTransport(Transport):
         return count
 
     def _drain(self, sock: socket.socket) -> int:
+        """Hand up everything queued on ``sock``: one receive turn."""
         count = 0
-        while True:
-            try:
-                payload, src = sock.recvfrom(_RECV_BUFFER)
-            except BlockingIOError:
-                return count
-            except OSError as exc:
-                if exc.errno in (errno.EAGAIN, errno.EWOULDBLOCK):
+        self._turn_open = True
+        try:
+            while True:
+                try:
+                    payload, src = sock.recvfrom(_RECV_BUFFER)
+                except BlockingIOError:
                     return count
-                raise TransportError(f"recvfrom failed: {exc}") from exc
-            self._deliver(src, payload)
-            count += 1
+                except OSError as exc:
+                    if exc.errno in (errno.EAGAIN, errno.EWOULDBLOCK):
+                        return count
+                    raise TransportError(f"recvfrom failed: {exc}") from exc
+                self._deliver(src, payload)
+                count += 1
+        finally:
+            self._end_turn()
 
     def close(self) -> None:
         # Close each socket unconditionally: ``socket.close`` is itself

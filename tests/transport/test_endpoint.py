@@ -369,3 +369,78 @@ class TestMovePeer:
         core.learn_peer(dev_id, "dev")
         assert core.move_peer(dev_id, "dev-roamed") == 0
         assert core.address_of(dev_id) == "dev-roamed"
+
+
+class TestAckDueAcrossTeardown:
+    """A due (end-of-turn) ACK dies with its channel: nothing is sent on
+    a closed channel, and nothing to an address the peer has left."""
+
+    def _ack_due_at_core(self, sim, hub, endpoints):
+        """DATA from "dev" delivered at the core, ACK not yet flushed:
+        the returned hook runs mid-turn, inside the payload upcall."""
+        core, dev = endpoints("core"), endpoints("dev")
+        hub.create("dev-roamed")
+        sent_to = []
+
+        def note_core_sends(src, dest, data):
+            if src == "core":
+                sent_to.append(dest)
+            return True
+
+        hub.drop_filter = note_core_sends
+        mid_turn = []
+        core.set_payload_handler(
+            lambda peer, data: [hook(peer) for hook in mid_turn])
+        return core, dev, sent_to, mid_turn
+
+    def test_roam_with_ack_due_sends_no_ack_to_old_address(
+            self, sim, hub, endpoints):
+        core, dev, sent_to, mid_turn = self._ack_due_at_core(
+            sim, hub, endpoints)
+        mid_turn.append(lambda peer: core.move_peer(peer, "dev-roamed"))
+        dev.send_reliable("core", b"moving")
+        sim.run(0.01)
+        assert sent_to == []                 # not to "dev", not anywhere
+        assert core.existing_channel("dev") is None
+        assert core.address_of(dev.service_id) == "dev-roamed"
+
+    def test_reset_channel_drops_the_due_ack(self, sim, hub, endpoints):
+        core, dev, sent_to, mid_turn = self._ack_due_at_core(
+            sim, hub, endpoints)
+        mid_turn.append(lambda peer: core.reset_channel_to("dev"))
+        dev.send_reliable("core", b"x")
+        sim.run(0.01)
+        assert sent_to == []
+        # The fresh channel the next packet creates owes nothing.
+        assert core.channel_to("dev").stats.acks_sent == 0
+
+    def test_endpoint_closed_mid_turn(self, sim, hub, endpoints):
+        core, dev, sent_to, mid_turn = self._ack_due_at_core(
+            sim, hub, endpoints)
+        mid_turn.append(lambda peer: core.close())
+        dev.send_reliable("core", b"x")
+        sim.run(0.01)                        # must not raise
+        assert sent_to == []
+
+    def test_unchanged_mapping_skips_learn_peer_but_roam_still_learned(
+            self, sim, hub, endpoints):
+        core, dev = endpoints("core"), endpoints("dev")
+        core.set_payload_handler(lambda peer, data: None)
+        learned = []
+        real = core.learn_peer
+
+        def learn_peer(peer, address):
+            learned.append(address)
+            real(peer, address)
+
+        core.learn_peer = learn_peer
+        for index in range(3):
+            dev.send_reliable("core", bytes([index]))
+            sim.run_until_idle()
+        assert learned == ["dev"]            # first contact only
+        roamed = hub.create("dev-roamed")
+        roamed.send("core", Packet(type=PacketType.HEARTBEAT,
+                                   sender=dev.service_id).encode())
+        sim.run_until_idle()
+        assert learned == ["dev", "dev-roamed"]
+        assert core.address_of(dev.service_id) == "dev-roamed"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, PacketError
 from repro.ids import service_id_from_name
 from repro.sim.hosts import LAPTOP_PROFILE, SimHost
 from repro.sim.kernel import Simulator
@@ -391,6 +391,169 @@ class TestSelectiveAcks:
         assert chan_b.stats.reorder_drops > 0
 
 
+def spy_acks(hub):
+    """Record every ACK packet crossing the hub as (src, ack, sack),
+    chaining any filter already installed."""
+    seen = []
+    inner = hub.drop_filter
+
+    def spy(src, dest, data):
+        packet = Packet.decode(data)
+        if packet.type == PacketType.ACK:
+            seen.append((src, packet.ack, packet.sack))
+        return inner(src, dest, data) if inner is not None else True
+
+    hub.drop_filter = spy
+    return seen
+
+
+class TestAckCoalescing:
+    """One cumulative ACK per receive turn; loss signals never deferred.
+
+    On the in-memory hub a receive turn is one scheduler instant, so a
+    burst sent from one callback arrives in one turn.
+    """
+
+    def test_in_order_burst_is_acked_once(self, sim, hub):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8)
+        acks = spy_acks(hub)
+        messages = [bytes([i]) for i in range(8)]
+        for message in messages:
+            chan_a.send(message)
+        sim.run_until_idle()
+        assert delivered_b == messages
+        assert chan_b.stats.acks_sent == 1
+        assert acks == [("b", 8, ())]               # the last of the burst
+        assert chan_a.unacked_count() == 0
+        assert chan_a.stats.retransmissions == 0
+
+    def test_isolated_arrivals_are_each_acked_in_their_turn(self, sim):
+        hub = InMemoryHub(sim, delay_s=0.010)
+        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8)
+        acked_at = []
+
+        def note_acks(src, dest, data):
+            if src == "b":
+                acked_at.append(sim.now())
+            return True
+
+        hub.drop_filter = note_acks
+        for i in range(5):
+            sim.call_at(0.1 * i, chan_a.send, bytes([i]))
+        sim.run_until_idle()
+        assert chan_b.stats.delivered == 5
+        assert chan_b.stats.acks_sent == 5
+        # Zero added delay: each ACK leaves at its DATA's arrival instant.
+        assert acked_at == pytest.approx([0.1 * i + 0.010 for i in range(5)])
+        assert chan_a.stats.rtt_samples == 5
+        assert chan_a.stats.srtt == pytest.approx(0.020)
+
+    def test_reverse_data_carries_the_ack(self, sim, hub):
+        # b answers every payload from inside the upcall: the reply's
+        # piggy-backed ack is the acknowledgement, no ACK datagram at all.
+        chan_a, chan_b, delivered_a, _ = make_pair(sim, hub, window=8)
+        chan_b._deliver = lambda sender, payload: chan_b.send(b"re:" + payload)
+        for i in range(4):
+            chan_a.send(bytes([i]))
+        sim.run_until_idle()
+        assert delivered_a == [b"re:" + bytes([i]) for i in range(4)]
+        assert chan_b.stats.delivered == 4
+        assert chan_b.stats.acks_sent == 0
+        assert chan_a.unacked_count() == 0
+        assert chan_a.stats.retransmissions == 0
+        # a's side replies to nothing, so it acks b's burst once.
+        assert chan_a.stats.acks_sent == 1
+
+    def test_queued_reverse_data_does_not_cancel_the_ack(self, sim, hub):
+        # b's window is full, so its reply only queues: the ACK still goes.
+        chan_a, chan_b, _, _ = make_pair(sim, hub, window=1)
+        hub.drop_filter = lambda src, dest, data: src != "b"
+        chan_b.send(b"fills-the-window")
+        chan_b._deliver = lambda sender, payload: chan_b.send(b"queued")
+        hub.drop_filter = None
+        chan_a.send(b"x")
+        sim.run(0.01)
+        assert chan_b.pending_count() == 1
+        assert chan_b.stats.acks_sent == 1
+        assert chan_a.unacked_count() == 0
+
+    def test_hole_in_burst_recovered_by_fast_retransmit(self, sim, hub):
+        # Same-instant burst 1..8 with 3 lost.  The ACK due for 1-2 must
+        # leave as its own datagram *before* the first duplicate ack, or
+        # the sender is one dup-ack short and falls back to the 5 s RTO.
+        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8,
+                                                   rto_initial=5.0)
+        drop_data_seq_once(hub, 3)
+        acks = spy_acks(hub)
+        messages = [bytes([i]) for i in range(8)]
+        for message in messages:
+            chan_a.send(message)
+        sim.run_until_idle(max_time=1.0)
+        assert delivered_b == messages
+        assert sim.now() < 1.0                        # never the RTO
+        assert chan_a.stats.fast_retransmits == 1
+        assert chan_a.stats.retransmissions == 1
+        assert acks == [
+            ("b", 2, ()),                             # the due ACK, flushed
+            ("b", 2, ((4, 4),)), ("b", 2, ((4, 5),)), ("b", 2, ((4, 6),)),
+            ("b", 2, ((4, 7),)), ("b", 2, ((4, 8),)),  # five duplicate acks
+            ("b", 8, ()),                             # after the hole filled
+        ]
+
+    def test_duplicate_flushes_then_reacks(self, sim, hub):
+        # A duplicate DATA in the same turn as fresh in-order DATA: the
+        # due cumulative ACK goes first, then the duplicate's re-ack.
+        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
+        acks = spy_acks(hub)
+        first = Packet(type=PacketType.DATA, sender=service_id_from_name("a"),
+                       seq=1, payload=b"one").encode()
+        hub.inject("a", "b", first)
+        hub.inject("a", "b", first)
+        sim.run_until_idle()
+        assert delivered_b == [b"one"]
+        assert chan_b.stats.duplicates == 1
+        assert acks == [("b", 1, ()), ("b", 1, ())]
+
+    def test_close_with_ack_due_sends_nothing(self, sim, hub):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
+        acks = spy_acks(hub)
+
+        def deliver_then_close(sender, payload):
+            delivered_b.append(payload)
+            chan_b.close()
+
+        chan_b._deliver = deliver_then_close
+        chan_a.send(b"last words")
+        sim.run(0.01)
+        assert delivered_b == [b"last words"]
+        assert chan_b.closed
+        assert chan_b.stats.acks_sent == 0 and acks == []
+
+    def test_drain_undelivered_with_ack_due_sends_nothing(self, sim, hub):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
+        acks = spy_acks(hub)
+        chan_a.send(b"x")
+        sim.call_soon(chan_b.drain_undelivered)   # same instant, mid-turn
+        sim.run(0.01)
+        assert delivered_b == [b"x"]
+        assert chan_b.stats.acks_sent == 0 and acks == []
+
+    def test_transport_closed_mid_turn_sends_nothing(self, sim, hub):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
+        chan_a.send(b"x")
+        sim.call_soon(chan_b._transport.close)
+        sim.run(0.01)                              # must not raise
+        assert delivered_b == [b"x"]
+        assert chan_b._transport.stats.datagrams_sent == 0
+
+    def test_oversized_payload_rejected_before_queueing(self, sim, hub):
+        chan_a, _, _, _ = make_pair(sim, hub, window=4)
+        with pytest.raises(PacketError):
+            chan_a.send(b"x" * 70000)
+        assert chan_a.unacked_count() == 0
+        assert chan_a.stats.sent == 0
+
+
 _CHAOS_LINK = LinkProfile(name="chaos", latency_mean_s=5e-3,
                           latency_min_s=1e-3, latency_max_s=30e-3,
                           bandwidth_bps=1_000_000.0, loss_rate=0.15,
@@ -504,6 +667,58 @@ class TestDifferential:
         sim.run(sim.now() + 60.0)
         assert delivered == messages
         assert chan_a.unacked_count() == 0
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**16), window=st.sampled_from([1, 4, 32]),
+           burst=st.sampled_from([1, 3, 8, 32]))
+    def test_same_instant_bursts_delivered_equals_sent(self, seed, window,
+                                                       burst):
+        """Bursts sent from one callback arrive in one receive turn; lost,
+        duplicated and late copies land *in the same instants* as later
+        bursts (every delay is a whole number of hub ticks), so one turn
+        mixes in-order, duplicate and out-of-order arrivals."""
+        import random
+        rng = random.Random(seed)
+        tick = 0.005
+        sim = Simulator()
+        hub = InMemoryHub(sim, delay_s=tick)
+
+        def chaos(src, dest, data):
+            roll = rng.random()
+            if roll < 0.15:
+                return False                                   # lost
+            if roll < 0.25:
+                hub.inject(src, dest, data)                    # duplicated
+            elif roll < 0.40:                                  # reordered
+                sim.call_later(tick * rng.randint(1, 4), hub.inject,
+                               src, dest, data)
+                return False
+            return True
+
+        hub.drop_filter = chaos
+        chan_a, chan_b, _, delivered = make_pair(sim, hub, window=window,
+                                                 rto_initial=0.1)
+        messages = [f"m{i:04d}".encode() for i in range(96)]
+
+        def send_burst(start):
+            for message in messages[start:start + burst]:
+                chan_a.send(message)
+
+        for index, start in enumerate(range(0, len(messages), burst)):
+            sim.call_at(tick * index, send_burst, start)
+        while len(delivered) < len(messages) and sim.now() < 600.0:
+            sim.run(sim.now() + 1.0)
+        assert delivered == messages
+        hub.drop_filter = None          # let the tail of lost acks resolve
+        sim.run(sim.now() + 60.0)
+        assert delivered == messages
+        assert chan_a.unacked_count() == 0
+        # Coalescing only ever removes ACKs: never more than one per
+        # arrival (in-order, duplicate or out-of-order).
+        stats = chan_b.stats
+        assert stats.acks_sent <= (stats.delivered + stats.duplicates
+                                   + stats.out_of_order)
 
 
 class TestClose:
