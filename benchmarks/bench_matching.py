@@ -169,14 +169,15 @@ def build_vitals_events(count: int, seed: int = 11) -> list[dict]:
 
 
 def _run_sharded_bus_workload(shards: int, sub_count: int, batches: int,
-                              batch_size: int) -> tuple[float, tuple]:
-    """One full bus run: subscribe, warm, then measure batches under
-    steady subscription churn.  Returns (seconds, comparable outcome).
+                              batch_size: int, churn: bool = True
+                              ) -> tuple[float, tuple]:
+    """One full bus run: subscribe, warm, then measure batches, by default
+    under steady subscription churn.  Returns (seconds, comparable outcome).
 
-    Churn is the point: every registration change wholesale-invalidates a
-    forwarding engine's satisfied-value memo, so a single bus re-warms
-    its whole table every round while a sharded bus re-warms only the one
-    shard the churned class routes to.
+    Churn is the point: a registration change drops only the memo entries
+    it can affect and touches only its own index buckets, so a bus that
+    re-subscribes one member per batch should run close to one that does
+    not — on one engine or on eight shards alike.
     """
     sim = Simulator()
     if shards == 1:
@@ -201,11 +202,12 @@ def _run_sharded_bus_workload(shards: int, sub_count: int, batches: int,
         bus.publish_batch(stamped[index * batch_size:
                                   (index + 1) * batch_size])
         sim.run_until_idle()
-        # One member re-subscribes each round: the churn that keeps
-        # real cells' match memos cold.
-        sub_id = bus.subscribe_local(churn_subs[index - 1].filters,
-                                     lambda event: None)
-        bus.unsubscribe_local(sub_id)
+        if churn:
+            # One member re-subscribes each round, as real cells' members
+            # do all day.
+            sub_id = bus.subscribe_local(churn_subs[index - 1].filters,
+                                         lambda event: None)
+            bus.unsubscribe_local(sub_id)
     elapsed = time.perf_counter() - start
     stats = bus.stats
     outcome = (stats.published, stats.matched, stats.unmatched,
@@ -225,34 +227,44 @@ def test_sharded_publish_batch_scaling(benchmark, shards):
     assert outcome[0] > 0
 
 
-def test_sharded_bus_beats_single_bus_under_churn_at_10k():
-    """The sharded bus's hard perf gate (CI smoke runs this).
+def test_churn_costs_what_it_changes_at_10k():
+    """The churn gates (CI smoke runs this): two same-process ratios.
 
-    At 10k subscriptions with one subscription churned per batch, eight
-    shards must sustain >= 1.5x the publish_batch throughput of the
-    single bus — measured ~2.1x, the margin absorbs noisy CI
-    neighbours — while producing identical BusStats.  Best of two full
-    runs per configuration, mirroring the batch gate above.
+    At 10k subscriptions with one subscription churned per batch, the
+    single bus must sustain >= 0.6x its own churn-free publish_batch
+    throughput (measured 0.87x; an engine that clears its whole memo and
+    filters every index bucket on a registration change reads 0.35x), and
+    eight inline shards must stay >= 0.8x the single bus (measured 0.97x:
+    on one core sharding neither buys nor costs throughput) while
+    producing identical BusStats.  Best of two full runs per configuration,
+    mirroring the batch gate above.
     """
     settings = dict(sub_count=10_000, batches=16, batch_size=200)
 
-    def best_of(runs, shards):
+    def best_of(runs, shards, churn=True):
         best, outcome = float("inf"), None
         for _ in range(runs):
-            elapsed, outcome = _run_sharded_bus_workload(shards, **settings)
+            elapsed, outcome = _run_sharded_bus_workload(shards, churn=churn,
+                                                         **settings)
             best = min(best, elapsed)
         return best, outcome
 
+    steady_s, _ = best_of(2, 1, churn=False)
     single_s, single_outcome = best_of(2, 1)
     sharded_s, sharded_outcome = best_of(2, 8)
 
     assert sharded_outcome == single_outcome   # same deliveries, same stats
     events = settings["batches"] * settings["batch_size"]
+    steady_eps = events / steady_s
     single_eps = events / single_s
     sharded_eps = events / sharded_s
-    assert sharded_eps >= 1.5 * single_eps, (
+    assert single_eps >= 0.6 * steady_eps, (
+        f"single bus under churn {single_eps:.0f} ev/s vs churn-free "
+        f"{steady_eps:.0f} ev/s ({single_eps / steady_eps:.2f}x, "
+        f"need >= 0.6x)")
+    assert sharded_eps >= 0.8 * single_eps, (
         f"8 shards {sharded_eps:.0f} ev/s vs single bus {single_eps:.0f} "
-        f"ev/s ({sharded_eps / single_eps:.2f}x, need >= 1.5x)")
+        f"ev/s ({sharded_eps / single_eps:.2f}x, need >= 0.8x)")
 
 
 def test_forwarding_faster_than_brute_at_scale():

@@ -436,15 +436,16 @@ def run_rebalance_recovery(sub_count: int = 4000, batches: int = 10,
     The adversarial workload for static CRC routing: every alert rule in
     the ward constrains the same attribute class ``{type, hr, patient}``,
     so the whole table hashes onto one shard of ``shards`` — and one
-    re-subscription per batch (the churn real cells live with) wholesale-
-    invalidates that shard's satisfied-value memo every round, exactly as
-    if the bus were unsharded.  With the autonomic manager ticking, the
-    rebalancer detects the pin and splits the class by the ``patient``
-    equality bucket, spreading fragments *and their events* across all
-    shards, so each churn invalidation cold-starts ~1/``shards`` of the
-    table.  Wall-clock, best-of-``runs`` per configuration; both runs
-    must produce identical BusStats (the differential suite pins the
-    stronger per-event property).
+    re-subscription per batch (the churn real cells live with) drops that
+    shard's memo entries for the hot ``type`` and ``patient`` values,
+    which are recomputed against the whole table, exactly as if the bus
+    were unsharded.  With the autonomic manager ticking, the rebalancer
+    detects the pin and splits the class by the ``patient`` equality
+    bucket, spreading fragments *and their events* across all shards, so
+    every recomputed entry and every per-event set intersection works on
+    ~1/``shards`` of the table.  Wall-clock, best-of-``runs`` per
+    configuration; both runs must produce identical BusStats (the
+    differential suite pins the stronger per-event property).
     """
     import random
     import time as wallclock

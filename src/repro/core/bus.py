@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from repro.errors import (
     BusError,
@@ -446,8 +446,9 @@ class EventBus:
         if self.quench is not None:
             self.quench.on_subscriptions_changed()
 
-    def all_subscriptions(self) -> list[Subscription]:
-        return self.engine.subscriptions()
+    def all_subscriptions(self) -> Iterator[Subscription]:
+        """Every registered subscription, in no particular order."""
+        return iter(self.engine)
 
     def __repr__(self) -> str:
         return (f"<EventBus {self.name} engine={self.engine.name} "

@@ -23,22 +23,24 @@ along that line:
   invariant and every delivery guarantee — is the single shared code
   path of the base class.
 
-Why shard on one core at all?  Registration churn.  Every subscribe or
-unsubscribe wholesale-invalidates the forwarding engine's satisfied-value
-memo (the price of its simple invalidation rule), and ubiquitous-health
-cells churn constantly — members join, roam and are purged.  Partitioning
-the table confines each invalidation to the one shard the subscription's
-class routes to, so the other shards stay warm: the shard-scaling gate in
-``benchmarks/bench_matching.py`` measures ~2.1x batch throughput at 8
-shards under steady churn.  The same split is what makes the next step —
-running shards on separate cores or processes — a transport problem
-rather than a semantics problem.
+Why shard at all?  Not for single-core throughput: a registration change
+costs a forwarding engine the memo entries and index buckets it touches,
+whatever the table's size, so there is no churn damage for a shard to
+confine, and the churn gate in ``benchmarks/bench_matching.py`` measures
+8 inline shards at 0.97x the single bus.  The partition exists for the
+boundary it creates: a shard is a self-contained table plus the
+projection of each event onto it, which is exactly a
+:class:`~repro.matching.plan.MatchPlan` — so the match phase runs on
+whatever executor is attached (inline here, worker processes in
+:mod:`repro.core.workers`), and putting shards on separate cores is a
+transport problem rather than a semantics problem.
 
 Static CRC routing has one failure mode: a *hot* name class.  A ward
 where every alert rule constrains the same vitals attributes hashes the
 whole table onto one shard, and the other shards idle while that shard
-eats every churn invalidation.  :meth:`ShardedMatcher.split_class` is the
-repair — the actuator the autonomic control plane's shard rebalancer
+matches every event against the whole table.
+:meth:`ShardedMatcher.split_class` is the repair — the actuator the
+autonomic control plane's shard rebalancer
 (:class:`repro.autonomic.controllers.ShardRebalancer`) drives: it
 re-routes a class live by a *secondary value-bucket key*, spreading the
 class's equality-constrained filters (and, crucially, the events they

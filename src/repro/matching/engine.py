@@ -11,7 +11,7 @@ forwarding engine, type-based engine) plugs in behind it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.errors import ConfigurationError, MatchingError, SubscriptionNotFoundError
 from repro.matching.filters import Subscription
@@ -101,6 +101,10 @@ class MatchingEngine(ABC):
     def subscriptions(self) -> list[Subscription]:
         """All registered subscriptions, in id order."""
         return [self._subscriptions[k] for k in sorted(self._subscriptions)]
+
+    def __iter__(self) -> Iterator[Subscription]:
+        """All registered subscriptions, in no particular order."""
+        return iter(self._subscriptions.values())
 
     def get(self, sub_id: int) -> Subscription | None:
         return self._subscriptions.get(sub_id)

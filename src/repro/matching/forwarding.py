@@ -20,11 +20,18 @@ No per-filter evaluation ever touches an attribute the event does not
 carry, and — unlike the Siena translation path — the event's attribute map
 is matched *natively*, with zero data conversion.  That difference is the
 throughput gap of Figure 4.
+
+Registration costs what it changes: a subscribe or unsubscribe touches
+the index buckets of its own constraints and drops the batch-path memo
+entries those constraints can affect (:meth:`ForwardingMatcher._forget`),
+nothing else — a cell's members come and go all day, and the table they
+leave behind stays indexed and warm.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+import operator
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from typing import Mapping, Sequence
 
@@ -35,40 +42,45 @@ from repro.transport.wire import Value
 
 
 class _Thresholds:
-    """Sorted (value, fid) pairs for one ordering operator and kind."""
+    """Thresholds of one ordering operator and kind, sorted by value.
 
-    __slots__ = ("entries",)
+    Two parallel lists, so bisect runs on plain values and the satisfied
+    fids are one slice.
+    """
+
+    __slots__ = ("values", "fids")
 
     def __init__(self) -> None:
-        self.entries: list[tuple[Value, int]] = []
+        self.values: list[Value] = []
+        self.fids: list[int] = []
 
     def add(self, value: Value, fid: int) -> None:
-        insort(self.entries, (value, fid), key=lambda e: e[0])
+        at = bisect_right(self.values, value)
+        self.values.insert(at, value)
+        self.fids.insert(at, fid)
 
     def remove(self, value: Value, fid: int) -> None:
-        # Locate the value run by bisect, then scan it for the fid.
-        lo = bisect_left(self.entries, value, key=lambda e: e[0])
-        while lo < len(self.entries) and self.entries[lo][0] == value:
-            if self.entries[lo][1] == fid:
-                del self.entries[lo]
-                return
-            lo += 1
+        # The value's run starts at the bisect point; scan on for the fid.
+        try:
+            at = self.fids.index(fid, bisect_left(self.values, value))
+        except ValueError:
+            # A NaN threshold sorts nowhere and can leave the bisect point
+            # past the entry.  Any slot of this fid will do: a filter is
+            # always removed whole.
+            at = self.fids.index(fid)
+        del self.values[at]
+        del self.fids[at]
 
     def satisfied_by(self, value: Value, op: Op) -> list[int]:
         """Fids of constraints ``attr op threshold`` satisfied by ``value``."""
-        entries = self.entries
         if op == Op.LT:        # value < threshold: thresholds > value
-            start = bisect_right(entries, value, key=lambda e: e[0])
-            return [fid for _, fid in entries[start:]]
+            return self.fids[bisect_right(self.values, value):]
         if op == Op.LE:        # thresholds >= value
-            start = bisect_left(entries, value, key=lambda e: e[0])
-            return [fid for _, fid in entries[start:]]
+            return self.fids[bisect_left(self.values, value):]
         if op == Op.GT:        # thresholds < value
-            end = bisect_left(entries, value, key=lambda e: e[0])
-            return [fid for _, fid in entries[:end]]
+            return self.fids[:bisect_left(self.values, value)]
         if op == Op.GE:        # thresholds <= value
-            end = bisect_right(entries, value, key=lambda e: e[0])
-            return [fid for _, fid in entries[:end]]
+            return self.fids[:bisect_right(self.values, value)]
         raise AssertionError(op)   # pragma: no cover
 
 
@@ -95,6 +107,13 @@ class _AttrIndex:
 
 _ORDER_OPS = frozenset({Op.LT, Op.LE, Op.GT, Op.GE})
 _STRING_OPS = frozenset({Op.PREFIX, Op.SUFFIX, Op.CONTAINS})
+#: ``test(value, operand)`` of each operator that is evaluated rather than
+#: looked up, for a value already known to be of the operand's kind.
+_TESTS = {Op.NE: operator.ne, Op.LT: operator.lt, Op.LE: operator.le,
+          Op.GT: operator.gt, Op.GE: operator.ge,
+          Op.PREFIX: lambda value, operand: value.startswith(operand),
+          Op.SUFFIX: lambda value, operand: value.endswith(operand),
+          Op.CONTAINS: lambda value, operand: operand in value}
 
 
 def name_class(filt) -> frozenset[str]:
@@ -109,11 +128,22 @@ def name_class(filt) -> frozenset[str]:
     """
     return frozenset(constraint.name for constraint in filt)
 
-#: Cap on the batch path's satisfied-value memo.  High-cardinality
-#: attribute streams (timestamps, counters) would otherwise grow the dict
-#: for the process lifetime; wholesale reset on overflow keeps the common
-#: low-cardinality case fast and the worst case bounded.
-_MEMO_MAX_ENTRIES = 65536
+#: Cap on one attribute name's partition of the satisfied-value memo; a
+#: full partition resets alone.  High-cardinality streams (timestamps,
+#: float readings) would otherwise grow it for the process lifetime, and
+#: a registration change scans the partitions of the names it constrains,
+#: so the cap is also the worst case of one constraint's invalidation.
+#: Measured on a full partition: 0.3 ms to scan it, 0.9 ms to scan and
+#: drop all of it, 8 ms when each dropped entry names ~500 filters (the
+#: time is then their deallocation).
+_MEMO_NAME_MAX = 4096
+
+#: The exact value classes of each kind.  Only these are memoised, so an
+#: EQ constraint's entries are found by key instead of by scan.
+_KIND_CLASSES = {Kind.BOOL: (bool,), Kind.NUMBER: (int, float),
+                 Kind.STRING: (str,), Kind.BYTES: (bytes,)}
+_MEMO_CLASSES = frozenset(
+    cls for classes in _KIND_CLASSES.values() for cls in classes)
 
 
 class ForwardingMatcher(MatchingEngine):
@@ -129,9 +159,12 @@ class ForwardingMatcher(MatchingEngine):
         self._filter_sub: dict[int, int] = {}       # fid -> subscription id
         self._sub_fids: dict[int, list[int]] = {}   # sub id -> fids
         self._always: set[int] = set()              # fids of empty filters
-        # Dense fid -> subscription id mirror of _filter_sub (fids are
-        # sequential), for C-speed list indexing on the batch path.
+        # Dense fid -> subscription id mirror of _filter_sub, for C-speed
+        # list indexing on the batch path.  Fids are slots of the three
+        # dense lists; a removed filter's slot is recycled, which is safe
+        # because no memo entry outlives a fid it names (see _forget).
         self._sub_list: list[int] = []
+        self._free_fids: list[int] = []
         # Batch-path structures.  Multi-constraint filters are grouped
         # into *classes* by the set of attribute names they constrain: a
         # filter matches an event iff, for every name in its class, all
@@ -140,16 +173,17 @@ class ForwardingMatcher(MatchingEngine):
         self._classes: dict[frozenset[str], int] = {}   # names -> class id
         self._class_width: list[int] = []               # cid -> len(names)
         self._fid_class: list[int] = []                 # fid -> cid (-1: n/a)
-        # fid -> {name: constraints on that name} for multi filters.
+        # fid -> {name: constraints on that name}, for the multi filters
+        # that constrain some name more than once (None: once each).
         self._fid_name_needs: list[dict[str, int] | None] = []
-        # Memo: (attr name, value type, value) -> (sub ids of satisfied
-        # single-constraint filters, {class id: fids with every constraint
-        # on this attribute satisfied}).  Event streams repeat attribute
-        # values heavily, so one index walk serves many events.  Any
-        # registration change invalidates it wholesale.
-        self._satisfied_memo: dict[
-            tuple, tuple[tuple[int, ...], dict[int, frozenset[int]]]] = {}
-        self._next_fid = 0
+        # Memo: attr name -> {(value class, value) -> (sub ids of
+        # satisfied single-constraint filters, {class id: fids with every
+        # constraint on this attribute satisfied})}.  Event streams repeat
+        # attribute values heavily, so one index walk serves many events.
+        # A name has a partition exactly while it has an _AttrIndex; a
+        # registration change drops only the entries it can affect.
+        self._satisfied_memo: dict[str, dict[
+            tuple, tuple[tuple[int, ...], dict[int, frozenset[int]]]]] = {}
         self.constraints_indexed = 0
         self.memo_hits = 0
         self.memo_misses = 0
@@ -160,49 +194,53 @@ class ForwardingMatcher(MatchingEngine):
     # -- registration ----------------------------------------------------
 
     def _index(self, subscription: Subscription) -> None:
-        self._satisfied_memo.clear()
         fids = []
         for filt in subscription.filters:
-            fid = self._next_fid
-            self._next_fid += 1
-            fids.append(fid)
-            self._filter_sub[fid] = subscription.sub_id
-            self._filter_needs[fid] = len(filt)
-            self._sub_list.append(subscription.sub_id)
-            if len(filt) <= 1:
+            if self._free_fids:
+                fid = self._free_fids.pop()
+            else:
+                fid = len(self._sub_list)
+                self._sub_list.append(-1)
                 self._fid_class.append(-1)
                 self._fid_name_needs.append(None)
-            else:
-                name_needs = Counter(c.name for c in filt)
+            fids.append(fid)
+            self._filter_sub[fid] = self._sub_list[fid] = subscription.sub_id
+            self._filter_needs[fid] = len(filt)
+            if len(filt) > 1:
                 key = name_class(filt)
                 cid = self._classes.get(key)
                 if cid is None:
                     cid = len(self._class_width)
                     self._classes[key] = cid
                     self._class_width.append(len(key))
-                self._fid_class.append(cid)
-                self._fid_name_needs.append(dict(name_needs))
-            if len(filt) == 0:
+                self._fid_class[fid] = cid
+                if len(key) < len(filt):
+                    self._fid_name_needs[fid] = dict(
+                        Counter(c.name for c in filt))
+            elif not filt:
                 self._always.add(fid)
-                continue
             for constraint in filt:
                 self._index_constraint(constraint, fid)
+                self._forget(constraint)
                 self.constraints_indexed += 1
         self._sub_fids[subscription.sub_id] = fids
 
     def _index_constraint(self, constraint, fid: int) -> None:
-        index = self._attr_indexes.setdefault(constraint.name, _AttrIndex())
+        index = self._attr_indexes.get(constraint.name)
+        if index is None:
+            index = self._attr_indexes[constraint.name] = _AttrIndex()
+            self._satisfied_memo[constraint.name] = {}
         op = constraint.op
         if op == Op.EXISTS:
             index.exists.append(fid)
         elif op == Op.EQ:
-            key = (kind_of(constraint.value), constraint.value)
+            key = (constraint.kind, constraint.value)
             index.eq.setdefault(key, []).append(fid)
         elif op == Op.NE:
-            index.ne.append((kind_of(constraint.value), constraint.value, fid))
+            index.ne.append((constraint.kind, constraint.value, fid))
         elif op in _ORDER_OPS:
-            kind = kind_of(constraint.value)
-            thresholds = index.order.setdefault((op, kind), _Thresholds())
+            thresholds = index.order.setdefault((op, constraint.kind),
+                                                _Thresholds())
             thresholds.add(constraint.value, fid)
         elif op in _STRING_OPS:
             index.strings.append((op, constraint.value, fid))
@@ -210,32 +248,76 @@ class ForwardingMatcher(MatchingEngine):
             raise AssertionError(op)
 
     def _deindex(self, subscription: Subscription) -> None:
-        self._satisfied_memo.clear()
-        fids = set(self._sub_fids.pop(subscription.sub_id, ()))
-        for fid in fids:
+        fids = self._sub_fids.pop(subscription.sub_id)
+        for filt, fid in zip(subscription.filters, fids):
             del self._filter_needs[fid]
             del self._filter_sub[fid]
             self._sub_list[fid] = -1
             self._fid_class[fid] = -1
             self._fid_name_needs[fid] = None
             self._always.discard(fid)
-        for name in list(self._attr_indexes):
-            index = self._attr_indexes[name]
-            for key in list(index.eq):
-                index.eq[key] = [f for f in index.eq[key] if f not in fids]
-                if not index.eq[key]:
-                    del index.eq[key]
-            index.ne = [e for e in index.ne if e[2] not in fids]
-            index.exists = [f for f in index.exists if f not in fids]
-            index.strings = [e for e in index.strings if e[2] not in fids]
-            for okey in list(index.order):
-                thresholds = index.order[okey]
-                thresholds.entries = [e for e in thresholds.entries
-                                      if e[1] not in fids]
-                if not thresholds.entries:
-                    del index.order[okey]
-            if index.empty():
-                del self._attr_indexes[name]
+            self._free_fids.append(fid)
+            for constraint in filt:
+                self._deindex_constraint(constraint, fid)
+        if not self._sub_fids:
+            # Nothing registered, so nothing memoised: give the slots and
+            # class ids back, or a table that once was large stays large.
+            for table in (self._sub_list, self._fid_class, self._free_fids,
+                          self._fid_name_needs, self._classes,
+                          self._class_width):
+                table.clear()
+
+    def _deindex_constraint(self, constraint, fid: int) -> None:
+        """Remove one constraint from the one bucket it was indexed in."""
+        name = constraint.name
+        index = self._attr_indexes[name]
+        op = constraint.op
+        if op == Op.EXISTS:
+            index.exists.remove(fid)
+        elif op == Op.EQ:
+            key = (constraint.kind, constraint.value)
+            bucket = index.eq[key]
+            bucket.remove(fid)
+            if not bucket:
+                del index.eq[key]
+        elif op == Op.NE:
+            index.ne.remove((constraint.kind, constraint.value, fid))
+        elif op in _ORDER_OPS:
+            thresholds = index.order[op, constraint.kind]
+            thresholds.remove(constraint.value, fid)
+            if not thresholds.fids:
+                del index.order[op, constraint.kind]
+        else:
+            index.strings.remove((op, constraint.value, fid))
+        if index.empty():
+            del self._attr_indexes[name]
+            del self._satisfied_memo[name]
+        else:
+            self._forget(constraint)
+
+    def _forget(self, constraint) -> None:
+        """Drop the memo entries that adding or removing ``constraint``
+        can change: those of its name whose value satisfies it.
+
+        An entry names a filter only if its value satisfies every
+        constraint the filter puts on that name, so this is a superset of
+        the entries naming the filter — none survives to see its fid
+        recycled — and no entry of another name is touched.
+        """
+        partition = self._satisfied_memo[constraint.name]
+        if not partition:
+            return
+        op, operand = constraint.op, constraint.value
+        if op == Op.EXISTS:
+            partition.clear()
+        elif op == Op.EQ:
+            for cls in _KIND_CLASSES[constraint.kind]:
+                partition.pop((cls, operand), None)
+        else:
+            classes, test = _KIND_CLASSES[constraint.kind], _TESTS[op]
+            for key in [key for key in partition
+                        if key[0] in classes and test(key[1], operand)]:
+                del partition[key]
 
     # -- matching ------------------------------------------------------------
 
@@ -271,13 +353,8 @@ class ForwardingMatcher(MatchingEngine):
 
             if index.strings and kind in (Kind.STRING, Kind.BYTES):
                 for op, operand, fid in index.strings:
-                    if type(operand) is not type(value):
-                        continue
-                    if op == Op.PREFIX and value.startswith(operand):
-                        self._bump(fid, counts, needs, matched)
-                    elif op == Op.SUFFIX and value.endswith(operand):
-                        self._bump(fid, counts, needs, matched)
-                    elif op == Op.CONTAINS and operand in value:
+                    if (type(operand) is type(value)
+                            and _TESTS[op](value, operand)):
                         self._bump(fid, counts, needs, matched)
 
         self._meter.charge_match()
@@ -314,13 +391,17 @@ class ForwardingMatcher(MatchingEngine):
             matched = set(always_subs)
             gathered: dict[int, list[frozenset[int]]] = {}
             for name, value in attributes.items():
-                key = (name, value.__class__, value)
-                entry = memo.get(key)
+                partition = memo.get(name)
+                if partition is None:
+                    continue            # no constraint names this attribute
+                key = (value.__class__, value)
+                entry = partition.get(key)
                 if entry is None:
                     entry = self._satisfied_entry(name, value)
-                    if len(memo) >= _MEMO_MAX_ENTRIES:
-                        memo.clear()
-                    memo[key] = entry
+                    if key[0] in _MEMO_CLASSES:
+                        if len(partition) >= _MEMO_NAME_MAX:
+                            partition.clear()
+                        partition[key] = entry
                     self.memo_misses += 1
                 else:
                     self.memo_hits += 1
@@ -366,9 +447,7 @@ class ForwardingMatcher(MatchingEngine):
         multi-constraint class — the fids whose every constraint *on this
         attribute* is satisfied by the value.
         """
-        index = self._attr_indexes.get(name)
-        if index is None:
-            return (), {}
+        index = self._attr_indexes[name]
         kind = kind_of(value)
         fids: list[int] = list(index.exists)
         eq_fids = index.eq.get((kind, value))
@@ -384,13 +463,7 @@ class ForwardingMatcher(MatchingEngine):
                     fids.extend(thresholds.satisfied_by(value, op))
         if index.strings and kind in (Kind.STRING, Kind.BYTES):
             for op, operand, fid in index.strings:
-                if type(operand) is not type(value):
-                    continue
-                if op == Op.PREFIX and value.startswith(operand):
-                    fids.append(fid)
-                elif op == Op.SUFFIX and value.endswith(operand):
-                    fids.append(fid)
-                elif op == Op.CONTAINS and operand in value:
+                if type(operand) is type(value) and _TESTS[op](value, operand):
                     fids.append(fid)
 
         needs = self._filter_needs
@@ -403,7 +476,8 @@ class ForwardingMatcher(MatchingEngine):
             if needs[fid] == 1:
                 continue
             # All of this filter's constraints on this attribute satisfied?
-            if satisfied == name_needs[fid][name]:
+            repeated = name_needs[fid]
+            if satisfied == (1 if repeated is None else repeated[name]):
                 class_sets.setdefault(fid_class[fid], set()).add(fid)
         return singles, {cid: frozenset(fidset)
                          for cid, fidset in class_sets.items()}

@@ -7,14 +7,19 @@ above it.  The batch publish pipeline adds a second axis: per-event
 once — Hypothesis generates subscription tables and event streams, and
 every engine on every path must return exactly the match sets the
 brute-force oracle returns, including across registration churn (which
-must invalidate the forwarding engine's batch memo).
+must invalidate exactly the affected part of the forwarding engine's
+batch memo).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.sharding import ShardedMatcher
 from repro.ids import service_id_from_name
 from repro.matching.engine import BruteForceMatcher, make_engine
+from repro.matching.filters import Constraint, Filter, Op, Subscription
+from repro.matching.forwarding import ForwardingMatcher
 from tests.matching.strategies import attribute_maps, filters
 
 SID = service_id_from_name("diff")
@@ -32,7 +37,6 @@ event_streams = st.lists(attribute_maps(), min_size=1, max_size=12)
 
 
 def _subscribe_all(engines, table):
-    from repro.matching.filters import Subscription
     for index, filter_list in enumerate(table):
         subscription = Subscription(index + 1, SID, filter_list)
         for engine in engines:
@@ -116,15 +120,118 @@ class TestBatchEdgeCases:
             assert engine.match_batch([{"a": 1}, {}]) == [[], []]
 
     def test_forwarding_memo_reuse_is_observable(self):
-        from repro.matching.filters import Filter, Subscription
         engine = make_engine("forwarding")
         engine.subscribe(Subscription(1, SID, [Filter.where("t", hr=(">", 5))]))
         stream = [{"type": "t", "hr": 9}] * 50
         engine.match_batch(stream)
-        assert engine.memo_hits > engine.memo_misses
-        hits = engine.memo_hits
-        # Registration churn invalidates the memo wholesale.
+        assert (engine.memo_misses, engine.memo_hits) == (2, 98)
+        # A change drops the entries it can affect — here ("type", "t") —
+        # and leaves the warm "hr" entry a hit.
         engine.subscribe(Subscription(2, SID, [Filter.where("t")]))
         engine.match_batch(stream[:1])
-        assert engine.memo_misses >= 3   # recomputed after invalidation
-        assert engine.memo_hits >= hits
+        assert (engine.memo_misses, engine.memo_hits) == (3, 99)
+
+
+# -- interleaved registration and matching -----------------------------------
+#
+# The memo's invalidation rule is only exercised when a change lands on
+# *warm* entries, so this domain is tiny: three names, a dozen values —
+# among them 1, 1.0 and True, which hash alike and must not share an entry
+# across kinds — and every operator shape the rule treats differently
+# (EQ by key, ranges on one name, NE / EXISTS / PREFIX by scan).
+
+SEQ_VALUES = (0, 1, 1.0, True, False, 2, 2.5, 120, "al", "alpha", "beta", b"al")
+SEQ_NAMES = ("hr", "patient", "x")
+
+seq_constraints = st.one_of(
+    st.builds(Constraint, st.sampled_from(SEQ_NAMES),
+              st.sampled_from((Op.EQ, Op.NE)), st.sampled_from(SEQ_VALUES)),
+    st.builds(Constraint, st.sampled_from(SEQ_NAMES),
+              st.sampled_from((Op.LT, Op.LE, Op.GT, Op.GE)),
+              st.sampled_from((0, 1, 1.0, 2, 2.5, 120, "al", "beta"))),
+    st.builds(Constraint, st.sampled_from(SEQ_NAMES),
+              st.sampled_from((Op.PREFIX, Op.SUFFIX, Op.CONTAINS)),
+              st.sampled_from(("al", "a", b"al"))),
+    st.builds(Constraint, st.sampled_from(SEQ_NAMES), st.just(Op.EXISTS)))
+
+seq_filters = st.one_of(
+    st.builds(Filter, st.lists(seq_constraints, max_size=3)),
+    # Two constraints on one name beside an equality on another.
+    st.builds(lambda low, high, who: Filter(
+        [Constraint("hr", Op.GT, low), Constraint("hr", Op.LT, high)]
+        + ([Constraint("patient", Op.EQ, who)] if who is not None else [])),
+        st.sampled_from((0, 1, 1.0)), st.sampled_from((2, 2.5, 120)),
+        st.sampled_from((None, "al", 1, True))))
+
+seq_events = st.dictionaries(st.sampled_from(SEQ_NAMES),
+                             st.sampled_from(SEQ_VALUES), max_size=3)
+
+#: ("sub", filters) registers the next id; ("unsub", n) removes the n-th
+#: live id (modulo, skipped on an empty table); ("match", events) batches.
+seq_operations = st.lists(st.one_of(
+    st.tuples(st.just("sub"), st.lists(seq_filters, min_size=1, max_size=3)),
+    st.tuples(st.just("unsub"), st.integers(0, 40)),
+    st.tuples(st.just("match"), st.lists(seq_events, min_size=1, max_size=6))),
+    min_size=1, max_size=30)
+
+
+def run_sequence(engine, operations) -> None:
+    """Drive ``engine`` and the brute oracle through ``operations``;
+    every batch must return the oracle's ids."""
+    oracle = BruteForceMatcher()
+    next_id = 1
+    for kind, argument in operations:
+        if kind == "sub":
+            subscription = Subscription(next_id, SID, argument)
+            next_id += 1
+            oracle.subscribe(subscription)
+            engine.subscribe(subscription)
+        elif kind == "unsub":
+            live = [sub.sub_id for sub in oracle.subscriptions()]
+            if live:
+                sub_id = live[argument % len(live)]
+                oracle.unsubscribe(sub_id)
+                engine.unsubscribe(sub_id)
+        else:
+            assert engine.match_batch_ids(argument) \
+                == oracle.match_batch_ids(argument)
+
+
+class _NeverForgets(ForwardingMatcher):
+    """The engine with its invalidation step stubbed out."""
+
+    def _forget(self, constraint) -> None:
+        pass
+
+
+class TestInterleavedChurn:
+    @settings(max_examples=300, deadline=None)
+    @given(seq_operations)
+    def test_forwarding_agrees_with_oracle(self, operations):
+        run_sequence(ForwardingMatcher(), operations)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seq_operations, st.sampled_from((1, 3)))
+    def test_sharded_agrees_with_oracle(self, operations, shards):
+        run_sequence(ShardedMatcher(shards, "forwarding"), operations)
+
+    @pytest.mark.parametrize("operations", [
+        # A subscribe lands on a warm entry.
+        [("sub", [Filter([Constraint("hr", Op.EQ, 0)])]),
+         ("match", [{"hr": 0}]),
+         ("sub", [Filter([Constraint("hr", Op.EXISTS)])]),
+         ("match", [{"hr": 0}])],
+        # An unsubscribe leaves its id (and its recycled fid) in one.
+        [("sub", [Filter([Constraint("hr", Op.GT, 0),
+                          Constraint("hr", Op.LT, 2)])]),
+         ("sub", [Filter([Constraint("hr", Op.EQ, 0)])]),
+         ("match", [{"hr": 1}]),
+         ("unsub", 0),
+         ("match", [{"hr": 1}])],
+    ])
+    def test_sequences_catch_a_missing_invalidation(self, operations):
+        """The property has teeth: sequences of the shape Hypothesis finds
+        against an engine without ``_forget`` fail there and pass here."""
+        run_sequence(ForwardingMatcher(), operations)
+        with pytest.raises((AssertionError, LookupError)):
+            run_sequence(_NeverForgets(), operations)

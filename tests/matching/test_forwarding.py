@@ -1,7 +1,10 @@
 """Forwarding (counting) matcher: index behaviour and edge cases."""
 
+import random
+
 from repro.ids import service_id_from_name
-from repro.matching.filters import Constraint, Filter, Op, Subscription
+from repro.matching import forwarding
+from repro.matching.filters import Constraint, Filter, Kind, Op, Subscription
 from repro.matching.forwarding import ForwardingMatcher
 
 SID = service_id_from_name("s")
@@ -121,3 +124,249 @@ class TestRemoval:
         matcher.subscribe(sub(1, Filter()))
         matcher.unsubscribe(1)
         assert match_ids(matcher, {"anything": 1}) == []
+
+
+# -- the write path: targeted invalidation, O(own-constraints) deindex --------
+
+def ids_batch(matcher, *events):
+    return matcher.match_batch_ids(list(events))
+
+
+def memo_sizes(matcher):
+    return {name: len(part) for name, part in matcher._satisfied_memo.items()}
+
+
+def index_shape(matcher):
+    """Sizes of every engine structure, comparable across engines that
+    hold the same subscriptions under different fids."""
+    return {
+        "names": {
+            name: (sorted((key, len(fids)) for key, fids in index.eq.items()),
+                   len(index.ne), len(index.exists), len(index.strings),
+                   {key: len(th.fids) for key, th in index.order.items()})
+            for name, index in matcher._attr_indexes.items()},
+        "partitions": sorted(matcher._satisfied_memo),
+        "filters": len(matcher._filter_needs),
+        "live_slots": len(matcher._sub_list) - len(matcher._free_fids),
+        "multi": sum(1 for cid in matcher._fid_class if cid >= 0),
+        "repeated": sum(1 for needs in matcher._fid_name_needs if needs),
+        "always": len(matcher._always),
+    }
+
+
+def slot_sizes(matcher):
+    return (len(matcher._sub_list), len(matcher._fid_class),
+            len(matcher._fid_name_needs), len(matcher._filter_needs),
+            len(matcher._filter_sub), len(matcher._sub_fids),
+            len(matcher._attr_indexes), memo_sizes(matcher))
+
+
+class TestThresholds:
+    def test_parallel_lists_stay_sorted_and_aligned(self):
+        thresholds = forwarding._Thresholds()
+        for value, fid in ((5, 1), (3, 2), (5.0, 3), (9, 4), (3, 5)):
+            thresholds.add(value, fid)
+        assert thresholds.values == [3, 3, 5, 5.0, 9]
+        assert thresholds.fids == [2, 5, 1, 3, 4]
+        assert thresholds.satisfied_by(5, Op.GT) == [2, 5]
+        assert thresholds.satisfied_by(5, Op.GE) == [2, 5, 1, 3]
+        assert thresholds.satisfied_by(5, Op.LT) == [4]
+        assert thresholds.satisfied_by(5, Op.LE) == [1, 3, 4]
+        thresholds.remove(5, 3)                 # the second of its run
+        thresholds.remove(3, 2)
+        assert thresholds.values == [3, 5, 9]
+        assert thresholds.fids == [5, 1, 4]
+
+    def test_nan_threshold_cannot_strand_a_removal(self):
+        # NaN sorts nowhere, so it can leave the bisect point past the
+        # entry being removed; the removal must still find it.
+        matcher = ForwardingMatcher()
+        operands = (5, float("nan"), 1, 2)
+        for sub_id, operand in enumerate(operands, 1):
+            matcher.subscribe(sub(sub_id, Filter(
+                [Constraint("x", Op.GT, operand)])))
+        assert matcher._attr_indexes["x"].order[Op.GT, Kind.NUMBER].values[0] \
+            == 5                                # the order is broken
+        for sub_id in range(1, len(operands) + 1):
+            matcher.unsubscribe(sub_id)
+        assert matcher._attr_indexes == {}
+
+
+class TestTargetedInvalidation:
+    def ward(self):
+        matcher = ForwardingMatcher()
+        matcher.subscribe(sub(1, Filter([Constraint("patient", Op.EQ, "p1"),
+                                         Constraint("hr", Op.GT, 100)])))
+        matcher.subscribe(sub(2, Filter([Constraint("hr", Op.LT, 50)])))
+        return matcher
+
+    def test_change_on_hr_leaves_a_warm_patient_entry_a_hit(self):
+        matcher = self.ward()
+        events = [{"patient": "p1", "hr": hr} for hr in (40, 80, 120, 160)]
+        ids_batch(matcher, *events)
+        assert (matcher.memo_misses, matcher.memo_hits) == (5, 3)
+        matcher.subscribe(sub(3, Filter([Constraint("hr", Op.GT, 150)])))
+        assert ids_batch(matcher, *events) == [[2], [], [1], [1, 3]]
+        # Only hr=160 satisfies the new constraint: one miss, seven hits.
+        assert (matcher.memo_misses, matcher.memo_hits) == (6, 10)
+        matcher.unsubscribe(3)
+        assert ids_batch(matcher, *events) == [[2], [], [1], [1]]
+        assert (matcher.memo_misses, matcher.memo_hits) == (7, 17)
+
+    def test_equal_hash_values_of_different_kinds(self):
+        matcher = ForwardingMatcher()
+        matcher.subscribe(sub(1, Filter([Constraint("x", Op.GE, 0)])))
+        events = [{"x": 1}, {"x": 1.0}, {"x": True}]
+        assert ids_batch(matcher, *events) == [[1], [1], []]
+        assert memo_sizes(matcher) == {"x": 3}
+        # x == 1.0 concerns the int and the float entry, not the bool one.
+        matcher.subscribe(sub(2, Filter([Constraint("x", Op.EQ, 1.0)])))
+        assert memo_sizes(matcher) == {"x": 1}
+        assert ids_batch(matcher, *events) == [[1, 2], [1, 2], []]
+        matcher.subscribe(sub(3, Filter([Constraint("x", Op.EQ, True)])))
+        assert memo_sizes(matcher) == {"x": 2}
+        assert ids_batch(matcher, *events) == [[1, 2], [1, 2], [3]]
+
+    def test_unconstrained_attribute_adds_no_entry(self):
+        matcher = self.ward()
+        ids_batch(matcher, {"hr": 120, "ward": "w3", "seq": 1},
+                  {"hr": 120, "ward": "w3", "seq": 2})
+        assert memo_sizes(matcher) == {"patient": 0, "hr": 1}
+        assert (matcher.memo_misses, matcher.memo_hits) == (1, 1)
+
+    def test_partition_lives_exactly_as_long_as_its_index(self):
+        matcher = self.ward()
+        assert sorted(matcher._satisfied_memo) == ["hr", "patient"]
+        matcher.unsubscribe(1)
+        assert sorted(matcher._satisfied_memo) == ["hr"]
+        matcher.unsubscribe(2)
+        assert matcher._satisfied_memo == {}
+
+    def test_value_of_a_subclass_is_matched_but_never_memoised(self):
+        # The EQ rule drops entries by (exact class, value) key, so a key
+        # of any other class must not exist.
+        matcher = ForwardingMatcher()
+        matcher.subscribe(sub(1, Filter([Constraint("x", Op.EQ, 1)])))
+        assert ids_batch(matcher, {"x": Op.EQ}) == [[1]]     # IntEnum, == 1
+        assert memo_sizes(matcher) == {"x": 0}
+        matcher.subscribe(sub(2, Filter([Constraint("x", Op.EQ, 1)])))
+        assert ids_batch(matcher, {"x": Op.EQ}) == [[1, 2]]
+
+    def test_full_partition_resets_alone(self, monkeypatch):
+        monkeypatch.setattr(forwarding, "_MEMO_NAME_MAX", 8)
+        matcher = self.ward()
+        ids_batch(matcher, *({"patient": "p1", "hr": hr} for hr in range(8)))
+        assert memo_sizes(matcher) == {"patient": 1, "hr": 8}
+        ids_batch(matcher, {"patient": "p1", "hr": 8})
+        assert memo_sizes(matcher) == {"patient": 1, "hr": 1}
+
+    def test_worst_case_examines_one_bounded_partition(self, monkeypatch):
+        """A never-repeating float stream, then churn on its name: the
+        invalidation looks at that name's partition, which the cap bounds,
+        and at nothing else."""
+        monkeypatch.setattr(forwarding, "_MEMO_NAME_MAX", 64)
+        examined = []
+
+        class Counting(dict):
+            def __iter__(self):
+                examined.append(len(self))
+                return super().__iter__()
+
+        matcher = ForwardingMatcher()
+        for sub_id in range(20):
+            matcher.subscribe(sub(sub_id, Filter(
+                [Constraint("ts", Op.GT, sub_id * 50.0)])))
+        matcher.subscribe(sub(99, Filter([Constraint("patient", Op.NE, "p0")])))
+        for start in range(0, 1000, 10):
+            ids_batch(matcher, *({"ts": float(ts), "patient": f"p{ts % 7}"}
+                                 for ts in range(start, start + 10)))
+        assert memo_sizes(matcher) == {"ts": 40, "patient": 7}
+        for name in ("ts", "patient"):
+            matcher._satisfied_memo[name] = Counting(
+                matcher._satisfied_memo[name])
+
+        matcher.subscribe(sub(100, Filter([Constraint("ts", Op.GT, 979.5)])))
+        assert examined == [40]                  # ts only, once, <= the cap
+        assert memo_sizes(matcher) == {"ts": 20, "patient": 7}
+        matcher.unsubscribe(100)
+        assert examined == [40, 20]
+        matcher.subscribe(sub(101, Filter([Constraint("ts", Op.EQ, 975.0)])))
+        assert examined == [40, 20]              # EQ: by key, no scan
+        assert memo_sizes(matcher) == {"ts": 19, "patient": 7}
+
+
+class TestChurn:
+    @staticmethod
+    def rule(rng):
+        vital = rng.choice(("hr", "temp", "spo2"))
+        constraints = [Constraint(vital, rng.choice((Op.GT, Op.LT, Op.NE)),
+                                  rng.randrange(0, 10))]
+        shape = rng.random()
+        if shape < 0.5:
+            constraints.append(
+                Constraint("patient", Op.EQ, f"p{rng.randrange(4)}"))
+        elif shape < 0.7:                        # a range: one name twice
+            constraints.append(Constraint(vital, Op.LE, rng.randrange(5, 15)))
+        elif shape < 0.8:
+            constraints.append(Constraint("note", Op.PREFIX, "a"))
+        elif shape < 0.85:
+            constraints = [Constraint("note", Op.EXISTS)]
+        elif shape < 0.9:
+            constraints = []
+        return Filter(constraints)
+
+    @staticmethod
+    def stream(rng, count):
+        return [{"patient": f"p{rng.randrange(4)}", "hr": rng.randrange(10),
+                 "temp": rng.randrange(10), "spo2": rng.randrange(10),
+                 "note": rng.choice(("a", "ab", "b"))} for _ in range(count)]
+
+    def test_fid_slots_do_not_leak(self):
+        rng = random.Random(7)
+        matcher = ForwardingMatcher()
+        table = [sub(sub_id, self.rule(rng), self.rule(rng))
+                 for sub_id in range(100)]
+        for subscription in table:
+            matcher.subscribe(subscription)
+        events = self.stream(rng, 8)
+        sizes = None
+        for cycle in range(5000):
+            matcher.subscribe(sub(1000 + cycle, self.rule(rng), self.rule(rng)))
+            if cycle % 50 == 0:
+                matcher.match_batch_ids(events)
+            matcher.unsubscribe(1000 + cycle)
+            if sizes is None:
+                matcher.match_batch_ids(events)
+                sizes = slot_sizes(matcher)
+        matcher.match_batch_ids(events)
+        assert slot_sizes(matcher) == sizes
+        assert len(matcher._sub_list) == 202     # table + the one in flight
+        for subscription in table:
+            matcher.unsubscribe(subscription.sub_id)
+        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, 0, {})
+        assert (matcher._free_fids, matcher._classes, matcher._class_width,
+                matcher._always) == ([], {}, [], set())
+
+    def test_churned_engine_equals_one_built_fresh(self):
+        rng = random.Random(11)
+        churned = ForwardingMatcher()
+        live = {}
+        next_id = 0
+        for step in range(600):
+            if live and rng.random() < 0.45:
+                churned.unsubscribe(live.pop(rng.choice(sorted(live))).sub_id)
+            else:
+                live[next_id] = sub(next_id, *(self.rule(rng) for _ in
+                                               range(rng.randrange(1, 4))))
+                churned.subscribe(live[next_id])
+                next_id += 1
+            if step % 7 == 0:                    # keep the memo warm
+                churned.match_batch_ids(self.stream(rng, 4))
+        fresh = ForwardingMatcher()
+        for sub_id in sorted(live):
+            fresh.subscribe(live[sub_id])
+        events = self.stream(rng, 200)
+        assert churned.match_batch_ids(events) == fresh.match_batch_ids(events)
+        assert [match_ids(churned, event) for event in events[:50]] \
+            == [match_ids(fresh, event) for event in events[:50]]
+        assert index_shape(churned) == index_shape(fresh)
