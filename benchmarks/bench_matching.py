@@ -170,9 +170,10 @@ def build_vitals_events(count: int, seed: int = 11) -> list[dict]:
 
 def _run_sharded_bus_workload(shards: int, sub_count: int, batches: int,
                               batch_size: int, churn: bool = True
-                              ) -> tuple[float, tuple]:
+                              ) -> tuple[float, tuple, int]:
     """One full bus run: subscribe, warm, then measure batches, by default
-    under steady subscription churn.  Returns (seconds, comparable outcome).
+    under steady subscription churn.  Returns (seconds, comparable outcome,
+    scheduler turns the measured batches took).
 
     Churn is the point: a registration change drops only the memo entries
     it can affect and touches only its own index buckets, so a bus that
@@ -197,6 +198,7 @@ def _run_sharded_bus_workload(shards: int, sub_count: int, batches: int,
     bus.publish_batch(stamped[:batch_size])        # warm every shard
     sim.run_until_idle()
 
+    turns_before = sim.events_processed
     start = time.perf_counter()
     for index in range(1, batches + 1):
         bus.publish_batch(stamped[index * batch_size:
@@ -212,7 +214,7 @@ def _run_sharded_bus_workload(shards: int, sub_count: int, batches: int,
     stats = bus.stats
     outcome = (stats.published, stats.matched, stats.unmatched,
                stats.duplicates_dropped, stats.delivered_local)
-    return elapsed, outcome
+    return elapsed, outcome, sim.events_processed - turns_before
 
 
 @pytest.mark.parametrize("shards", [1, 2, 4, 8])
@@ -222,7 +224,7 @@ def test_sharded_publish_batch_scaling(benchmark, shards):
         return _run_sharded_bus_workload(shards, sub_count=2000,
                                          batches=6, batch_size=100)
 
-    elapsed, outcome = benchmark(run)
+    _elapsed, outcome, _turns = benchmark(run)
     benchmark.extra_info["delivered"] = outcome[-1]
     assert outcome[0] > 0
 
@@ -238,14 +240,21 @@ def test_churn_costs_what_it_changes_at_10k():
     on one core sharding neither buys nor costs throughput) while
     producing identical BusStats.  Best of two full runs per configuration,
     mirroring the batch gate above.
+
+    One count gate rides along, independent of runner speed: every
+    measured batch costs the scheduler exactly one turn, however many of
+    the 10k local subscriptions it matched — a per-subscription timer
+    creeping back into dispatch fails here before it shows in a ratio.
     """
     settings = dict(sub_count=10_000, batches=16, batch_size=200)
 
     def best_of(runs, shards, churn=True):
         best, outcome = float("inf"), None
         for _ in range(runs):
-            elapsed, outcome = _run_sharded_bus_workload(shards, churn=churn,
-                                                         **settings)
+            elapsed, outcome, turns = _run_sharded_bus_workload(
+                shards, churn=churn, **settings)
+            assert turns == settings["batches"], (
+                f"{turns} scheduler turns for {settings['batches']} batches")
             best = min(best, elapsed)
         return best, outcome
 

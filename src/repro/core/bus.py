@@ -14,7 +14,9 @@ event" (Section II-C).  This class is the semantics layer the paper builds
 * **per-sender FIFO**: publications arrive in order per sender (the
   reliable channel guarantees it), are matched in arrival order, and are
   dispatched through per-subscriber FIFO paths (a proxy's outbound channel,
-  or the scheduler's FIFO for local subscribers);
+  or, for local subscribers, one scheduler turn per publish that walks
+  every matched callback's events in order — never inline in the publish
+  call, see :meth:`EventBus._deliver_local`);
 * **per-component delivery**: a subscriber with several overlapping
   subscriptions still receives each event once ("all events are delivered
   to each interested component exactly once");
@@ -54,6 +56,9 @@ if TYPE_CHECKING:                                    # pragma: no cover
     from repro.core.quench import QuenchController
 
 LocalCallback = Callable[[Event], None]
+#: One local subscriber's share of one publish: the callback captured at
+#: dispatch time and the events matched for it, in publication order.
+LocalSlice = tuple[LocalCallback, list[Event]]
 
 
 class DeliverMemo:
@@ -79,12 +84,6 @@ class DeliverMemo:
             framed = protocol.deliver_frame(event)
             self._frames[id(event)] = framed
         return framed
-
-
-def _run_slice(callback: LocalCallback, events: list["Event"]) -> None:
-    """Deliver one local subscriber's FIFO slice of a batch."""
-    for event in events:
-        callback(event)
 
 
 @dataclass
@@ -293,7 +292,9 @@ class EventBus:
         Returns True if the event was fresh (not a duplicate).  Publications
         must arrive in per-sender seqno order — both the reliable channel
         and LocalPublisher guarantee this — so a single high-watermark per
-        sender implements duplicate suppression.
+        sender implements duplicate suppression.  Local callbacks run in
+        one later scheduler turn (:meth:`_deliver_local`), the mechanism
+        :meth:`publish_batch` uses too.
         """
         self.stats.published += 1
         watermark = self._watermarks.get(event.sender, 0)
@@ -308,27 +309,30 @@ class EventBus:
             return True
         self.stats.matched += 1
 
-        # Deliver once per interested *component*, not per subscription.
-        # One memo per dispatch: the standard DELIVER framing is encoded
-        # at most once however many proxies the fan-out reaches.
+        # Deliver once per interested *component*, not per subscription:
+        # matched subscription ids are unique, remote owners are
+        # deduplicated here.  One memo per dispatch: the standard DELIVER
+        # framing is encoded at most once however many proxies the
+        # fan-out reaches.
         memo = DeliverMemo()
-        local_done = set()
+        slices: list[LocalSlice] = []
         remote_done = set()
+        local_callbacks = self._local_callbacks
         for subscription in matched:
+            callback = local_callbacks.get(subscription.sub_id)
+            if callback is not None:
+                slices.append((callback, [event]))
+                continue
             owner = self._sub_owner.get(subscription.sub_id)
-            if owner is None:
-                if subscription.sub_id in self._local_callbacks:
-                    if subscription.sub_id not in local_done:
-                        local_done.add(subscription.sub_id)
-                        callback = self._local_callbacks[subscription.sub_id]
-                        self.scheduler.call_soon(callback, event)
-                        self.stats.delivered_local += 1
-            elif owner not in remote_done:
+            if owner is not None and owner not in remote_done:
                 remote_done.add(owner)
                 proxy = self._proxies.get(owner)
                 if proxy is not None:
                     proxy.deliver(event, memo)
                     self.stats.delivered_remote += 1
+        if slices:
+            self.stats.delivered_local += len(slices)
+            self.scheduler.call_soon(self._deliver_local, slices)
         return True
 
     def publish_batch(self, events: Sequence[Event]) -> int:
@@ -353,8 +357,10 @@ class EventBus:
         Deliveries are *coalesced per subscriber* — each interested proxy
         receives its whole slice of the batch in one
         :meth:`~repro.core.proxy.Proxy.deliver_batch` flush (one packet
-        per scheduling round instead of one per event), and each local
-        callback is scheduled once with its slice.
+        per scheduling round instead of one per event), and the local
+        callbacks' slices all ride one scheduler turn, in first-match
+        order (:meth:`_deliver_local`): a batch costs the scheduler one
+        timer however many subscriptions it matched.
         """
         fresh = self._dedup_phase(events)
         if not fresh:
@@ -400,10 +406,14 @@ class EventBus:
         owners are deduplicated here.
         """
         stats = self.stats
-        local_slices: dict[int, list[Event]] = {}
+        local_slices: dict[int, LocalSlice] = {}
         remote_slices: dict[ServiceId, list[Event]] = {}
         sub_owner = self._sub_owner
         local_callbacks = self._local_callbacks
+        proxies = self._proxies
+        # A local callback is captured here, at dispatch time, exactly as
+        # the per-event path does: a subscriber that unsubscribes before
+        # the scheduler turn still receives events already matched for it.
         for event, matched in zip(fresh, matched_ids):
             if not matched:
                 stats.unmatched += 1
@@ -411,30 +421,53 @@ class EventBus:
             stats.matched += 1
             remote_done = set()
             for sub_id in matched:
+                callback = local_callbacks.get(sub_id)
+                if callback is not None:
+                    local_slice = local_slices.get(sub_id)
+                    if local_slice is None:
+                        local_slices[sub_id] = (callback, [event])
+                    else:
+                        local_slice[1].append(event)
+                    continue
                 owner = sub_owner.get(sub_id)
-                if owner is None:
-                    if sub_id in local_callbacks:
-                        local_slices.setdefault(sub_id, []).append(event)
-                        stats.delivered_local += 1
-                elif owner not in remote_done:
+                if owner is not None and owner not in remote_done:
                     remote_done.add(owner)
-                    if owner in self._proxies:
+                    if owner in proxies:
                         remote_slices.setdefault(owner, []).append(event)
                         stats.delivered_remote += 1
-        for sub_id, events_slice in local_slices.items():
-            # Capture the callback now, exactly as the per-event path's
-            # call_soon(callback, event) does: a subscriber that
-            # unsubscribes before the scheduler turn still receives events
-            # already matched for it.
-            self.scheduler.call_soon(_run_slice,
-                                     local_callbacks[sub_id], events_slice)
+        if local_slices:
+            # Insertion order is first-match order: one turn walks it.
+            slices = list(local_slices.values())
+            stats.delivered_local += sum(
+                [len(events_slice) for _, events_slice in slices])
+            self.scheduler.call_soon(self._deliver_local, slices)
         # One memo across every subscriber's slice: overlapping slices
         # share each event's DELIVER encoding instead of re-running it.
         memo = DeliverMemo()
         for owner, events_slice in remote_slices.items():
-            proxy = self._proxies.get(owner)
+            proxy = proxies.get(owner)
             if proxy is not None:
                 proxy.deliver_batch(events_slice, memo)
+
+    def _deliver_local(self, slices: list[LocalSlice]) -> None:
+        """One scheduler turn: every local delivery of one publish.
+
+        Runs the slices in order, FIFO inside each.  A callback that
+        raises loses the rest of its own slice and the exception leaves
+        through the scheduler, as it would from a timer of its own; the
+        slices after it are queued for a later turn first, so one faulty
+        subscriber does not cost the others their events.
+        """
+        pending = iter(slices)
+        try:
+            for callback, events_slice in pending:
+                for event in events_slice:
+                    callback(event)
+        except BaseException:
+            rest = list(pending)
+            if rest:
+                self.scheduler.call_soon(self._deliver_local, rest)
+            raise
 
     # -- quenching -----------------------------------------------------------
 

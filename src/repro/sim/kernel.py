@@ -29,8 +29,11 @@ from repro.errors import SimulationError
 class Timer:
     """Handle for a scheduled callback; supports cancellation.
 
-    Timers compare by (deadline, sequence) so the simulator's heap is stable
-    and deterministic.
+    A timer is not itself ordered: the schedulers queue it inside a
+    ``(deadline, seq, timer)`` tuple, so the heap compares two floats (and,
+    on a tie, two ints) in C.  ``seq`` is unique per scheduler, which keeps
+    the order stable and deterministic and means the comparison never
+    reaches the timer.
     """
 
     __slots__ = ("deadline", "seq", "callback", "args", "cancelled")
@@ -46,9 +49,6 @@ class Timer:
     def cancel(self) -> None:
         """Prevent the callback from running.  Idempotent."""
         self.cancelled = True
-
-    def __lt__(self, other: "Timer") -> bool:
-        return (self.deadline, self.seq) < (other.deadline, other.seq)
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -86,7 +86,7 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = start_time
-        self._queue: list[Timer] = []
+        self._queue: list[tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         self._running = False
         self.events_processed = 0
@@ -99,8 +99,10 @@ class Simulator:
         if when < self._now - 1e-12:
             raise SimulationError(
                 f"cannot schedule at {when:.6f}, current time is {self._now:.6f}")
-        timer = Timer(max(when, self._now), next(self._seq), callback, args)
-        heapq.heappush(self._queue, timer)
+        when = max(when, self._now)
+        seq = next(self._seq)
+        timer = Timer(when, seq, callback, args)
+        heapq.heappush(self._queue, (when, seq, timer))
         return timer
 
     def call_later(self, delay: float, callback: Callable[..., None],
@@ -126,10 +128,10 @@ class Simulator:
         timers), True if an event ran.
         """
         while self._queue:
-            timer = heapq.heappop(self._queue)
+            deadline, _, timer = heapq.heappop(self._queue)
             if timer.cancelled:
                 continue
-            self._now = timer.deadline
+            self._now = deadline
             self.events_processed += 1
             timer.callback(*timer.args)
             return True
@@ -171,12 +173,12 @@ class Simulator:
 
     def pending_count(self) -> int:
         """Number of live (non-cancelled) timers in the queue."""
-        return sum(1 for t in self._queue if not t.cancelled)
+        return sum(1 for _, _, timer in self._queue if not timer.cancelled)
 
     def _peek(self) -> Timer | None:
-        while self._queue and self._queue[0].cancelled:
+        while self._queue and self._queue[0][2].cancelled:
             heapq.heappop(self._queue)
-        return self._queue[0] if self._queue else None
+        return self._queue[0][2] if self._queue else None
 
 
 class PeriodicTimer:
@@ -227,7 +229,7 @@ class RealtimeScheduler:
     """
 
     def __init__(self) -> None:
-        self._queue: list[Timer] = []
+        self._queue: list[tuple[float, int, Timer]] = []
         self._seq = itertools.count()
         self._selector = selectors.DefaultSelector()
         self._pollables: dict[int, Pollable] = {}
@@ -242,8 +244,9 @@ class RealtimeScheduler:
 
     def call_at(self, when: float, callback: Callable[..., None],
                 *args: Any) -> Timer:
-        timer = Timer(when, next(self._seq), callback, args)
-        heapq.heappush(self._queue, timer)
+        seq = next(self._seq)
+        timer = Timer(when, seq, callback, args)
+        heapq.heappush(self._queue, (when, seq, timer))
         return timer
 
     def call_later(self, delay: float, callback: Callable[..., None],
@@ -305,12 +308,12 @@ class RealtimeScheduler:
     def _dispatch_due(self, now: float, deadline: float) -> float:
         """Run due timers; return how long the loop may block."""
         while self._queue:
-            head = self._queue[0]
+            due, _, head = self._queue[0]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 continue
-            if head.deadline > now:
-                return max(0.0, min(head.deadline - now, deadline - now, 0.05))
+            if due > now:
+                return max(0.0, min(due - now, deadline - now, 0.05))
             heapq.heappop(self._queue)
             head.callback(*head.args)
             now = self.now()

@@ -1,13 +1,21 @@
 """The event bus semantics layer, against local subscribers."""
 
+import dataclasses
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bus import EventBus
 from repro.core.events import Event
 from repro.errors import BusError, NotAMemberError, SubscriptionNotFoundError
 from repro.ids import service_id_from_name
-from repro.matching.engine import make_engine
-from repro.matching.filters import Filter
+from repro.matching.engine import BruteForceMatcher, make_engine
+from repro.matching.filters import Filter, Subscription
+from repro.sim.kernel import RealtimeScheduler, Simulator
+
+from tests.matching.strategies import attribute_maps, filters
 
 SENDER = service_id_from_name("pub")
 
@@ -252,3 +260,208 @@ class TestMembership:
         sub_id = bus.subscribe_local(Filter.where("t"), got.append)
         with pytest.raises(BusError):
             bus.unsubscribe_member(service_id_from_name("x"), sub_id)
+
+
+class RecordingProxy:
+    """The slice of the Proxy interface dispatch calls, recording it."""
+
+    def __init__(self, name):
+        self.member_id = service_id_from_name(name)
+        self.got = []
+
+    def deliver(self, event, memo=None):
+        self.got.append(event.key())
+
+    def deliver_batch(self, events, memo=None):
+        self.got.extend(event.key() for event in events)
+
+
+def _stats_tuple(bus):
+    return dataclasses.astuple(bus.stats)
+
+
+#: Per subscription: who owns it (None = a local callback, else one of two
+#: proxied members) and its filters.
+owned_tables = st.lists(
+    st.tuples(st.sampled_from((None, "m1", "m2")),
+              st.lists(filters(), min_size=1, max_size=2)),
+    min_size=1, max_size=8)
+attribute_streams = st.lists(attribute_maps(), min_size=1, max_size=12)
+
+
+class TestLocalDeliveryTurn:
+    """One scheduler turn per publish carries every local delivery, with
+    the order, capture, re-entrancy and fault semantics of one timer per
+    matched subscription."""
+
+    @staticmethod
+    def _build(scheduler, table):
+        """A bus with ``table`` installed; local callbacks log
+        ``(sub_id, event.key())`` into one global list."""
+        bus = EventBus(scheduler)
+        proxies = {name: RecordingProxy(name) for name in ("m1", "m2")}
+        for proxy in proxies.values():
+            bus.register_proxy(proxy)
+        log, local_ids = [], []
+
+        def record(sub_id, event):
+            log.append((sub_id, event.key()))
+
+        for index, (owner, filter_list) in enumerate(table, start=1):
+            if owner is None:
+                sub_id = bus.subscribe_local(
+                    filter_list, functools.partial(record, index))
+                local_ids.append(sub_id)
+            else:
+                sub_id = bus.subscribe_member(proxies[owner].member_id,
+                                              filter_list)
+            assert sub_id == index       # the oracle numbers them alike
+        return bus, proxies, log, local_ids
+
+    @settings(max_examples=150, deadline=None)
+    @given(owned_tables, attribute_streams)
+    def test_batch_order_is_first_match_slices_fifo_within(self, table,
+                                                           stream):
+        events = [Event("w", attrs, SENDER, seqno + 1, 0.0)
+                  for seqno, attrs in enumerate(stream)]
+        # The definition, from the brute oracle: a slice per local
+        # subscription in the order each first matched, FIFO inside.
+        oracle = BruteForceMatcher()
+        owners = {}
+        for index, (owner, filter_list) in enumerate(table):
+            oracle.subscribe(Subscription(index + 1, SENDER, filter_list))
+            owners[index + 1] = owner
+        slices, remote = {}, {"m1": [], "m2": []}
+        for event in events:
+            ids = sorted(s.sub_id for s in oracle.match(event.attrs_view()))
+            for sub_id in ids:
+                if owners[sub_id] is None:
+                    slices.setdefault(sub_id, []).append(event.key())
+            for owner in {owners[sub_id] for sub_id in ids} - {None}:
+                remote[owner].append(event.key())
+        expected = [(sub_id, key) for sub_id, keys in slices.items()
+                    for key in keys]
+
+        sim = Simulator()
+        bus, proxies, log, local_ids = self._build(sim, table)
+        turns = sim.events_processed
+        assert bus.publish_batch(events) == len(events)
+        assert log == []                         # never inline
+        sim.run_until_idle()
+        assert log == expected
+        assert sim.events_processed - turns == (1 if expected else 0)
+        assert {name: proxy.got for name, proxy in proxies.items()} == remote
+
+        # Per event, through publish(): the same per-subscriber sequences,
+        # the same proxy deliveries, the same counters.
+        single_sim = Simulator()
+        single, single_proxies, single_log, _ = self._build(single_sim, table)
+        for event in events:
+            single.publish(event)
+        single_sim.run_until_idle()
+        for sub_id in local_ids:
+            assert ([key for owner, key in single_log if owner == sub_id]
+                    == slices.get(sub_id, []))
+        assert {name: proxy.got
+                for name, proxy in single_proxies.items()} == remote
+        assert _stats_tuple(single) == _stats_tuple(bus)
+
+    def test_unsubscribed_later_in_the_same_turn_still_delivered(self, sim,
+                                                                bus):
+        got = []
+        second = []
+
+        def first(event):
+            got.append(("first", event.get("n")))
+            if second:
+                bus.unsubscribe_local(second.pop())
+
+        bus.subscribe_local(Filter.where("t"), first)
+        second.append(bus.subscribe_local(
+            Filter.where("t"), lambda e: got.append(("second", e.get("n")))))
+        publisher = bus.local_publisher("svc")
+        publisher.publish_batch([("t", {"n": 0}), ("t", {"n": 1})])
+        sim.run_until_idle()
+        # Matched for it at dispatch time, so delivered; gone afterwards.
+        assert got == [("first", 0), ("first", 1),
+                       ("second", 0), ("second", 1)]
+        publisher.publish("t", {"n": 2})
+        sim.run_until_idle()
+        assert got[4:] == [("first", 2)]
+
+    @pytest.mark.parametrize("batched", [True, False])
+    def test_nested_publish_runs_after_the_whole_current_turn(self, sim, bus,
+                                                              batched):
+        got = []
+        publisher = bus.local_publisher("svc")
+
+        def relay(event):
+            got.append(("relay", event.get("n")))
+            if batched:
+                publisher.publish_batch([("echo", {"n": event.get("n")})])
+            else:
+                publisher.publish("echo", {"n": event.get("n")})
+
+        bus.subscribe_local(Filter.where("t"), relay)
+        bus.subscribe_local(Filter.where("t"),
+                            lambda e: got.append(("tail", e.get("n"))))
+        bus.subscribe_local(Filter.where("echo"),
+                            lambda e: got.append(("echo", e.get("n"))))
+        publisher.publish_batch([("t", {"n": 0}), ("t", {"n": 1})])
+        sim.run_until_idle()
+        assert got == [("relay", 0), ("relay", 1), ("tail", 0), ("tail", 1),
+                       ("echo", 0), ("echo", 1)]
+
+    @pytest.mark.parametrize("batched", [True, False])
+    @pytest.mark.parametrize("realtime", [False, True])
+    def test_raising_callback_costs_no_other_subscriber(self, realtime,
+                                                        batched):
+        scheduler = RealtimeScheduler() if realtime else Simulator()
+
+        def run():
+            if realtime:
+                scheduler.run_for(0.02)
+            else:
+                scheduler.run_until_idle()
+
+        bus = EventBus(scheduler)
+        before, after = [], []
+
+        def faulty(event):
+            raise RuntimeError("subscriber bug")
+
+        bus.subscribe_local(Filter.where("t"), before.append)
+        bus.subscribe_local(Filter.where("t"), faulty)
+        bus.subscribe_local(Filter.where("t"), after.append)
+        bus.subscribe_local(Filter.where("t"), after.append)
+        publisher = bus.local_publisher("svc")
+        if batched:
+            publisher.publish_batch([("t", {}), ("t", {})])
+        else:
+            publisher.publish("t")
+        events = 2 if batched else 1
+        stats = _stats_tuple(bus)
+        with pytest.raises(RuntimeError, match="subscriber bug"):
+            run()
+        assert len(before) == events and after == []
+        run()                                  # the rest, one turn later
+        assert len(after) == 2 * events
+        assert _stats_tuple(bus) == stats
+        assert bus.stats.delivered_local == 4 * events
+
+    @pytest.mark.parametrize("subscribers", [1, 7, 200])
+    def test_one_scheduler_turn_per_publish(self, sim, bus, subscribers):
+        for _ in range(subscribers):
+            bus.subscribe_local(Filter.where("t"), lambda e: None)
+        publisher = bus.local_publisher("svc")
+        publisher.publish_batch([("t", {})] * 5)
+        assert sim.pending_count() == 1
+        sim.run_until_idle()
+        assert sim.events_processed == 1
+        publisher.publish("t")
+        sim.run_until_idle()
+        assert sim.events_processed == 2
+        publisher.publish_batch([("nobody.cares", {})])
+        sim.run_until_idle()
+        assert sim.events_processed == 2       # nothing local: no turn
+        assert bus.stats.delivered_local == 6 * subscribers

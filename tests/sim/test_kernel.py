@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.kernel import PeriodicTimer, Simulator
+from repro.sim.kernel import PeriodicTimer, RealtimeScheduler, Simulator
 
 
 class TestScheduling:
@@ -87,6 +87,16 @@ class TestCancellation:
         t1.cancel()
         assert sim.pending_count() == 1
 
+    def test_cancelled_head_does_not_advance_the_clock(self, sim):
+        seen = []
+        sim.call_later(1.0, seen.append, "dead").cancel()
+        sim.call_later(5.0, seen.append, "late")
+        sim.run(2.0)                 # the cancelled head is discarded
+        assert seen == [] and sim.now() == 2.0
+        assert sim.step() is True
+        assert seen == ["late"] and sim.now() == 5.0
+        assert sim.events_processed == 1
+
 
 class TestRun:
     def test_run_stops_at_target_time(self, sim):
@@ -133,6 +143,44 @@ class TestRun:
             sim.call_soon(lambda: None)
         sim.run_until_idle()
         assert sim.events_processed == 5
+
+
+class TestHeapEntries:
+    """The queues order ``(deadline, seq, timer)`` tuples; the timer itself
+    is never compared."""
+
+    def test_timers_are_not_ordered(self, sim):
+        first = sim.call_at(1.0, lambda: None)
+        second = sim.call_at(1.0, lambda: None)
+        with pytest.raises(TypeError):
+            first < second
+
+    def test_realtime_ties_fifo_and_cancelled_skipped(self):
+        scheduler = RealtimeScheduler()
+        order = []
+        due = scheduler.now()
+        timers = [scheduler.call_at(due, order.append, tag) for tag in "abcde"]
+        scheduler.call_at(due - 1.0, order.append, "earlier")
+        timers[0].cancel()
+        timers[2].cancel()
+        scheduler.run_for(0.01)
+        assert order == ["earlier", "b", "d", "e"]
+
+    def test_realtime_raising_timer_leaves_the_rest_queued(self):
+        scheduler = RealtimeScheduler()
+        order = []
+
+        def boom():
+            raise ValueError("timer bug")
+
+        scheduler.call_soon(order.append, 1)
+        scheduler.call_soon(boom)
+        scheduler.call_soon(order.append, 2)
+        with pytest.raises(ValueError):
+            scheduler.run_for(0.01)
+        assert order == [1]
+        scheduler.run_for(0.01)
+        assert order == [1, 2]
 
 
 class TestPeriodicTimer:
