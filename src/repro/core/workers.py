@@ -53,9 +53,11 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+from array import array
 from dataclasses import dataclass
+from itertools import chain
 
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import CodecError, ConfigurationError, ReproError
 from repro.matching.engine import MatchingEngine, make_engine
 from repro.matching.filters import decode_subscription, encode_subscription
 from repro.matching.plan import decode_plan, write_plan
@@ -83,9 +85,21 @@ class WorkerError(ReproError):
 #   RESET := 0x02, varint base_epoch, varint n_deltas, n x delta
 #   STOP  := 0x03
 # worker -> parent:
-#   RESULTS := 0x01, varint n_plans,
-#              per plan: varint n_events, per event: varint k, k x varint id
+#   RESULTS := 0x01, varint memo_hits, varint memo_misses,
+#              varint n_plans, n_plans x varint n_events,
+#              u32[sum n_events] k (ids matched by each event, plan order),
+#              u32[sum k] id
 #   FAIL    := 0x02, varint len, utf-8 reason
+#
+# The two u32 blocks are ``array('I')`` images in native byte order (both
+# ends of the pipe are this machine): the worker packs and the host
+# unpacks every id of a reply in one C call each, where a varint per id
+# cost more than the match of a memo-warm event.  A subscription id that
+# does not fit 32 bits fails the pack in the worker (OverflowError), which
+# is answered with FAIL and so runs inline on the host like any other
+# worker fault.  memo_hits / memo_misses are the replica engines'
+# cumulative satisfied-value memo counters, which the host cannot see
+# otherwise: the lookups happen here.
 #
 # delta := kind (0x01 sub / 0x02 unsub), varint epoch, varint shard,
 #          sub:   varint len, encoded Subscription fragment
@@ -107,6 +121,7 @@ _REPLY_RESULTS = 1
 _REPLY_FAIL = 2
 _DELTA_SUB = b"\x01"
 _DELTA_UNSUB = b"\x02"
+_U32 = array("I").itemsize
 
 
 def _encode_delta(kind: str, shard: int, epoch: int, payload) -> bytes:
@@ -180,8 +195,7 @@ def _worker_main(conn, engine_name: str) -> None:
                 plan_count, pos = wire.decode_varint(msg, pos)
                 if not plan_count:
                     continue
-                out = [wire.encode_varint(_REPLY_RESULTS),
-                       wire.encode_varint(plan_count)]
+                results: list = []
                 for _ in range(plan_count):
                     plan, pos = decode_plan(msg, pos)
                     if plan.epoch > epoch:
@@ -190,15 +204,11 @@ def _worker_main(conn, engine_name: str) -> None:
                             f"applied epoch {epoch}")
                     engine = engines.get(plan.shard)
                     if engine is None or not len(engine):
-                        id_sets = [()] * len(plan.projections)
+                        results.append([()] * len(plan.projections))
                     else:
-                        id_sets = engine._match_ids_batch(plan.projections)
-                    out.append(wire.encode_varint(len(id_sets)))
-                    for ids in id_sets:
-                        out.append(wire.encode_varint(len(ids)))
-                        for sub_id in ids:
-                            out.append(wire.encode_varint(sub_id))
-                conn.send_bytes(b"".join(out))
+                        results.append(
+                            engine._match_ids_batch(plan.projections))
+                conn.send_bytes(_encode_results(results, engines.values()))
             except Exception as exc:      # noqa: BLE001 - reported to parent
                 try:
                     conn.send_bytes(_encode_fail(f"{type(exc).__name__}: "
@@ -215,29 +225,68 @@ def _encode_fail(reason: str) -> bytes:
                      wire.encode_varint(len(body)), body])
 
 
-def _parse_results(msg: bytes) -> list[list[list[int]]]:
-    """Parse a RESULTS reply into per-plan, per-event id lists."""
-    op, pos = wire.decode_varint(msg)
-    if op == _REPLY_FAIL:
-        length, pos = wire.decode_varint(msg, pos)
-        raise WorkerError(bytes(msg[pos:pos + length]).decode(
-            "utf-8", "replace"))
-    if op != _REPLY_RESULTS:
-        raise WorkerError(f"unknown reply opcode {op}")
-    plan_count, pos = wire.decode_varint(msg, pos)
+def _encode_results(per_plan, engines) -> bytes:
+    """One RESULTS reply: ``per_plan[p][e]`` is the id collection matched
+    by event ``e`` of plan ``p``; ``engines`` is the collection of the
+    worker's replicas."""
+    out = [wire.encode_varint(_REPLY_RESULTS),
+           wire.encode_varint(sum(getattr(engine, "memo_hits", 0)
+                                  for engine in engines)),
+           wire.encode_varint(sum(getattr(engine, "memo_misses", 0)
+                                  for engine in engines)),
+           wire.encode_varint(len(per_plan))]
+    out += [wire.encode_varint(len(id_sets)) for id_sets in per_plan]
+    events = list(chain.from_iterable(per_plan))
+    out.append(array("I", map(len, events)).tobytes())
+    out.append(array("I", chain.from_iterable(events)).tobytes())
+    return b"".join(out)
+
+
+def _parse_results(msg: bytes) -> tuple[list[list[list[int]]], int, int]:
+    """Parse a RESULTS reply into (per-plan, per-event id lists; the
+    replicas' cumulative memo hits; their memo misses).
+
+    Whatever the bytes, the outcome is this or a :class:`WorkerError` —
+    the pool treats that as one more worker fault and runs the round
+    inline — and nothing is allocated beyond the message's own length.
+    """
+    try:
+        op, pos = wire.decode_varint(msg)
+        if op == _REPLY_FAIL:
+            length, pos = wire.decode_varint(msg, pos)
+            raise WorkerError(bytes(msg[pos:pos + length]).decode(
+                "utf-8", "replace"))
+        if op != _REPLY_RESULTS:
+            raise WorkerError(f"unknown reply opcode {op}")
+        memo_hits, pos = wire.decode_varint(msg, pos)
+        memo_misses, pos = wire.decode_varint(msg, pos)
+        plan_count, pos = wire.decode_varint(msg, pos)
+        event_counts = []
+        for _ in range(plan_count):
+            event_count, pos = wire.decode_varint(msg, pos)
+            event_counts.append(event_count)
+        ids_at = pos + _U32 * sum(event_counts)
+        if ids_at > len(msg):
+            raise WorkerError("reply shorter than its per-event counts")
+        id_counts, ids = array("I"), array("I")
+        id_counts.frombytes(msg[pos:ids_at])
+        ids.frombytes(msg[ids_at:])         # ValueError on a ragged tail
+    except (CodecError, ValueError) as exc:
+        raise WorkerError(f"malformed reply: {exc}") from exc
+    if sum(id_counts) != len(ids):
+        raise WorkerError(f"reply counts {sum(id_counts)} ids, "
+                          f"carries {len(ids)}")
+    flat = ids.tolist()
     per_plan: list[list[list[int]]] = []
-    for _ in range(plan_count):
-        event_count, pos = wire.decode_varint(msg, pos)
+    event = at = 0
+    for event_count in event_counts:
         events: list[list[int]] = []
-        for _ in range(event_count):
-            id_count, pos = wire.decode_varint(msg, pos)
-            ids: list[int] = []
-            for _ in range(id_count):
-                sub_id, pos = wire.decode_varint(msg, pos)
-                ids.append(sub_id)
-            events.append(ids)
+        for id_count in id_counts[event:event + event_count]:
+            events.append(flat[at:at + id_count])
+            at += id_count
+        event += event_count
         per_plan.append(events)
-    return per_plan
+    return per_plan, memo_hits, memo_misses
 
 
 # -- the pool ----------------------------------------------------------------
@@ -289,6 +338,10 @@ class WorkerPoolExecutor:
         self._pending: list[list[bytes]] = [[] for _ in range(workers)]
         self._synced_epoch = [0] * workers
         self._worker_events = [0] * workers
+        # Each worker's replica-engine memo counters, as of its last reply
+        # (cumulative since that worker's last RESET or respawn).
+        self._worker_memo_hits = [0] * workers
+        self._worker_memo_misses = [0] * workers
         self._matcher = None
         self._closed = False
         self.bind(matcher)
@@ -444,16 +497,21 @@ class WorkerPoolExecutor:
         for worker, positions in awaiting:
             try:
                 per_plan = self._collect(worker)
-                if len(per_plan) != len(positions):
+                # merge_plan_results zips ids to events: a short list
+                # there would be lost matches, not an error.
+                answered = [len(id_lists) for id_lists in per_plan]
+                expected = [len(plans[pos]) for pos in positions]
+                if answered != expected:
                     raise WorkerError(
-                        f"expected {len(positions)} plan results, "
-                        f"got {len(per_plan)}")
-                for pos, id_lists in zip(positions, per_plan):
-                    results[pos] = id_lists
-                    self._worker_events[worker] += len(id_lists)
+                        f"worker {worker} answered {answered} events "
+                        f"for plans of {expected}")
             except (WorkerError, EOFError, OSError, TimeoutError):
                 self._reap(worker)
                 self._run_inline(plans, positions, results)
+                continue
+            for pos, id_lists in zip(positions, per_plan):
+                results[pos] = id_lists
+                self._worker_events[worker] += len(id_lists)
         return results
 
     def _dispatch(self, worker: int, assigned: list) -> bool:
@@ -487,7 +545,10 @@ class WorkerPoolExecutor:
                 f"after {self._recv_timeout_s}s")
         msg = conn.recv_bytes()
         self.stats.ipc_bytes_in += len(msg)
-        return _parse_results(msg)
+        per_plan, hits, misses = _parse_results(msg)
+        self._worker_memo_hits[worker] = hits
+        self._worker_memo_misses[worker] = misses
+        return per_plan
 
     def _run_inline(self, plans, positions: list[int], results: list) -> None:
         """Host-engine fallback: exact results for a failed worker's plans."""
@@ -522,6 +583,8 @@ class WorkerPoolExecutor:
             "epoch_lag": [max(0, matcher_epoch - synced)
                           for synced in self._synced_epoch],
             "worker_events": list(self._worker_events),
+            "memo_hits": list(self._worker_memo_hits),
+            "memo_misses": list(self._worker_memo_misses),
         }
 
     def close(self) -> None:

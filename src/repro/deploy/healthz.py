@@ -51,7 +51,19 @@ snapshot` produces)::
     edge_quenched     member ids currently quenched by the edge guard
     shard_loads       (sharded bus only) subscriptions per shard
     shard_events      (sharded bus only) events matched per shard
-    workers           (worker pool only) pool stats incl. live pids
+    workers           (worker pool only) WorkerPoolExecutor.stats_dict():
+        workers, alive, pids            pool size; per worker liveness / pid
+        executes, plans                 rounds run; plans shipped
+        respawns, inline_fallbacks      replacement spawns; plans run on
+                                        the host engines instead
+        ipc_bytes_out, ipc_bytes_in     pipe traffic, both directions
+        queue_depth, epoch_lag          per worker: deltas not yet sent;
+                                        epochs its replicas are behind
+        worker_events                   per worker: events matched
+        memo_hits, memo_misses          per worker: its replica engines'
+                                        satisfied-value memo counters as
+                                        of its last reply (batch lookups
+                                        happen there, not on the host)
     autonomic         (autonomic cell only) ticks, actuations, audit tail
 """
 

@@ -11,7 +11,11 @@ constraint-first rather than filter-first:
 
 1. for each attribute of the event, look up the constraints that value
    satisfies (equality by hash, ordering by binary search over sorted
-   threshold arrays, string shapes by scan, EXISTS for free);
+   threshold arrays, string shapes by scan, EXISTS for free).  Ordering
+   thresholds are bucketed per (operator, kind, *group*) — the filter's
+   name class, or "single-constraint filter" — so on the batch path a
+   bucket's bisect-and-slice is already one group's satisfied set, with
+   no per-filter step (see :class:`_AttrIndex`);
 2. increment a per-filter counter for each satisfied constraint;
 3. a filter whose counter reaches its constraint count is matched, and its
    subscription is selected.
@@ -42,7 +46,7 @@ from repro.transport.wire import Value
 
 
 class _Thresholds:
-    """Thresholds of one ordering operator and kind, sorted by value.
+    """Thresholds of one ordering operator, kind and group, sorted by value.
 
     Two parallel lists, so bisect runs on plain values and the satisfied
     fids are one slice.
@@ -61,27 +65,23 @@ class _Thresholds:
 
     def remove(self, value: Value, fid: int) -> None:
         # The value's run starts at the bisect point; scan on for the fid.
-        try:
-            at = self.fids.index(fid, bisect_left(self.values, value))
-        except ValueError:
-            # A NaN threshold sorts nowhere and can leave the bisect point
-            # past the entry.  Any slot of this fid will do: a filter is
-            # always removed whole.
-            at = self.fids.index(fid)
+        at = self.fids.index(fid, bisect_left(self.values, value))
         del self.values[at]
         del self.fids[at]
 
     def satisfied_by(self, value: Value, op: Op) -> list[int]:
         """Fids of constraints ``attr op threshold`` satisfied by ``value``."""
-        if op == Op.LT:        # value < threshold: thresholds > value
-            return self.fids[bisect_right(self.values, value):]
-        if op == Op.LE:        # thresholds >= value
-            return self.fids[bisect_left(self.values, value):]
-        if op == Op.GT:        # thresholds < value
-            return self.fids[:bisect_left(self.values, value)]
-        if op == Op.GE:        # thresholds <= value
-            return self.fids[:bisect_right(self.values, value)]
-        raise AssertionError(op)   # pragma: no cover
+        bisect, below = _CUTS[op]
+        at = bisect(self.values, value)
+        return self.fids[:at] if below else self.fids[at:]
+
+
+#: Ordering operator -> (where ``value`` cuts the sorted thresholds, whether
+#: the satisfied ones lie below the cut).  ``value < threshold`` holds for
+#: the thresholds above bisect_right, ``<=`` from bisect_left up; ``>``
+#: for those below bisect_left, ``>=`` up to bisect_right.
+_CUTS = {Op.LT: (bisect_right, False), Op.LE: (bisect_left, False),
+         Op.GT: (bisect_left, True), Op.GE: (bisect_right, True)}
 
 
 class _AttrIndex:
@@ -95,8 +95,15 @@ class _AttrIndex:
         # (kind, value, fid) triples for NE constraints.
         self.ne: list[tuple[Kind, Value, int]] = []
         self.exists: list[int] = []
-        # (op, kind) -> sorted thresholds.
-        self.order: dict[tuple[Op, Kind], _Thresholds] = {}
+        # (op, kind, group) -> sorted thresholds.  The group is what the
+        # batch path would otherwise sort a satisfied fid into, one fid at
+        # a time: _SINGLE for a one-constraint filter, the class id for a
+        # multi-constraint filter that constrains this name once, _REPEATED
+        # for one that constrains it more than once.  A filter outside
+        # _REPEATED has exactly one constraint on this name, so the slice
+        # a value cuts from a bucket *is* "every constraint on this
+        # attribute satisfied" for the whole group.
+        self.order: dict[tuple[Op, Kind, int], _Thresholds] = {}
         # (op, operand, fid) for PREFIX/SUFFIX/CONTAINS, scanned linearly.
         self.strings: list[tuple[Op, Value, int]] = []
 
@@ -106,6 +113,9 @@ class _AttrIndex:
 
 
 _ORDER_OPS = frozenset({Op.LT, Op.LE, Op.GT, Op.GE})
+#: Ordering-bucket groups that are not a class id (class ids are >= 0).
+_SINGLE = -1
+_REPEATED = -2
 _STRING_OPS = frozenset({Op.PREFIX, Op.SUFFIX, Op.CONTAINS})
 #: ``test(value, operand)`` of each operator that is evaluated rather than
 #: looked up, for a value already known to be of the operand's kind.
@@ -114,6 +124,14 @@ _TESTS = {Op.NE: operator.ne, Op.LT: operator.lt, Op.LE: operator.le,
           Op.PREFIX: lambda value, operand: value.startswith(operand),
           Op.SUFFIX: lambda value, operand: value.endswith(operand),
           Op.CONTAINS: lambda value, operand: operand in value}
+
+
+def _never_satisfied(constraint) -> bool:
+    """An ordering constraint against NaN.  Every comparison with it is
+    false, so it is left out of the index — its filter can then never
+    reach its count — where it would sort nowhere and break the bisect of
+    every threshold it shared a bucket with."""
+    return constraint.op in _ORDER_OPS and constraint.value != constraint.value
 
 
 def name_class(filt) -> frozenset[str]:
@@ -144,6 +162,11 @@ _KIND_CLASSES = {Kind.BOOL: (bool,), Kind.NUMBER: (int, float),
                  Kind.STRING: (str,), Kind.BYTES: (bytes,)}
 _MEMO_CLASSES = frozenset(
     cls for classes in _KIND_CLASSES.values() for cls in classes)
+
+#: What one attribute value satisfies (:meth:`ForwardingMatcher.
+#: _satisfied_entry`): ``(single_subs, ((class id, fids), ...))``.
+_Entry = tuple[tuple[int, ...], tuple[tuple[int, frozenset[int]], ...]]
+_NOTHING: _Entry = ((), ())
 
 
 class ForwardingMatcher(MatchingEngine):
@@ -177,13 +200,14 @@ class ForwardingMatcher(MatchingEngine):
         # that constrain some name more than once (None: once each).
         self._fid_name_needs: list[dict[str, int] | None] = []
         # Memo: attr name -> {(value class, value) -> (sub ids of
-        # satisfied single-constraint filters, {class id: fids with every
-        # constraint on this attribute satisfied})}.  Event streams repeat
-        # attribute values heavily, so one index walk serves many events.
-        # A name has a partition exactly while it has an _AttrIndex; a
-        # registration change drops only the entries it can affect.
-        self._satisfied_memo: dict[str, dict[
-            tuple, tuple[tuple[int, ...], dict[int, frozenset[int]]]]] = {}
+        # satisfied single-constraint filters, ((class id, fids with every
+        # constraint on this attribute satisfied), ...))}.  Event streams
+        # repeat attribute values heavily, so one index walk serves many
+        # events; entries are immutable, and every value that satisfies
+        # nothing shares _NOTHING.  A name has a partition exactly while
+        # it has an _AttrIndex; a registration change drops only the
+        # entries it can affect.
+        self._satisfied_memo: dict[str, dict[tuple, _Entry]] = {}
         self.constraints_indexed = 0
         self.memo_hits = 0
         self.memo_misses = 0
@@ -220,9 +244,10 @@ class ForwardingMatcher(MatchingEngine):
             elif not filt:
                 self._always.add(fid)
             for constraint in filt:
-                self._index_constraint(constraint, fid)
-                self._forget(constraint)
                 self.constraints_indexed += 1
+                if not _never_satisfied(constraint):
+                    self._index_constraint(constraint, fid)
+                    self._forget(constraint)
         self._sub_fids[subscription.sub_id] = fids
 
     def _index_constraint(self, constraint, fid: int) -> None:
@@ -239,17 +264,35 @@ class ForwardingMatcher(MatchingEngine):
         elif op == Op.NE:
             index.ne.append((constraint.kind, constraint.value, fid))
         elif op in _ORDER_OPS:
-            thresholds = index.order.setdefault((op, constraint.kind),
-                                                _Thresholds())
+            key = (op, constraint.kind, self._order_group(fid, constraint.name))
+            thresholds = index.order.get(key)
+            if thresholds is None:
+                thresholds = index.order[key] = _Thresholds()
             thresholds.add(constraint.value, fid)
         elif op in _STRING_OPS:
             index.strings.append((op, constraint.value, fid))
         else:                                    # pragma: no cover
             raise AssertionError(op)
 
+    def _order_group(self, fid: int, name: str) -> int:
+        """The ordering-bucket group of ``fid``'s constraints on ``name``
+        (see :class:`_AttrIndex`); read from the fid's slots, so only
+        while the filter is registered."""
+        if self._filter_needs[fid] == 1:
+            return _SINGLE
+        repeated = self._fid_name_needs[fid]
+        if repeated is not None and repeated[name] > 1:
+            return _REPEATED
+        return self._fid_class[fid]
+
     def _deindex(self, subscription: Subscription) -> None:
         fids = self._sub_fids.pop(subscription.sub_id)
         for filt, fid in zip(subscription.filters, fids):
+            # Constraints first: an ordering constraint's bucket is found
+            # through the fid's slots.
+            for constraint in filt:
+                if not _never_satisfied(constraint):
+                    self._deindex_constraint(constraint, fid)
             del self._filter_needs[fid]
             del self._filter_sub[fid]
             self._sub_list[fid] = -1
@@ -257,8 +300,6 @@ class ForwardingMatcher(MatchingEngine):
             self._fid_name_needs[fid] = None
             self._always.discard(fid)
             self._free_fids.append(fid)
-            for constraint in filt:
-                self._deindex_constraint(constraint, fid)
         if not self._sub_fids:
             # Nothing registered, so nothing memoised: give the slots and
             # class ids back, or a table that once was large stays large.
@@ -283,10 +324,11 @@ class ForwardingMatcher(MatchingEngine):
         elif op == Op.NE:
             index.ne.remove((constraint.kind, constraint.value, fid))
         elif op in _ORDER_OPS:
-            thresholds = index.order[op, constraint.kind]
+            key = (op, constraint.kind, self._order_group(fid, name))
+            thresholds = index.order[key]
             thresholds.remove(constraint.value, fid)
             if not thresholds.fids:
-                del index.order[op, constraint.kind]
+                del index.order[key]
         else:
             index.strings.remove((op, constraint.value, fid))
         if index.empty():
@@ -344,12 +386,10 @@ class ForwardingMatcher(MatchingEngine):
                 if ne_kind == kind and value != operand:
                     self._bump(fid, counts, needs, matched)
 
-            if index.order:
-                for op in _ORDER_OPS:
-                    thresholds = index.order.get((op, kind))
-                    if thresholds is not None:
-                        for fid in thresholds.satisfied_by(value, op):
-                            self._bump(fid, counts, needs, matched)
+            for (op, bucket_kind, _), thresholds in index.order.items():
+                if bucket_kind is kind:
+                    for fid in thresholds.satisfied_by(value, op):
+                        self._bump(fid, counts, needs, matched)
 
             if index.strings and kind in (Kind.STRING, Kind.BYTES):
                 for op, operand, fid in index.strings:
@@ -407,7 +447,7 @@ class ForwardingMatcher(MatchingEngine):
                     self.memo_hits += 1
                 singles, class_sets = entry
                 matched.update(singles)
-                for cid, fidset in class_sets.items():
+                for cid, fidset in class_sets:
                     sets = gathered.get(cid)
                     if sets is None:
                         gathered[cid] = [fidset]
@@ -438,46 +478,67 @@ class ForwardingMatcher(MatchingEngine):
         self._meter.charge_match()
         return results
 
-    def _satisfied_entry(self, name: str, value: Value
-                         ) -> tuple[tuple[int, ...], dict[int, frozenset[int]]]:
+    def _satisfied_entry(self, name: str, value: Value) -> _Entry:
         """Precompute what one attribute value satisfies.
 
         Returns ``(single_subs, class_sets)``: subscription ids whose
         single-constraint filters this value satisfies outright, and — per
         multi-constraint class — the fids whose every constraint *on this
         attribute* is satisfied by the value.
+
+        This is the whole cost of a value the memo has not seen, and a
+        continuous reading is always one.  Ordering buckets come out
+        grouped (one bisect, one slice, one C-level conversion each);
+        only the other operators' hits and the ``_REPEATED`` buckets'
+        are counted fid by fid.
         """
         index = self._attr_indexes[name]
         kind = kind_of(value)
-        fids: list[int] = list(index.exists)
+        counted: list[int] = list(index.exists)
         eq_fids = index.eq.get((kind, value))
         if eq_fids:
-            fids.extend(eq_fids)
+            counted.extend(eq_fids)
         for ne_kind, operand, fid in index.ne:
             if ne_kind == kind and value != operand:
-                fids.append(fid)
-        if index.order:
-            for op in _ORDER_OPS:
-                thresholds = index.order.get((op, kind))
-                if thresholds is not None:
-                    fids.extend(thresholds.satisfied_by(value, op))
+                counted.append(fid)
         if index.strings and kind in (Kind.STRING, Kind.BYTES):
             for op, operand, fid in index.strings:
                 if type(operand) is type(value) and _TESTS[op](value, operand):
-                    fids.append(fid)
+                    counted.append(fid)
 
-        needs = self._filter_needs
-        filter_sub = self._filter_sub
-        fid_class = self._fid_class
-        name_needs = self._fid_name_needs
-        singles = tuple(filter_sub[fid] for fid in fids if needs[fid] == 1)
-        class_sets: dict[int, set[int]] = {}
-        for fid, satisfied in Counter(fids).items():
-            if needs[fid] == 1:
+        singles: tuple[int, ...] = ()
+        class_fids: dict[int, set[int]] = {}
+        for (op, bucket_kind, group), thresholds in index.order.items():
+            if bucket_kind is not kind:
                 continue
-            # All of this filter's constraints on this attribute satisfied?
-            repeated = name_needs[fid]
-            if satisfied == (1 if repeated is None else repeated[name]):
-                class_sets.setdefault(fid_class[fid], set()).add(fid)
-        return singles, {cid: frozenset(fidset)
-                         for cid, fidset in class_sets.items()}
+            fids = thresholds.satisfied_by(value, op)
+            if not fids:
+                continue
+            if group == _SINGLE:
+                singles += tuple(map(self._sub_list.__getitem__, fids))
+            elif group == _REPEATED:
+                counted.extend(fids)
+            else:       # a class's GT and LT buckets can both hit: union
+                class_fids.setdefault(group, set()).update(fids)
+
+        if counted:
+            needs = self._filter_needs
+            fid_class = self._fid_class
+            name_needs = self._fid_name_needs
+            singles += tuple(self._sub_list[fid] for fid in counted
+                             if needs[fid] == 1)
+            for fid, satisfied in Counter(counted).items():
+                if needs[fid] == 1:
+                    continue
+                # All of this filter's constraints on this attribute
+                # satisfied?
+                repeated = name_needs[fid]
+                if satisfied == (1 if repeated is None else repeated[name]):
+                    class_fids.setdefault(fid_class[fid], set()).add(fid)
+        if not (singles or class_fids):
+            return _NOTHING
+        # frozenset(set) copies into a table sized for its length; built
+        # straight from a slice it keeps the 4x growth steps' slack, which
+        # across a memo of large alarm-tail entries is tens of megabytes.
+        return singles, tuple((cid, frozenset(fids))
+                              for cid, fids in class_fids.items())

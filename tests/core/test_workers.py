@@ -6,6 +6,8 @@ dispatch cannot.  This suite pins the bet the same way the sharding suite
 does — from below and above:
 
 * **plan codec** — Hypothesis roundtrips MatchPlan through the TLV codec;
+* **reply codec** — the packed RESULTS reply roundtrips, and arbitrary or
+  mutated bytes parse or raise ``WorkerError``, nothing else;
 * **executor level** — `InlineExecutor` ≡ `WorkerPoolExecutor` ≡ the
   brute-force oracle across shards {1, 2, 8} × workers {0, 2, 4}, with
   mid-stream registration churn and a live `split_class` actuation while
@@ -29,7 +31,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.sharding import ShardedEventBus, ShardedMatcher
-from repro.core.workers import WorkerPoolExecutor, available_cores
+from repro.core import workers as workers_module
+from repro.core.workers import WorkerError, WorkerPoolExecutor, \
+    available_cores
 from repro.errors import ConfigurationError
 from repro.ids import service_id_from_name
 from repro.matching.engine import BruteForceMatcher
@@ -88,6 +92,91 @@ class TestPlanCodec:
         assert isinstance(matcher.executor, InlineExecutor)
         _subscribe_all([matcher], [[Filter([Constraint("a", Op.GT, 0)])]])
         assert matcher.match_batch_ids([{"a": 1}, {"a": -1}]) == [[1], []]
+
+
+# One plan's result: a ragged list of per-event id lists.
+plan_results = st.lists(st.lists(
+    st.one_of(st.integers(0, 2 ** 32 - 1), st.sampled_from((0, 2 ** 32 - 1))),
+    max_size=6), max_size=5)
+
+
+class _Memo:
+    def __init__(self, hits, misses):
+        self.memo_hits, self.memo_misses = hits, misses
+
+
+class TestReplyCodec:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(plan_results, max_size=4),
+           st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40)),
+                    max_size=3))
+    def test_roundtrip(self, per_plan, counters):
+        engines = [_Memo(hits, misses) for hits, misses in counters]
+        reply = workers_module._encode_results(per_plan, engines)
+        assert workers_module._parse_results(reply) == (
+            per_plan, sum(hits for hits, _ in counters),
+            sum(misses for _, misses in counters))
+
+    def test_sets_and_engines_without_a_memo(self):
+        reply = workers_module._encode_results(
+            [[{7}, (), {0, 2 ** 32 - 1}], []], [object()])
+        per_plan, hits, misses = workers_module._parse_results(reply)
+        assert [[sorted(ids) for ids in plan] for plan in per_plan] \
+            == [[[7], [], [0, 2 ** 32 - 1]], []]
+        assert (hits, misses) == (0, 0)
+
+    def test_an_id_past_32_bits_does_not_pack(self):
+        with pytest.raises(OverflowError):
+            workers_module._encode_results([[[2 ** 32]]], [])
+
+    def test_fail_reply_raises_its_reason(self):
+        with pytest.raises(WorkerError, match="stale replica"):
+            workers_module._parse_results(
+                workers_module._encode_fail("stale replica: 3 > 2"))
+
+    @pytest.mark.parametrize("reply", [
+        b"", b"\x01", b"\x01\x02\x03", b"\x07\x00",
+        b"\x01" + b"\xff" * 12,                 # an over-long varint
+        b"\x01\x00\x00\x01\x02\x01\x00\x00",     # counts block cut short
+        b"\x01\x00\x00\x01\x01\x01\x00\x00\x00",   # one id counted, none sent
+        b"\x01\x00\x00\x01\x01\x00\x00\x00\x00\x09",  # ragged id block
+        b"\x01\x00\x00\x01" + b"\xff" * 9 + b"\x01",   # 2**63 events claimed
+    ])
+    def test_malformed_replies_raise_worker_error(self, reply):
+        with pytest.raises(WorkerError):
+            workers_module._parse_results(reply)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_parse_or_raise_worker_error(self, reply):
+        try:
+            per_plan, hits, misses = workers_module._parse_results(reply)
+        except WorkerError:
+            return
+        # What parsed accounts for every byte's worth of ids it carried.
+        assert sum(len(ids) for plan in per_plan for ids in plan) * 4 \
+            <= len(reply)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(plan_results, min_size=1, max_size=3), st.data())
+    def test_mutated_golden_reply_parses_or_raises_worker_error(
+            self, per_plan, data):
+        golden = bytearray(workers_module._encode_results(
+            per_plan, [_Memo(5, 9)]))
+        mutation = data.draw(st.sampled_from(("flip", "cut", "grow")))
+        at = data.draw(st.integers(0, len(golden) - 1))
+        if mutation == "flip":
+            golden[at] ^= data.draw(st.integers(1, 255))
+        elif mutation == "cut":
+            del golden[at:]
+        else:
+            golden[at:at] = data.draw(st.binary(min_size=1, max_size=5))
+        try:
+            parsed, _, _ = workers_module._parse_results(bytes(golden))
+        except WorkerError:
+            return
+        assert all(0 <= sub_id < 2 ** 32
+                   for plan in parsed for ids in plan for sub_id in ids)
 
 
 class TestWorkerDifferential:
@@ -246,6 +335,65 @@ class TestWorkerFailure:
             assert matcher.match_batch_ids(stream) == expected
             assert all(pool.stats_dict()["alive"])
 
+    @pytest.mark.parametrize("mangle", [
+        lambda reply: b"",
+        lambda reply: b"\x01\x02\x03",
+        lambda reply: reply[:-1],
+        lambda reply: b"\x01" + b"\xff" * 12,
+        # Well-formed, but one event short of the plan it answers.
+        lambda reply: workers_module._encode_results(
+            [plan[:-1] for plan
+             in workers_module._parse_results(reply)[0]], []),
+        # Well-formed, but one plan short.
+        lambda reply: workers_module._encode_results(
+            workers_module._parse_results(reply)[0][:-1], []),
+    ])
+    def test_corrupted_reply_degrades_inline(self, mangle):
+        """Whatever a worker's reply turns into on the way, ``execute``
+        returns the host engines' exact results and counts the fallback."""
+
+        class Corrupting:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def recv_bytes(self):
+                return mangle(self._conn.recv_bytes())
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        matcher, pool = self._bound_pool(workers=1)
+        stream = [{"hr": i} for i in range(20)]
+        with pool:
+            expected = matcher.match_batch_ids(stream)
+            assert pool.stats.inline_fallbacks == 0
+            plans = len(matcher.build_plans(stream))
+            offender = pool.worker_pids()
+            pool._conns[0] = Corrupting(pool._conns[0])
+            assert matcher.match_batch_ids(stream) == expected
+            assert pool.stats.inline_fallbacks == plans
+            # The offender was reaped; its replacement answers for itself.
+            assert matcher.match_batch_ids(stream) == expected
+            assert pool.stats.inline_fallbacks == plans
+            assert pool.worker_pids() != offender
+
+    def test_id_past_32_bits_falls_back_inline(self):
+        """The reply packs ids as u32: a replica holding a wider id fails
+        the pack, says so, and the host answers the round itself."""
+        matcher, pool = self._bound_pool(workers=1)
+        wide = 2 ** 32 + 5
+        stream = [{"hr": i} for i in range(20)]
+        with pool:
+            matcher.subscribe(Subscription(
+                wide, SID, [Filter([Constraint("hr", Op.GT, 17)])]))
+            inline = ShardedMatcher(4, "forwarding")
+            for subscription in matcher.subscriptions():
+                inline.subscribe(subscription)
+            expected = inline.match_batch_ids(stream)
+            assert wide in expected[19]
+            assert matcher.match_batch_ids(stream) == expected
+            assert pool.stats.inline_fallbacks >= 1
+
     def test_close_restores_inline_execution(self):
         matcher, pool = self._bound_pool()
         stream = [{"hr": i} for i in range(20)]
@@ -292,8 +440,15 @@ class TestWorkerFailure:
             for key in ("workers", "alive", "pids", "executes", "plans",
                         "respawns", "inline_fallbacks", "ipc_bytes_out",
                         "ipc_bytes_in", "queue_depth", "epoch_lag",
-                        "worker_events"):
+                        "worker_events", "memo_hits", "memo_misses"):
                 assert key in stats, key
+            # Three equal events: the lookups (and their hits) happened in
+            # the owning worker's replica, and its reply said so.
+            assert sum(stats["memo_misses"]) == 1
+            assert sum(stats["memo_hits"]) == 2
+            assert len(stats["memo_hits"]) == 2
+            assert all(engine.memo_misses == 0
+                       for engine in matcher.shard_engines())
             assert stats["workers"] == 2
             assert stats["executes"] >= 1
             assert stats["ipc_bytes_out"] > 0

@@ -235,3 +235,132 @@ class TestInterleavedChurn:
         run_sequence(ForwardingMatcher(), operations)
         with pytest.raises((AssertionError, LookupError)):
             run_sequence(_NeverForgets(), operations)
+
+
+# -- grouped ordering buckets --------------------------------------------------
+#
+# The forwarding engine buckets ordering thresholds per (op, kind, group) so
+# that a never-seen value costs one bisect and one slice per bucket.  What
+# can go wrong is the grouping itself, so this domain puts every group on
+# the *same* name ``x``: single-constraint filters, class filters ({x, y}
+# and {x, who}, with GT and LT thresholds that overlap so both buckets of
+# one class hit and must be unioned), filters that repeat the name (a
+# range, an ordering beside a NE), the operators that bypass the buckets,
+# number and string orderings side by side, NaN thresholds — and churn
+# that recycles fids from one group into another.
+
+NAN = float("nan")
+GROUP_THRESHOLDS = (0, 1, 2.5, 4, 7, NAN, "b", "m")
+
+
+def _ordering(name):
+    return st.builds(Constraint, st.just(name),
+                     st.sampled_from((Op.LT, Op.LE, Op.GT, Op.GE)),
+                     st.sampled_from(GROUP_THRESHOLDS))
+
+
+_who = st.builds(Constraint, st.just("who"), st.just(Op.EQ),
+                 st.sampled_from(("p1", "p2")))
+_other_x = st.one_of(
+    st.builds(Constraint, st.just("x"), st.sampled_from((Op.EQ, Op.NE)),
+              st.sampled_from((1, 2.5, "m"))),
+    st.just(Constraint("x", Op.EXISTS)),
+    st.just(Constraint("x", Op.PREFIX, "m")))
+
+grouped_filters = st.one_of(
+    st.builds(lambda c: Filter([c]), _ordering("x")),               # single
+    st.builds(lambda c, d: Filter([c, d]), _ordering("x"), _ordering("y")),
+    st.builds(lambda c, d: Filter([c, d]), _ordering("x"), _who),   # classes
+    st.builds(lambda c, d: Filter([c, d]), _ordering("x"), _ordering("x")),
+    st.builds(lambda c, d: Filter([c, d]), _ordering("x"), _other_x),
+    st.builds(lambda c, d, e: Filter([c, d, e]),                    # repeated
+              _ordering("x"), _ordering("x"), st.one_of(_ordering("y"), _who)),
+    st.builds(lambda c: Filter([c]), _other_x),
+    st.builds(lambda c, d: Filter([c, d]), _other_x, _ordering("y")))
+
+grouped_tables = st.lists(st.lists(grouped_filters, min_size=1, max_size=3),
+                          min_size=1, max_size=10)
+
+#: Readings: continuous, so a stream of them never repeats a value; and
+#: the odd string, which the string-ordered thresholds see.
+_readings = st.one_of(
+    st.floats(min_value=-1.0, max_value=8.0, allow_nan=False),
+    st.sampled_from(("a", "c", "m", "z")))
+
+
+@st.composite
+def reading_streams(draw):
+    xs = draw(st.lists(_readings, min_size=1, max_size=10, unique=True))
+    return [{"x": x,
+             **draw(st.fixed_dictionaries({}, optional={
+                 "y": _readings, "who": st.sampled_from(("p1", "p2", "p3"))}))}
+            for x in xs]
+
+
+def assert_engine_empty(engine) -> None:
+    """No bucket, partition, slot or class id outlives the last filter."""
+    assert engine._attr_indexes == {}
+    assert engine._satisfied_memo == {}
+    assert (engine._filter_needs, engine._filter_sub, engine._sub_fids) \
+        == ({}, {}, {})
+    assert (engine._sub_list, engine._fid_class, engine._fid_name_needs,
+            engine._free_fids, engine._class_width) == ([], [], [], [], [])
+    assert engine._classes == {}
+    assert engine._always == set()
+
+
+class TestGroupedOrderingBuckets:
+    @staticmethod
+    def check(engine, oracle, stream) -> None:
+        """Batch path ≡ per-event path ≡ oracle, cold and then warm."""
+        expected = [set(ids) for ids in oracle.match_batch_ids(stream)]
+        assert engine._match_ids_batch(stream) == expected
+        assert [engine._match_ids(attrs) for attrs in stream] == expected
+        # Again: every lookup is now a memo hit and must say the same.
+        misses = engine.memo_misses
+        assert engine._match_ids_batch(stream) == expected
+        assert engine.memo_misses == misses
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_tables, grouped_tables, reading_streams(),
+           reading_streams(), st.data())
+    def test_every_group_agrees_with_oracle_across_churn(
+            self, table, late_table, stream, late_stream, data):
+        engine, oracle = ForwardingMatcher(), BruteForceMatcher()
+        _subscribe_all([oracle, engine], table)
+        misses = engine.memo_misses
+        self.check(engine, oracle, stream)
+        if "x" in engine._attr_indexes:
+            # Never-repeating readings: each was a miss the first time.
+            assert engine.memo_misses - misses >= len(stream)
+
+        # Churn: the freed fids are recycled by filters of other groups.
+        to_remove = data.draw(st.sets(st.integers(1, len(table))))
+        for sub_id in sorted(to_remove):
+            oracle.unsubscribe(sub_id)
+            engine.unsubscribe(sub_id)
+        for index, filter_list in enumerate(late_table):
+            subscription = Subscription(100 + index, SID, filter_list)
+            oracle.subscribe(subscription)
+            engine.subscribe(subscription)
+        self.check(engine, oracle, stream)          # part warm, part dropped
+        self.check(engine, oracle, late_stream)     # cold again
+
+        for subscription in list(oracle.subscriptions()):
+            engine.unsubscribe(subscription.sub_id)
+        assert_engine_empty(engine)
+        assert engine._match_ids_batch(stream) == [set()] * len(stream)
+
+    @settings(max_examples=100, deadline=None)
+    @given(grouped_tables, reading_streams(), st.sampled_from((2, 4)))
+    def test_sharded_engines_inherit_it(self, table, stream, shards):
+        sharded, oracle = ShardedMatcher(shards, "forwarding"), \
+            BruteForceMatcher()
+        _subscribe_all([oracle, sharded], table)
+        expected = oracle.match_batch_ids(stream)
+        assert sharded.match_batch_ids(stream) == expected
+        assert sharded.match_batch_ids(stream) == expected
+        for index in range(len(table)):
+            sharded.unsubscribe(index + 1)
+        for engine in sharded.shard_engines():
+            assert_engine_empty(engine)

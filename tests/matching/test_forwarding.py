@@ -1,6 +1,7 @@
 """Forwarding (counting) matcher: index behaviour and edge cases."""
 
 import random
+import sys
 
 from repro.ids import service_id_from_name
 from repro.matching import forwarding
@@ -138,12 +139,16 @@ def memo_sizes(matcher):
 
 def index_shape(matcher):
     """Sizes of every engine structure, comparable across engines that
-    hold the same subscriptions under different fids."""
+    hold the same subscriptions under different fids and class ids: an
+    ordering bucket of a class is keyed by the class's names."""
+    names_of = {cid: tuple(sorted(names))
+                for names, cid in matcher._classes.items()}
     return {
         "names": {
             name: (sorted((key, len(fids)) for key, fids in index.eq.items()),
                    len(index.ne), len(index.exists), len(index.strings),
-                   {key: len(th.fids) for key, th in index.order.items()})
+                   {(op, kind, names_of.get(group, group)): len(th.fids)
+                    for (op, kind, group), th in index.order.items()})
             for name, index in matcher._attr_indexes.items()},
         "partitions": sorted(matcher._satisfied_memo),
         "filters": len(matcher._filter_needs),
@@ -178,18 +183,114 @@ class TestThresholds:
         assert thresholds.fids == [5, 1, 4]
 
     def test_nan_threshold_cannot_strand_a_removal(self):
-        # NaN sorts nowhere, so it can leave the bisect point past the
-        # entry being removed; the removal must still find it.
+        # NaN sorts nowhere: among sorted thresholds it breaks their bisect
+        # (wrong matches) and can leave a removal's bisect point past its
+        # entry.  Nothing satisfies it, so it never enters a bucket.
         matcher = ForwardingMatcher()
         operands = (5, float("nan"), 1, 2)
         for sub_id, operand in enumerate(operands, 1):
             matcher.subscribe(sub(sub_id, Filter(
                 [Constraint("x", Op.GT, operand)])))
-        assert matcher._attr_indexes["x"].order[Op.GT, Kind.NUMBER].values[0] \
-            == 5                                # the order is broken
+        bucket = matcher._attr_indexes["x"].order[
+            Op.GT, Kind.NUMBER, forwarding._SINGLE]
+        assert bucket.values == [1, 2, 5]       # the order holds
+        assert ids_batch(matcher, {"x": 3}, {"x": 9}) == [[3, 4], [1, 3, 4]]
+        assert [match_ids(matcher, {"x": x}) for x in (3, 9)] \
+            == [[3, 4], [1, 3, 4]]
         for sub_id in range(1, len(operands) + 1):
             matcher.unsubscribe(sub_id)
         assert matcher._attr_indexes == {}
+
+    def test_nan_only_name_has_no_index(self):
+        matcher = ForwardingMatcher()
+        nan = float("nan")
+        matcher.subscribe(sub(1, Filter([Constraint("x", Op.LT, nan)])))
+        matcher.subscribe(sub(2, Filter([Constraint("x", Op.GE, nan),
+                                         Constraint("y", Op.GT, 0)])))
+        assert sorted(matcher._attr_indexes) == ["y"]
+        assert ids_batch(matcher, {"x": 1.0, "y": 1.0}) == [[]]
+        assert match_ids(matcher, {"x": 1.0, "y": 1.0}) == []
+        matcher.unsubscribe(1)
+        matcher.unsubscribe(2)
+        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, 0, {})
+
+
+class TestGroupedBuckets:
+    """Ordering constraints are bucketed per (op, kind, group), so a
+    bucket's slice is one group's satisfied set."""
+
+    def mixed(self):
+        matcher = ForwardingMatcher()
+        matcher.subscribe(sub(1, Filter([Constraint("x", Op.GT, 1)])))
+        matcher.subscribe(sub(2, Filter([Constraint("x", Op.GT, 2),
+                                         Constraint("y", Op.EQ, 1)])))
+        matcher.subscribe(sub(3, Filter([Constraint("x", Op.GT, 0),
+                                         Constraint("x", Op.LT, 9)])))
+        matcher.subscribe(sub(4, Filter([Constraint("x", Op.LT, 20),
+                                         Constraint("y", Op.EQ, 1)])))
+        return matcher
+
+    def test_one_bucket_per_group(self):
+        matcher = self.mixed()
+        xy = matcher._classes[frozenset({"x", "y"})]
+        assert {key: th.fids for key, th
+                in matcher._attr_indexes["x"].order.items()} == {
+            (Op.GT, Kind.NUMBER, forwarding._SINGLE): [0],
+            (Op.GT, Kind.NUMBER, xy): [1],
+            (Op.GT, Kind.NUMBER, forwarding._REPEATED): [2],
+            (Op.LT, Kind.NUMBER, forwarding._REPEATED): [2],
+            (Op.LT, Kind.NUMBER, xy): [3]}
+
+    def test_both_buckets_of_one_class_are_unioned(self):
+        matcher = self.mixed()
+        xy = matcher._classes[frozenset({"x", "y"})]
+        xx = matcher._classes[frozenset({"x"})]
+        singles, class_sets = matcher._satisfied_entry("x", 5.5)
+        assert singles == (1,)
+        assert dict(class_sets) == {xy: frozenset({1, 3}),
+                                    xx: frozenset({2})}
+        # x = 9.5 satisfies one of the range's two constraints: not enough.
+        assert dict(matcher._satisfied_entry("x", 9.5)[1]) \
+            == {xy: frozenset({1, 3})}
+        assert ids_batch(matcher, {"x": 5.5, "y": 1}, {"x": 9.5, "y": 1},
+                         {"x": -0.5, "y": 1}, {"x": 5.5}) \
+            == [[1, 2, 3, 4], [1, 2, 4], [4], [1, 3]]
+
+    def test_values_that_satisfy_nothing_share_one_entry(self):
+        matcher = ForwardingMatcher()
+        matcher.subscribe(sub(1, Filter([Constraint("x", Op.GT, 100)])))
+        matcher.subscribe(sub(2, Filter([Constraint("x", Op.LT, 0),
+                                         Constraint("y", Op.EXISTS)])))
+        ids_batch(matcher, *({"x": 0.5 + step} for step in range(50)))
+        assert memo_sizes(matcher) == {"x": 50, "y": 0}
+        assert {id(entry) for entry in matcher._satisfied_memo["x"].values()} \
+            == {id(forwarding._NOTHING)}
+        assert matcher._satisfied_entry("x", "a string") is forwarding._NOTHING
+
+    def test_class_sets_are_sized_to_fit(self):
+        # A memo of alarm-tail entries is mostly these sets' tables: one
+        # built straight from a list slice keeps its growth slack.
+        matcher = ForwardingMatcher()
+        for sub_id in range(600):
+            matcher.subscribe(sub(sub_id, Filter([
+                Constraint("x", Op.GT, sub_id), Constraint("y", Op.EXISTS)])))
+        for count in (80, 310, 600):
+            (_, fids), = matcher._satisfied_entry("x", count - 0.5)[1]
+            assert len(fids) == count
+            assert sys.getsizeof(fids) == sys.getsizeof(frozenset(set(fids)))
+
+    def test_recycled_fid_lands_in_its_new_group(self):
+        matcher = self.mixed()
+        matcher.unsubscribe(2)                   # frees fid 1, a class fid
+        matcher.subscribe(sub(5, Filter([Constraint("x", Op.GT, 3)])))
+        assert matcher._sub_fids[5] == [1]
+        assert matcher._attr_indexes["x"].order[
+            Op.GT, Kind.NUMBER, forwarding._SINGLE].fids == [0, 1]
+        assert ids_batch(matcher, {"x": 5.5, "y": 1}) == [[1, 3, 4, 5]]
+        for sub_id in (1, 3, 4, 5):
+            matcher.unsubscribe(sub_id)
+        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, 0, {})
+        assert matcher._classes == {}
 
 
 class TestTargetedInvalidation:
