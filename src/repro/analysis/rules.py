@@ -1,7 +1,7 @@
 """The repro-lint rules: this codebase's hard-won invariants, as ASTs.
 
-Each rule encodes a bug class a past PR actually hit (see the ROADMAP's
-"Enforced invariants" section for the history).  Rules are deliberately
+Each rule encodes a bug class a past PR actually hit (``python -m
+repro.analysis --list-rules`` prints the catalogue).  Rules are deliberately
 scoped by path pattern to the modules where the invariant is load-bearing,
 and every deliberate exception in the tree carries a
 ``# repro-lint: ignore[RLxxx]`` suppression with a one-line justification.

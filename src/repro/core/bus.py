@@ -17,6 +17,10 @@ event" (Section II-C).  This class is the semantics layer the paper builds
   or, for local subscribers, one scheduler turn per publish that walks
   every matched callback's events in order — never inline in the publish
   call, see :meth:`EventBus._deliver_local`);
+* **one publish path**: :meth:`EventBus.publish` is
+  :meth:`EventBus.publish_batch` at length one — both are names for the
+  same dedup → match → dispatch body, so a single reading takes the
+  engine, the plan executor and the proxy flush a batch takes;
 * **per-component delivery**: a subscriber with several overlapping
   subscriptions still receives each event once ("all events are delivered
   to each interested component exactly once");
@@ -132,16 +136,16 @@ class LocalPublisher:
     def publish(self, event_type: str, attributes: dict[str, Value]
                 | None = None) -> Event:
         """Build, stamp and publish an event; returns it."""
-        event = Event(event_type, attributes or {}, self._sender,
-                      next(self._next_seqno), self._bus.scheduler.now())
-        self._bus.publish(event)
-        return event
+        return self._publish(((event_type, attributes),))[0]
 
     def publish_batch(self, items: Iterable[tuple[str, dict[str, Value]]]
                       ) -> list[Event]:
-        """Stamp a batch of ``(event_type, attributes)`` pairs and publish
-        them through the bus's amortised batch pipeline; returns the
-        events in publication order."""
+        """Stamp ``(event_type, attributes)`` pairs and publish them in
+        one bus call; returns the events in publication order."""
+        return self._publish(items)
+
+    def _publish(self, items: Iterable[tuple[str, dict[str, Value] | None]]
+                 ) -> list[Event]:
         now = self._bus.scheduler.now()
         events = [Event(event_type, attributes or {}, self._sender,
                         next(self._next_seqno), now)
@@ -287,67 +291,25 @@ class EventBus:
     # -- publication ----------------------------------------------------------
 
     def publish(self, event: Event) -> bool:
-        """Match and dispatch one event.
-
-        Returns True if the event was fresh (not a duplicate).  Publications
-        must arrive in per-sender seqno order — both the reliable channel
-        and LocalPublisher guarantee this — so a single high-watermark per
-        sender implements duplicate suppression.  Local callbacks run in
-        one later scheduler turn (:meth:`_deliver_local`), the mechanism
-        :meth:`publish_batch` uses too.
-        """
-        self.stats.published += 1
-        watermark = self._watermarks.get(event.sender, 0)
-        if event.seqno <= watermark:
-            self.stats.duplicates_dropped += 1
-            return False
-        self._watermarks[event.sender] = event.seqno
-
-        matched = self.engine.match(event.attrs_view())
-        if not matched:
-            self.stats.unmatched += 1
-            return True
-        self.stats.matched += 1
-
-        # Deliver once per interested *component*, not per subscription:
-        # matched subscription ids are unique, remote owners are
-        # deduplicated here.  One memo per dispatch: the standard DELIVER
-        # framing is encoded at most once however many proxies the
-        # fan-out reaches.
-        memo = DeliverMemo()
-        slices: list[LocalSlice] = []
-        remote_done = set()
-        local_callbacks = self._local_callbacks
-        for subscription in matched:
-            callback = local_callbacks.get(subscription.sub_id)
-            if callback is not None:
-                slices.append((callback, [event]))
-                continue
-            owner = self._sub_owner.get(subscription.sub_id)
-            if owner is not None and owner not in remote_done:
-                remote_done.add(owner)
-                proxy = self._proxies.get(owner)
-                if proxy is not None:
-                    proxy.deliver(event, memo)
-                    self.stats.delivered_remote += 1
-        if slices:
-            self.stats.delivered_local += len(slices)
-            self.scheduler.call_soon(self._deliver_local, slices)
-        return True
+        """Match and dispatch one event; True if it was fresh (not a
+        duplicate).  A batch of one: see :meth:`publish_batch`."""
+        return self._publish((event,)) == 1
 
     def publish_batch(self, events: Sequence[Event]) -> int:
         """Match and dispatch a batch of events; returns the fresh count.
 
-        Semantically equivalent to calling :meth:`publish` per event (the
-        differential and soak suites enforce this) but amortised, and
-        split into two phases so the matching work can be partitioned
+        Publications must arrive in per-sender seqno order — both the
+        reliable channel and LocalPublisher guarantee this — so a single
+        high-watermark per sender implements duplicate suppression.  The
+        work is split into phases so the matching can be partitioned
         while the delivery state cannot:
 
-        * **match phase** — one watermark/dedup pass, then one
-          :meth:`MatchingEngine.match_batch_ids` call.  This phase is a
-          pure function of the subscription table and the event stream,
-          which is what lets :class:`~repro.core.sharding.ShardedEventBus`
-          fan it out across shards and merge the per-event id sets;
+        * **dedup phase** — one watermark pass; every attempt is counted;
+        * **match phase** — one :meth:`MatchingEngine.match_batch_ids`
+          call.  This phase is a pure function of the subscription table
+          and the event stream, which is what lets
+          :class:`~repro.core.sharding.ShardedEventBus` fan it out across
+          shards and merge the per-event id sets;
         * **dispatch phase** — shared regardless of how matching was
           partitioned: watermarks, subscription ownership, proxies and
           the quench hook live only on this bus object, so
@@ -359,42 +321,33 @@ class EventBus:
         :meth:`~repro.core.proxy.Proxy.deliver_batch` flush (one packet
         per scheduling round instead of one per event), and the local
         callbacks' slices all ride one scheduler turn, in first-match
-        order (:meth:`_deliver_local`): a batch costs the scheduler one
-        timer however many subscriptions it matched.
+        order (:meth:`_deliver_local`): a publish costs the scheduler one
+        timer however many events it carried and subscriptions it matched.
         """
-        fresh = self._dedup_phase(events)
-        if not fresh:
-            return 0
-        matched_ids = self._match_phase(fresh)
-        self._dispatch_phase(fresh, matched_ids)
-        return len(fresh)
+        return self._publish(events)
 
-    def _match_phase(self, fresh: Sequence[Event]) -> Sequence[Sequence[int]]:
-        """Pure match phase: per-event sorted subscription-id lists.
-
-        A pure function of the subscription table and the event stream —
-        no dispatch state is read or written — which is what lets a
-        sharded engine fan it out, and a
-        :class:`~repro.core.workers.WorkerPoolExecutor` behind it run the
-        fan-out on worker processes.  Whatever executes the match, the
-        dispatch phase below consumes only the resulting id lists.
-        """
-        return self.engine.match_batch_ids(
-            [event.attrs_view() for event in fresh])
-
-    def _dedup_phase(self, events: Sequence[Event]) -> list[Event]:
-        """Watermark pass: count every attempt, keep the fresh events."""
+    def _publish(self, events: Sequence[Event]) -> int:
+        # Dedup phase: count every attempt, keep the fresh events.
         stats = self.stats
         watermarks = self._watermarks
+        stats.published += len(events)
         fresh: list[Event] = []
+        views = []
         for event in events:
-            stats.published += 1
             if event.seqno <= watermarks.get(event.sender, 0):
                 stats.duplicates_dropped += 1
                 continue
             watermarks[event.sender] = event.seqno
             fresh.append(event)
-        return fresh
+            views.append(event.attrs_view())
+        if not fresh:
+            return 0
+        # Match phase: no dispatch state is read or written, so a sharded
+        # engine can fan it out and a WorkerPoolExecutor behind it can run
+        # the fan-out on worker processes.  Whatever executes the match,
+        # dispatch consumes only the resulting id lists.
+        self._dispatch_phase(fresh, self.engine.match_batch_ids(views))
+        return len(fresh)
 
     def _dispatch_phase(self, fresh: Sequence[Event],
                         matched_ids: Sequence[Sequence[int]]) -> None:
@@ -402,8 +355,8 @@ class EventBus:
 
         ``matched_ids`` carries one sorted, duplicate-free subscription-id
         list per fresh event; delivery stays once per interested
-        *component* because local ids are unique per event and remote
-        owners are deduplicated here.
+        *component* because local ids are unique per event and a remote
+        owner's slice takes each event once.
         """
         stats = self.stats
         local_slices: dict[int, LocalSlice] = {}
@@ -411,15 +364,14 @@ class EventBus:
         sub_owner = self._sub_owner
         local_callbacks = self._local_callbacks
         proxies = self._proxies
-        # A local callback is captured here, at dispatch time, exactly as
-        # the per-event path does: a subscriber that unsubscribes before
-        # the scheduler turn still receives events already matched for it.
+        # A local callback is captured here, at dispatch time: a
+        # subscriber that unsubscribes before the scheduler turn still
+        # receives events already matched for it.
         for event, matched in zip(fresh, matched_ids):
             if not matched:
                 stats.unmatched += 1
                 continue
             stats.matched += 1
-            remote_done = set()
             for sub_id in matched:
                 callback = local_callbacks.get(sub_id)
                 if callback is not None:
@@ -430,24 +382,29 @@ class EventBus:
                         local_slice[1].append(event)
                     continue
                 owner = sub_owner.get(sub_id)
-                if owner is not None and owner not in remote_done:
-                    remote_done.add(owner)
+                events_slice = remote_slices.get(owner)
+                if events_slice is None:
                     if owner in proxies:
-                        remote_slices.setdefault(owner, []).append(event)
-                        stats.delivered_remote += 1
+                        remote_slices[owner] = [event]
+                elif events_slice[-1] is not event:
+                    # Events are walked in order, so an owner already
+                    # served this one holds it last.
+                    events_slice.append(event)
         if local_slices:
             # Insertion order is first-match order: one turn walks it.
             slices = list(local_slices.values())
             stats.delivered_local += sum(
                 [len(events_slice) for _, events_slice in slices])
             self.scheduler.call_soon(self._deliver_local, slices)
-        # One memo across every subscriber's slice: overlapping slices
-        # share each event's DELIVER encoding instead of re-running it.
-        memo = DeliverMemo()
-        for owner, events_slice in remote_slices.items():
-            proxy = proxies.get(owner)
-            if proxy is not None:
-                proxy.deliver_batch(events_slice, memo)
+        if remote_slices:
+            # One memo across every subscriber's slice: overlapping slices
+            # share each event's DELIVER encoding instead of re-running it.
+            memo = DeliverMemo()
+            for owner, events_slice in remote_slices.items():
+                stats.delivered_remote += len(events_slice)
+                proxy = proxies.get(owner)
+                if proxy is not None:
+                    proxy.deliver_batch(events_slice, memo)
 
     def _deliver_local(self, slices: list[LocalSlice]) -> None:
         """One scheduler turn: every local delivery of one publish.

@@ -180,10 +180,16 @@ def chunk_frames(frames: Sequence[Frame],
     boundary — no per-layer concatenation.  Runs of small frames are
     wrapped into BATCH payloads of at most ``max_bytes``; a single frame
     (or one larger than ``max_bytes`` by itself) is passed through
-    unwrapped, so a batch of one is byte-identical to the per-event path.
-    A single pre-joined ``bytes`` frame passes through *unjoined* — the
-    shared fan-out encoding is reused as-is.
+    unwrapped.  A single pre-joined ``bytes`` frame passes through
+    *unjoined* — the shared fan-out encoding is reused as-is — and a lone
+    frame, which is what every single publish and delivery hands over,
+    returns before any batching state is built.
     """
+    if len(frames) == 1:
+        lone = frames[0]
+        if isinstance(lone, bytes):
+            return [lone]
+        return [b"".join(_frame_chunks(lone)[0])]
     payloads: list[bytes] = []
     pending: list[tuple[Sequence[bytes], int]] = []
     pending_size = 0

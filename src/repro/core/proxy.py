@@ -178,67 +178,61 @@ class Proxy:
     # -- bus-facing interface ------------------------------------------------
 
     def deliver(self, event: Event, memo: DeliverMemo | None = None) -> None:
-        """Queue one matched event for the member (FIFO, acknowledged).
-
-        When the bus passes its dispatch ``memo`` and this proxy uses the
-        shared DELIVER framing, the payload is encoded once per dispatch
-        and reused across every proxy in the fan-out.
-        """
-        if self._destroyed:
-            return
-        if memo is not None and self.shared_outbound:
-            payload = memo.deliver_frame(event)
-        else:
-            payload = self.encode_outbound(event)
-        if payload is None:
-            return
-        # The bus software hands the payload off to this member's channel
-        # (runtime -> socket); under simulation this charges the core host.
-        self.bus.meter.charge_copy(OUTBOUND_COPIES * len(payload))
-        self.endpoint.send_reliable(self.member_address, payload)
-        self.stats.events_delivered += 1
+        """Queue one matched event for the member: :meth:`deliver_batch`
+        at length one."""
+        self._deliver((event,), memo)
 
     def deliver_batch(self, events: Sequence[Event],
                       memo: DeliverMemo | None = None) -> None:
-        """Queue a FIFO slice of matched events in as few packets as
-        possible.
+        """Queue a FIFO slice of matched events (acknowledged, in order)
+        in as few packets as possible.
 
-        Events are encoded individually (once per *dispatch*, not once
-        per proxy, when the bus's ``memo`` applies), then coalesced into
-        BATCH payloads (:func:`~repro.core.protocol.chunk_frames`) sized
-        to the member hop's channel window: a stop-and-wait hop gets one
-        payload per flush, a pipelined hop gets stream-sized payloads
-        that ride the window concurrently.  A slice of one is sent
-        unwrapped, byte-identical to :meth:`deliver`.
+        Events are encoded individually — once per *dispatch*, not once
+        per proxy, when the bus passes its ``memo`` and this proxy uses
+        the shared DELIVER framing — then coalesced into BATCH payloads
+        (:func:`~repro.core.protocol.chunk_frames`) sized to the member
+        hop's channel window: a stop-and-wait hop gets one payload per
+        flush, a pipelined hop gets stream-sized payloads that ride the
+        window concurrently.  A slice of one is sent unwrapped.
         """
+        self._deliver(events, memo)
+
+    def _deliver(self, events: Sequence[Event],
+                 memo: DeliverMemo | None) -> None:
         if self._destroyed:
             return
-        if memo is not None and self.shared_outbound:
-            frames = [memo.deliver_frame(event) for event in events]
-        else:
-            frames = []
-            for event in events:
-                payload = self.encode_outbound(event)
-                if payload is not None:
-                    frames.append(payload)
+        encode = (memo.deliver_frame
+                  if memo is not None and self.shared_outbound
+                  else self.encode_outbound)
+        frames = []
+        for event in events:
+            payload = encode(event)
+            if payload is not None:
+                frames.append(payload)
         if not frames:
             return
-        limit = (self.flush_limit if self.flush_limit is not None
-                 else protocol.flush_limit(self.endpoint.window))
+        limit = self.flush_limit
+        if limit is None:
+            limit = protocol.flush_limit(self.endpoint.window)
         # A declared capacity bounds the *events* per payload, on top of
         # the byte limit: a sensor that buffers 4 events must never be
         # handed a 50-event batch it cannot hold.
-        if self.capacity > 0:
-            runs = [frames[i:i + self.capacity]
-                    for i in range(0, len(frames), self.capacity)]
+        capacity = self.capacity
+        if 0 < capacity < len(frames):
+            runs = [frames[i:i + capacity]
+                    for i in range(0, len(frames), capacity)]
         else:
-            runs = [frames]
+            runs = (frames,)
         for run in runs:
             for payload in protocol.chunk_frames(run, limit):
+                # The bus software hands the payload off to this member's
+                # channel (runtime -> socket); under simulation this
+                # charges the core host.
                 self.bus.meter.charge_copy(OUTBOUND_COPIES * len(payload))
                 self.endpoint.send_reliable(self.member_address, payload)
-        self.stats.events_delivered += len(frames)
-        self.stats.batches_flushed += 1
+        stats = self.stats
+        stats.events_delivered += len(frames)
+        stats.batches_flushed += 1
 
     def transport_stats(self):
         """Reliability-layer counters for this member's channel, or None
@@ -335,12 +329,14 @@ class Proxy:
         the event bus" — acknowledgement to the publisher happened at the
         channel layer when the payload was accepted.
         """
-        self.stats.events_published += 1
-        self.bus.publish(event)
+        self._publish_events((event,))
 
     def publish_for_member_batch(self, events: Sequence[Event]) -> None:
-        """Push a member-originated run of events through the amortised
-        bus pipeline in one call."""
+        """Push a member-originated run of events into the bus in one
+        call."""
+        self._publish_events(events)
+
+    def _publish_events(self, events: Sequence[Event]) -> None:
         self.stats.events_published += len(events)
         self.bus.publish_batch(events)
 
@@ -353,8 +349,7 @@ class Proxy:
         event = Event(event_type, attributes, self.member_id,
                       self._next_pub_seqno, self.bus.scheduler.now())
         self._next_pub_seqno += 1
-        self.stats.events_published += 1
-        self.bus.publish(event)
+        self._publish_events((event,))
         return event
 
     def _subscribe_for_member(self, subscription: Subscription) -> None:

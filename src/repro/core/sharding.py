@@ -218,7 +218,7 @@ class ShardedMatcher(MatchingEngine):
         #: Registration epoch: bumped on every per-shard table mutation.
         #: Plans stamp it; executors with replica tables sync to it.
         self.epoch = 0
-        #: Attached executor consuming this matcher's plans (batch path).
+        #: Attached executor consuming this matcher's plans.
         self._executor: PlanExecutor = InlineExecutor(self)
         #: Optional registration-delta listener (the worker pool's feed).
         self._delta_sink: DeltaSink | None = None
@@ -245,12 +245,13 @@ class ShardedMatcher(MatchingEngine):
         return self._executor
 
     def set_executor(self, executor: PlanExecutor | None) -> None:
-        """Install the executor the batch match phase runs plans on.
+        """Install the executor the match phase runs plans on.
 
-        ``None`` restores the default :class:`InlineExecutor`.  Host-side
-        engines stay fully registered regardless of the executor, so the
-        single-event path, introspection and the rebalancer's analysis
-        are executor-agnostic — and any executor can fall back inline.
+        ``None`` restores the default :class:`InlineExecutor`.  Every
+        match, of one event or many, is plans handed to this executor;
+        host-side engines stay fully registered regardless, so
+        introspection and the rebalancer's analysis are executor-agnostic
+        — and any executor can fall back inline.
         """
         self._executor = executor if executor is not None \
             else InlineExecutor(self)
@@ -541,19 +542,9 @@ class ShardedMatcher(MatchingEngine):
                 if name in attributes:
                     slice_[name] = attributes[name]
 
-    def _match_ids(self, attributes: Mapping[str, Value]) -> set[int]:
-        matched = set(self._always_subs)
-        counts = self.shard_event_counts
-        for sidx, projected in self._project(attributes).items():
-            counts[sidx] += 1
-            ids = self._shards[sidx]._match_ids(projected)
-            if ids:
-                matched |= ids
-        return matched
-
     def build_plans(self, batch: Sequence[Mapping[str, Value]]
                     ) -> list[MatchPlan]:
-        """The pure half of the batch match: one plan per occupied shard.
+        """The pure half of the match: one plan per occupied shard.
 
         Projects every event onto the shards that index one of its names
         (split classes route by value bucket), stamps the current

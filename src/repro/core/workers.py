@@ -16,8 +16,8 @@ delivery guarantee — stays on the core host.
 The division of state:
 
 * **host** — the full :class:`~repro.core.sharding.ShardedMatcher` stays
-  completely registered (single-event path, introspection, the autonomic
-  rebalancer's analysis, and the inline fallback all need it);
+  completely registered (introspection, the autonomic rebalancer's
+  analysis, and the inline fallback all need it);
 * **worker w** — replica engines for the shards it *owns* (``shard %
   workers == w``), built from the matcher's named engine spec and kept
   current by **registration deltas replayed in epoch order**: every
@@ -334,6 +334,7 @@ class WorkerPoolExecutor:
         self._ctx = multiprocessing.get_context(start_method)
         self._engine_spec = engine
         self._procs: list = [None] * workers
+        self._spawned = [False] * workers    # slot ever started a worker?
         self._conns: list = [None] * workers
         self._pending: list[list[bytes]] = [[] for _ in range(workers)]
         self._synced_epoch = [0] * workers
@@ -399,9 +400,7 @@ class WorkerPoolExecutor:
         if proc is not None and proc.is_alive() and \
                 self._conns[worker] is not None:
             return True
-        if proc is not None:
-            self._reap(worker)
-            self.stats.respawns += 1
+        self._reap(worker)
         try:
             parent_conn, child_conn = self._ctx.Pipe()
             proc = self._ctx.Process(
@@ -414,6 +413,12 @@ class WorkerPoolExecutor:
             return False
         self._procs[worker] = proc
         self._conns[worker] = parent_conn
+        # Whoever noticed the death (execute, a failed send, the sweep)
+        # has already reaped the slot, so "was started before" is the
+        # only reliable sign that this start is a replacement.
+        if self._spawned[worker]:
+            self.stats.respawns += 1
+        self._spawned[worker] = True
         return self._send_reset(worker)
 
     def _send_reset(self, worker: int) -> bool:

@@ -13,9 +13,7 @@ behind one :class:`~repro.matching.engine.MatchingEngine` interface:
   ("translation to or from our own data types", Section V);
 * :class:`~repro.matching.forwarding.ForwardingMatcher` — the
   Carzaniga–Wolf counting algorithm the authors' C engine was based on,
-  operating natively on our types with zero translation;
-* :class:`~repro.matching.typed.TypedMatcher` — the type-based
-  publish/subscribe layer the paper names as future work (Section VI).
+  operating natively on our types with zero translation.
 """
 
 from repro.matching.covering import (
@@ -29,7 +27,6 @@ from repro.matching.engine import MatchingEngine, make_engine
 from repro.matching.filters import Constraint, Filter, Op, Subscription
 from repro.matching.forwarding import ForwardingMatcher
 from repro.matching.siena import SienaMatcher, SienaTranslationBackend
-from repro.matching.typed import TypedMatcher
 
 __all__ = [
     "Op",
@@ -41,7 +38,6 @@ __all__ = [
     "SienaMatcher",
     "SienaTranslationBackend",
     "ForwardingMatcher",
-    "TypedMatcher",
     "constraint_covers",
     "constraints_contradict",
     "filter_covers",

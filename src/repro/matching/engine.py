@@ -4,8 +4,10 @@ The paper wraps its publish/subscribe mechanism in an "EventBus" interface
 so the mechanism can be replaced — Siena first, then a dedicated C matcher —
 without touching the semantics layered above it.  ``MatchingEngine`` is that
 seam: the bus core only ever calls ``subscribe`` / ``unsubscribe`` /
-``match``, and every engine (poset-based Siena reproduction, counting-based
-forwarding engine, type-based engine) plugs in behind it.
+``match_batch_ids``, and every engine (poset-based Siena reproduction,
+counting-based forwarding engine, brute-force oracle) plugs in behind it by
+implementing one matching hook, :meth:`MatchingEngine._match_ids_batch`; a
+single event is a batch of one.
 """
 
 from __future__ import annotations
@@ -114,36 +116,27 @@ class MatchingEngine(ABC):
 
     # -- matching ------------------------------------------------------------
 
-    def match(self, attributes: Mapping[str, Value]) -> list[Subscription]:
-        """Subscriptions matching ``attributes``, in subscription-id order.
+    # Three views of the one hook, :meth:`_match_ids_batch`.  Ordering is
+    # deterministic (subscription-id order): the bus forwards to proxies in
+    # it, and tests/benchmarks rely on run-to-run stability.
 
-        Deterministic ordering matters: the bus forwards to proxies in this
-        order, and tests/benchmarks rely on run-to-run stability.
-        """
-        self.events_matched += 1
-        matched = self._match_ids(attributes)
-        return [self._subscriptions[sub_id] for sub_id in sorted(matched)]
+    def match(self, attributes: Mapping[str, Value]) -> list[Subscription]:
+        """Subscriptions matching one event, in subscription-id order."""
+        return self.match_batch((attributes,))[0]
 
     def match_batch(self, batch: Sequence[Mapping[str, Value]]
                     ) -> list[list[Subscription]]:
-        """Match a batch of events in one call; one result list per event.
-
-        Semantically identical to calling :meth:`match` per event (the
-        differential suite enforces this), but engines may override
-        :meth:`_match_ids_batch` to amortise per-event work — repeated
-        attribute values, index lookups, interpreter overhead — across the
-        whole batch.
-        """
+        """One :meth:`match` result list per event of ``batch``."""
         subscriptions = self._subscriptions
         return [[subscriptions[sub_id] for sub_id in matched]
                 for matched in self.match_batch_ids(batch)]
 
     def match_batch_ids(self, batch: Sequence[Mapping[str, Value]]
                         ) -> list[list[int]]:
-        """Sorted subscription-id lists per event — the id-level batch API.
+        """Sorted subscription-id lists per event — the id-level API.
 
         The bus's dispatch phase routes on subscription ids alone, so this
-        is the entry point :meth:`EventBus.publish_batch` uses: it skips
+        is the entry point the bus publishes through: it skips
         materialising :class:`Subscription` objects, and a sharded engine
         (:mod:`repro.core.sharding`) merges its per-shard id sets here
         before any dispatch state is touched.
@@ -162,13 +155,14 @@ class MatchingEngine(ABC):
         """Remove ``subscription`` from the engine's internal structures."""
 
     @abstractmethod
-    def _match_ids(self, attributes: Mapping[str, Value]) -> set[int]:
-        """Ids of subscriptions matching ``attributes``."""
-
     def _match_ids_batch(self, batch: Sequence[Mapping[str, Value]]
                          ) -> list[set[int]]:
-        """Per-event match id sets; engines override to amortise work."""
-        return [self._match_ids(attributes) for attributes in batch]
+        """Ids of the subscriptions matching each event of ``batch``.
+
+        The only place an engine matches: repeated attribute values, index
+        lookups and the per-invocation cost are amortised across however
+        many events the caller had, one included.
+        """
 
 
 class BruteForceMatcher(MatchingEngine):
@@ -186,9 +180,11 @@ class BruteForceMatcher(MatchingEngine):
     def _deindex(self, subscription: Subscription) -> None:
         pass
 
-    def _match_ids(self, attributes: Mapping[str, Value]) -> set[int]:
-        return {sub.sub_id for sub in self._subscriptions.values()
-                if sub.matches(attributes)}
+    def _match_ids_batch(self, batch: Sequence[Mapping[str, Value]]
+                         ) -> list[set[int]]:
+        subscriptions = self._subscriptions.values()
+        return [{sub.sub_id for sub in subscriptions
+                 if sub.matches(attributes)} for attributes in batch]
 
 
 def make_engine(name: str, **kwargs) -> MatchingEngine:
@@ -196,13 +192,12 @@ def make_engine(name: str, **kwargs) -> MatchingEngine:
 
     Recognised names: ``"siena"`` (translation-costed Siena reproduction,
     the paper's first-generation bus), ``"forwarding"`` (counting algorithm,
-    the paper's second-generation "C-based" bus), ``"typed"`` (Section VI
-    future work) and ``"brute"`` (reference oracle).
+    the paper's second-generation "C-based" bus) and ``"brute"`` (reference
+    oracle).
     """
     # Imported here to avoid a cycle: engines subclass MatchingEngine.
     from repro.matching.forwarding import ForwardingMatcher
     from repro.matching.siena import SienaMatcher, SienaTranslationBackend
-    from repro.matching.typed import TypedMatcher
 
     if name == "siena":
         return SienaTranslationBackend(SienaMatcher(), **kwargs)
@@ -212,8 +207,6 @@ def make_engine(name: str, **kwargs) -> MatchingEngine:
         return SienaMatcher()
     if name == "forwarding":
         return ForwardingMatcher(**kwargs)
-    if name == "typed":
-        return TypedMatcher(**kwargs)
     if name == "brute":
         if kwargs:
             raise ConfigurationError("brute accepts no options")

@@ -14,7 +14,7 @@ publishers and subscribers evolve independently.
 
 The event *type* is matched as an ordinary reserved attribute named
 ``"type"``, so content filters can select on it with EQ/PREFIX like any
-other attribute; :mod:`repro.matching.typed` specialises this.
+other attribute.
 """
 
 from __future__ import annotations

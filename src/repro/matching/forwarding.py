@@ -13,9 +13,9 @@ constraint-first rather than filter-first:
    satisfies (equality by hash, ordering by binary search over sorted
    threshold arrays, string shapes by scan, EXISTS for free).  Ordering
    thresholds are bucketed per (operator, kind, *group*) — the filter's
-   name class, or "single-constraint filter" — so on the batch path a
-   bucket's bisect-and-slice is already one group's satisfied set, with
-   no per-filter step (see :class:`_AttrIndex`);
+   name class, or "single-constraint filter" — so a bucket's
+   bisect-and-slice is already one group's satisfied set, with no
+   per-filter step (see :class:`_AttrIndex`);
 2. increment a per-filter counter for each satisfied constraint;
 3. a filter whose counter reaches its constraint count is matched, and its
    subscription is selected.
@@ -26,8 +26,8 @@ is matched *natively*, with zero data conversion.  That difference is the
 throughput gap of Figure 4.
 
 Registration costs what it changes: a subscribe or unsubscribe touches
-the index buckets of its own constraints and drops the batch-path memo
-entries those constraints can affect (:meth:`ForwardingMatcher._forget`),
+the index buckets of its own constraints and drops the memo entries
+those constraints can affect (:meth:`ForwardingMatcher._forget`),
 nothing else — a cell's members come and go all day, and the table they
 leave behind stays indexed and warm.
 """
@@ -96,7 +96,7 @@ class _AttrIndex:
         self.ne: list[tuple[Kind, Value, int]] = []
         self.exists: list[int] = []
         # (op, kind, group) -> sorted thresholds.  The group is what the
-        # batch path would otherwise sort a satisfied fid into, one fid at
+        # matcher would otherwise sort a satisfied fid into, one fid at
         # a time: _SINGLE for a one-constraint filter, the class id for a
         # multi-constraint filter that constrains this name once, _REPEATED
         # for one that constrains it more than once.  A filter outside
@@ -139,7 +139,7 @@ def name_class(filt) -> frozenset[str]:
 
     A filter can only match an event that carries *every* name in its
     class, so the class is the unit this engine groups multi-constraint
-    filters by on the batch path — and the routing key the sharded bus
+    filters by — and the routing key the sharded bus
     (:mod:`repro.core.sharding`) partitions subscription tables with.
     Single-name and empty filters produce one- and zero-element classes
     through the same function, so they hash consistently everywhere.
@@ -179,20 +179,19 @@ class ForwardingMatcher(MatchingEngine):
         self._meter = meter if meter is not None else NullCostMeter()
         self._attr_indexes: dict[str, _AttrIndex] = {}
         self._filter_needs: dict[int, int] = {}     # fid -> constraint count
-        self._filter_sub: dict[int, int] = {}       # fid -> subscription id
         self._sub_fids: dict[int, list[int]] = {}   # sub id -> fids
         self._always: set[int] = set()              # fids of empty filters
-        # Dense fid -> subscription id mirror of _filter_sub, for C-speed
-        # list indexing on the batch path.  Fids are slots of the three
-        # dense lists; a removed filter's slot is recycled, which is safe
-        # because no memo entry outlives a fid it names (see _forget).
+        # Dense fid -> subscription id, for C-speed list indexing.  Fids
+        # are slots of the three dense lists; a removed filter's slot is
+        # recycled, which is safe because no memo entry outlives a fid it
+        # names (see _forget).
         self._sub_list: list[int] = []
         self._free_fids: list[int] = []
-        # Batch-path structures.  Multi-constraint filters are grouped
-        # into *classes* by the set of attribute names they constrain: a
-        # filter matches an event iff, for every name in its class, all
-        # its constraints on that name are satisfied — so per class the
-        # match set is an intersection of per-attribute satisfied sets.
+        # Multi-constraint filters are grouped into *classes* by the set
+        # of attribute names they constrain: a filter matches an event
+        # iff, for every name in its class, all its constraints on that
+        # name are satisfied — so per class the match set is an
+        # intersection of per-attribute satisfied sets.
         self._classes: dict[frozenset[str], int] = {}   # names -> class id
         self._class_width: list[int] = []               # cid -> len(names)
         self._fid_class: list[int] = []                 # fid -> cid (-1: n/a)
@@ -228,7 +227,7 @@ class ForwardingMatcher(MatchingEngine):
                 self._fid_class.append(-1)
                 self._fid_name_needs.append(None)
             fids.append(fid)
-            self._filter_sub[fid] = self._sub_list[fid] = subscription.sub_id
+            self._sub_list[fid] = subscription.sub_id
             self._filter_needs[fid] = len(filt)
             if len(filt) > 1:
                 key = name_class(filt)
@@ -294,7 +293,6 @@ class ForwardingMatcher(MatchingEngine):
                 if not _never_satisfied(constraint):
                     self._deindex_constraint(constraint, fid)
             del self._filter_needs[fid]
-            del self._filter_sub[fid]
             self._sub_list[fid] = -1
             self._fid_class[fid] = -1
             self._fid_name_needs[fid] = None
@@ -363,55 +361,9 @@ class ForwardingMatcher(MatchingEngine):
 
     # -- matching ------------------------------------------------------------
 
-    def _match_ids(self, attributes: Mapping[str, Value]) -> set[int]:
-        needs = self._filter_needs
-        counts: dict[int, int] = {}
-        matched: set[int] = set(self._filter_sub[fid] for fid in self._always)
-
-        for name, value in attributes.items():
-            index = self._attr_indexes.get(name)
-            if index is None:
-                continue
-            kind = kind_of(value)
-
-            for fid in index.exists:
-                self._bump(fid, counts, needs, matched)
-
-            eq_fids = index.eq.get((kind, value))
-            if eq_fids:
-                for fid in eq_fids:
-                    self._bump(fid, counts, needs, matched)
-
-            for ne_kind, operand, fid in index.ne:
-                if ne_kind == kind and value != operand:
-                    self._bump(fid, counts, needs, matched)
-
-            for (op, bucket_kind, _), thresholds in index.order.items():
-                if bucket_kind is kind:
-                    for fid in thresholds.satisfied_by(value, op):
-                        self._bump(fid, counts, needs, matched)
-
-            if index.strings and kind in (Kind.STRING, Kind.BYTES):
-                for op, operand, fid in index.strings:
-                    if (type(operand) is type(value)
-                            and _TESTS[op](value, operand)):
-                        self._bump(fid, counts, needs, matched)
-
-        self._meter.charge_match()
-        return matched
-
-    def _bump(self, fid: int, counts: dict[int, int], needs: dict[int, int],
-              matched: set[int]) -> None:
-        count = counts.get(fid, 0) + 1
-        counts[fid] = count
-        if count == needs[fid]:
-            matched.add(self._filter_sub[fid])
-
-    # -- batch matching ---------------------------------------------------
-
     def _match_ids_batch(self, batch: Sequence[Mapping[str, Value]]
                          ) -> list[set[int]]:
-        """Counting algorithm restructured for batches.
+        """The counting algorithm, one invocation per stream of events.
 
         For each distinct ``(name, value)`` the stream carries, the
         constraints that value satisfies are resolved once
@@ -424,7 +376,8 @@ class ForwardingMatcher(MatchingEngine):
         memo = self._satisfied_memo
         sub_list = self._sub_list
         class_width = self._class_width
-        always_subs = frozenset(self._filter_sub[fid] for fid in self._always)
+        always = self._always
+        always_subs = [sub_list[fid] for fid in always] if always else ()
         results: list[set[int]] = []
 
         for attributes in batch:

@@ -9,9 +9,8 @@ executes it, :class:`PlanExecutor`.
 
 Making the plan explicit is what lets the same match phase run anywhere:
 
-* :class:`InlineExecutor` runs each plan on the host's own shard engines,
-  reproducing the pre-refactor behaviour exactly (same calls, same match
-  sets, same costs) — the default, and the fallback when a worker dies;
+* :class:`InlineExecutor` runs each plan on the host's own shard engines
+  — the default, and the fallback when a worker dies;
 * :class:`repro.core.workers.WorkerPoolExecutor` TLV-encodes plans and
   ships them to worker *processes*, which is what finally takes the match
   phase past one CPython core;
@@ -91,11 +90,10 @@ class _ShardEngineHost(Protocol):
 class InlineExecutor:
     """Execute plans on the host's own shard engines, synchronously.
 
-    This *is* the pre-refactor code path — the same
-    ``_match_ids_batch`` calls against the same engine instances — so a
-    matcher with the default executor is byte-for-byte the old matcher.
-    It is also the crash fallback: host engines stay fully registered
-    whatever executor is installed, so any plan can always run here.
+    One ``_match_ids_batch`` call per plan against the engine instance
+    the plan's shard names.  It is also the crash fallback: host engines
+    stay fully registered whatever executor is installed, so any plan can
+    always run here.
     """
 
     def __init__(self, host: _ShardEngineHost) -> None:

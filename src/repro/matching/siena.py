@@ -27,7 +27,7 @@ Two classes reproduce the paper's first-generation event bus:
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.matching.covering import filter_covers
 from repro.matching.engine import AttributeNameIndex, MatchingEngine
@@ -160,31 +160,36 @@ class SienaMatcher(MatchingEngine):
 
     # -- matching ------------------------------------------------------------
 
-    def _match_ids(self, attributes: Mapping[str, Value]) -> set[int]:
-        matched: set[int] = set()
-        visited: set[int] = set()
-        candidates = self._name_index.candidates(attributes.keys())
-        stack = sorted(self._roots)
-        while stack:
-            node_id = stack.pop()
-            if node_id in visited:
-                continue
-            visited.add(node_id)
-            node = self._nodes[node_id]
-            self.nodes_visited += 1
-            if node_id not in candidates:
-                # Pre-index: the filter names an attribute the event lacks,
-                # so it (and by covering, its subtree) cannot match.
-                self.name_prefilter_skips += 1
-                self.subtrees_skipped += 1
-                continue
-            if node.filter.matches(attributes):
-                matched.update(node.sub_ids)
-                stack.extend(node.children)
-            else:
-                # Covering guarantee: nothing below this node can match.
-                self.subtrees_skipped += 1
-        return matched
+    def _match_ids_batch(self, batch: Sequence[Mapping[str, Value]]
+                         ) -> list[set[int]]:
+        results: list[set[int]] = []
+        for attributes in batch:
+            matched: set[int] = set()
+            visited: set[int] = set()
+            candidates = self._name_index.candidates(attributes.keys())
+            stack = sorted(self._roots)
+            while stack:
+                node_id = stack.pop()
+                if node_id in visited:
+                    continue
+                visited.add(node_id)
+                node = self._nodes[node_id]
+                self.nodes_visited += 1
+                if node_id not in candidates:
+                    # Pre-index: the filter names an attribute the event
+                    # lacks, so it (and by covering, its subtree) cannot
+                    # match.
+                    self.name_prefilter_skips += 1
+                    self.subtrees_skipped += 1
+                    continue
+                if node.filter.matches(attributes):
+                    matched.update(node.sub_ids)
+                    stack.extend(node.children)
+                else:
+                    # Covering guarantee: nothing below this node can match.
+                    self.subtrees_skipped += 1
+            results.append(matched)
+        return results
 
     def poset_depth(self) -> int:
         """Longest root-to-leaf chain (diagnostic for tests/benchmarks)."""
@@ -314,18 +319,23 @@ class SienaTranslationBackend(MatchingEngine):
 
     # -- matching (translate the event both ways) -------------------------
 
-    def _match_ids(self, attributes: Mapping[str, Value]) -> set[int]:
-        # Three passes over the notification, as in the prototype: our
+    def _match_ids_batch(self, batch: Sequence[Mapping[str, Value]]
+                         ) -> list[set[int]]:
+        # Three passes over each notification, as in the prototype: our
         # format -> Siena objects, Siena's own internal copy while
-        # matching, and Siena objects -> our format for delivery.
-        notification = SienaNotification.from_attr_map(attributes)
-        self._charge(notification.wire_size())
-        internal = SienaNotification(dict(notification.attributes))
-        self._charge(internal.wire_size())
-        translated = internal.to_attr_map()
-        self._charge(notification.wire_size())
-        self._meter.charge_match()
-        return self._inner._match_ids(translated)
+        # matching, and Siena objects -> our format for delivery.  Siena
+        # took one notification per call, so every event pays the
+        # invocation cost as well.
+        translated = []
+        for attributes in batch:
+            notification = SienaNotification.from_attr_map(attributes)
+            self._charge(notification.wire_size())
+            internal = SienaNotification(dict(notification.attributes))
+            self._charge(internal.wire_size())
+            translated.append(internal.to_attr_map())
+            self._charge(notification.wire_size())
+            self._meter.charge_match()
+        return self._inner._match_ids_batch(translated)
 
     def _charge(self, nbytes: int) -> None:
         self.bytes_translated += nbytes

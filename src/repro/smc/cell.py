@@ -48,7 +48,7 @@ class CellConfig:
     cell_name: str
     patient: str = "patient"
     #: Matching engine: "forwarding" (the paper's second-generation bus),
-    #: "siena" (first generation, translation-costed), "typed", "brute".
+    #: "siena" (first generation, translation-costed), "brute".
     engine: str = "forwarding"
     #: Matching shards: 1 keeps the classic single bus; > 1 partitions the
     #: subscription table across that many engines by attribute-name class

@@ -369,6 +369,29 @@ class TestBatchFrames:
         assert proxy.stats.batches_received == 1
         assert proxy.stats.events_published == 5
 
+    def test_deliver_is_deliver_batch_of_one(self, kit, sim, monkeypatch):
+        """One body: whatever the proxy's flush knobs say, ``deliver(e)``
+        queues the payload bytes ``deliver_batch([e])`` queues and counts
+        the same — a flush of one is a flush."""
+        from repro.core.events import Event
+        proxy = kit.bus.proxy_of(kit.admit(kit.device_endpoint("dev")))
+        event = Event("t", {"n": 1}, kit.bus.service_id, 1, 0.0)
+        sent = []
+        monkeypatch.setattr(
+            proxy.endpoint, "send_reliable",
+            lambda _address, payload: sent.append(bytes(payload)))
+        for capacity, flush_limit in ((0, None), (1, None), (3, 8)):
+            proxy.capacity, proxy.flush_limit = capacity, flush_limit
+            before = (proxy.stats.events_delivered,
+                      proxy.stats.batches_flushed)
+            proxy.deliver(event)
+            proxy.deliver_batch([event])
+            assert sent == [protocol.deliver_frame(event)] * 2
+            assert (proxy.stats.events_delivered,
+                    proxy.stats.batches_flushed) == (before[0] + 2,
+                                                     before[1] + 2)
+            sent.clear()
+
     def test_nested_batch_counted_malformed(self, kit, sim):
         endpoint = kit.device_endpoint("dev")
         member = kit.admit(endpoint)

@@ -259,20 +259,18 @@ class TestShardRouting:
         occupied = [i for i, load in enumerate(matcher.shard_loads()) if load]
         assert occupied == sorted({matcher.shard_of_filter(fa),
                                    matcher.shard_of_filter(fb)})
-        assert matcher._match_ids({"a": 1}) == {1}
-        assert matcher._match_ids({"b": 1}) == {1}
+        assert matcher.match_batch_ids([{"a": 1}, {"b": 1}]) == [[1], [1]]
         matcher.unsubscribe(1)
         assert sum(matcher.shard_loads()) == 0
-        assert matcher._match_ids({"a": 1}) == set()
+        assert matcher.match({"a": 1}) == []
 
     def test_empty_filter_matches_everything_at_any_shard_count(self):
         for count in SHARD_COUNTS:
             matcher = ShardedMatcher(count)
             matcher.subscribe(Subscription(7, SID, [Filter([])]))
-            assert matcher._match_ids({}) == {7}
-            assert matcher._match_ids({"zz": 1}) == {7}
+            assert matcher.match_batch_ids([{}, {"zz": 1}]) == [[7], [7]]
             matcher.unsubscribe(7)
-            assert matcher._match_ids({}) == set()
+            assert matcher.match({}) == []
 
     def test_shard_count_must_be_positive(self):
         with pytest.raises(ConfigurationError):

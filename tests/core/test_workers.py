@@ -274,11 +274,13 @@ class TestWorkerDifferential:
         assert pool.stats.inline_fallbacks == fallbacks
 
     def test_sharded_bus_rides_the_pool(self, pools):
-        """End to end through ShardedEventBus.publish_batch: BusStats
-        invariants hold whatever executes the match phase."""
+        """End to end through ShardedEventBus, ``publish_batch`` and
+        ``publish`` alike: BusStats invariants and deliveries hold
+        whatever executes the match phase, and the pool executes it for
+        a single event as for a batch."""
         from repro.core.events import Event
 
-        def drive(executor_pool):
+        def drive(executor_pool, per_event):
             sim = Simulator()
             bus = ShardedEventBus(sim, 4)
             if executor_pool is not None:
@@ -291,20 +293,34 @@ class TestWorkerDifferential:
                     inboxes[index + 1].append)
             events = [Event("vitals", {"hr": i % 12}, SID, i, 0.0)
                       for i in range(30)]
-            bus.publish_batch(events)
+            if per_event:
+                for event in events:
+                    bus.publish(event)
+            else:
+                bus.publish_batch(events)
+            sim.run_until_idle()
             stats = bus.stats
             assert stats.published == stats.matched + stats.unmatched \
                 + stats.duplicates_dropped + stats.from_unknown_member
             return {k: [e.seqno for e in v] for k, v in inboxes.items()}, \
                 stats
 
-        inline_boxes, inline_stats = drive(None)
-        pool_boxes, pool_stats = drive(pools[2])
-        assert pool_boxes == inline_boxes
-        assert (pool_stats.published, pool_stats.matched,
-                pool_stats.unmatched) == (inline_stats.published,
-                                          inline_stats.matched,
-                                          inline_stats.unmatched)
+        pool = pools[2]
+        for per_event in (False, True):
+            inline_boxes, inline_stats = drive(None, per_event)
+            executes = pool.stats.executes
+            fallbacks = pool.stats.inline_fallbacks
+            pool_boxes, pool_stats = drive(pool, per_event)
+            assert inline_boxes[1] == [i for i in range(1, 30) if i % 12]
+            assert pool_boxes == inline_boxes
+            assert (pool_stats.published, pool_stats.matched,
+                    pool_stats.unmatched) == (inline_stats.published,
+                                              inline_stats.matched,
+                                              inline_stats.unmatched)
+            # One execute per publish that had something fresh to match
+            # (seqno 0 is under the watermark), none of them on the host.
+            assert pool.stats.executes - executes == (29 if per_event else 1)
+            assert pool.stats.inline_fallbacks == fallbacks
 
 
 class TestWorkerFailure:
@@ -372,10 +388,13 @@ class TestWorkerFailure:
             pool._conns[0] = Corrupting(pool._conns[0])
             assert matcher.match_batch_ids(stream) == expected
             assert pool.stats.inline_fallbacks == plans
-            # The offender was reaped; its replacement answers for itself.
+            # The offender was reaped; its replacement answers for itself
+            # and is counted as the respawn it is.
+            assert pool.stats.respawns == 0
             assert matcher.match_batch_ids(stream) == expected
             assert pool.stats.inline_fallbacks == plans
             assert pool.worker_pids() != offender
+            assert pool.stats.respawns == 1
 
     def test_id_past_32_bits_falls_back_inline(self):
         """The reply packs ids as u32: a replica holding a wider id fails

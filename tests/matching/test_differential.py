@@ -1,14 +1,14 @@
-"""Differential suite: every engine, both match paths, identical answers.
+"""Differential suite: every engine, both entry points, identical answers.
 
 The paper's architecture bets that the pub/sub mechanism can be swapped
 (Siena first, then the dedicated matcher) without disturbing the semantics
-above it.  The batch publish pipeline adds a second axis: per-event
-``match`` versus amortised ``match_batch``.  This suite pins both axes at
-once — Hypothesis generates subscription tables and event streams, and
-every engine on every path must return exactly the match sets the
-brute-force oracle returns, including across registration churn (which
-must invalidate exactly the affected part of the forwarding engine's
-batch memo).
+above it.  The engines' two entry points add a second axis: per-event
+``match`` and ``match_batch``, both views of one engine body.  This suite
+pins both axes at once — Hypothesis generates subscription tables and
+event streams, and every engine through every entry point must return
+exactly the match sets the brute-force oracle returns, including across
+registration churn (which must invalidate exactly the affected part of
+the forwarding engine's memo).
 """
 
 import pytest
@@ -24,10 +24,8 @@ from tests.matching.strategies import attribute_maps, filters
 
 SID = service_id_from_name("diff")
 
-#: Engines under test.  The typed engine participates because the shared
-#: strategies never constrain the reserved ``type`` attribute, the one
-#: name it interprets differently (subtype-conformance).
-ENGINE_NAMES = ("forwarding", "siena", "siena-bare", "typed")
+#: Engines under test.
+ENGINE_NAMES = ("forwarding", "siena", "siena-bare")
 
 subscription_tables = st.lists(
     st.lists(filters(), min_size=1, max_size=3),   # filters per subscription
@@ -301,8 +299,7 @@ def assert_engine_empty(engine) -> None:
     """No bucket, partition, slot or class id outlives the last filter."""
     assert engine._attr_indexes == {}
     assert engine._satisfied_memo == {}
-    assert (engine._filter_needs, engine._filter_sub, engine._sub_fids) \
-        == ({}, {}, {})
+    assert (engine._filter_needs, engine._sub_fids) == ({}, {})
     assert (engine._sub_list, engine._fid_class, engine._fid_name_needs,
             engine._free_fids, engine._class_width) == ([], [], [], [], [])
     assert engine._classes == {}
@@ -312,13 +309,14 @@ def assert_engine_empty(engine) -> None:
 class TestGroupedOrderingBuckets:
     @staticmethod
     def check(engine, oracle, stream) -> None:
-        """Batch path ≡ per-event path ≡ oracle, cold and then warm."""
-        expected = [set(ids) for ids in oracle.match_batch_ids(stream)]
-        assert engine._match_ids_batch(stream) == expected
-        assert [engine._match_ids(attrs) for attrs in stream] == expected
+        """``match_batch_ids`` ≡ oracle, cold and then warm, and ``match``
+        per event says the same."""
+        expected = oracle.match_batch_ids(stream)
+        assert engine.match_batch_ids(stream) == expected
         # Again: every lookup is now a memo hit and must say the same.
         misses = engine.memo_misses
-        assert engine._match_ids_batch(stream) == expected
+        assert [_ids(engine.match(attrs)) for attrs in stream] == expected
+        assert engine.match_batch_ids(stream) == expected
         assert engine.memo_misses == misses
 
     @settings(max_examples=300, deadline=None)

@@ -149,7 +149,6 @@ class TestMakeEngine:
         assert make_engine("forwarding").name == "forwarding"
         assert make_engine("siena").name == "siena"
         assert make_engine("siena-bare").name == "siena-bare"
-        assert make_engine("typed").name == "typed"
         assert make_engine("brute").name == "brute"
 
     def test_siena_is_translation_backend(self):

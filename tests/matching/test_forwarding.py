@@ -111,7 +111,7 @@ class TestRemoval:
         matcher.unsubscribe(1)
         assert matcher._attr_indexes == {}
         assert matcher._filter_needs == {}
-        assert matcher._filter_sub == {}
+        assert matcher._sub_list == []
 
     def test_unsubscribe_leaves_others_matched(self):
         matcher = ForwardingMatcher()
@@ -162,7 +162,7 @@ def index_shape(matcher):
 def slot_sizes(matcher):
     return (len(matcher._sub_list), len(matcher._fid_class),
             len(matcher._fid_name_needs), len(matcher._filter_needs),
-            len(matcher._filter_sub), len(matcher._sub_fids),
+            len(matcher._sub_fids),
             len(matcher._attr_indexes), memo_sizes(matcher))
 
 
@@ -212,7 +212,7 @@ class TestThresholds:
         assert match_ids(matcher, {"x": 1.0, "y": 1.0}) == []
         matcher.unsubscribe(1)
         matcher.unsubscribe(2)
-        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, 0, {})
+        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, {})
 
 
 class TestGroupedBuckets:
@@ -289,7 +289,7 @@ class TestGroupedBuckets:
         assert ids_batch(matcher, {"x": 5.5, "y": 1}) == [[1, 3, 4, 5]]
         for sub_id in (1, 3, 4, 5):
             matcher.unsubscribe(sub_id)
-        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, 0, {})
+        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, {})
         assert matcher._classes == {}
 
 
@@ -444,7 +444,7 @@ class TestChurn:
         assert len(matcher._sub_list) == 202     # table + the one in flight
         for subscription in table:
             matcher.unsubscribe(subscription.sub_id)
-        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, 0, {})
+        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, {})
         assert (matcher._free_fids, matcher._classes, matcher._class_width,
                 matcher._always) == ([], {}, [], set())
 
