@@ -9,6 +9,11 @@ leave.  Assertions are deliberately conservative (loopback on a loaded
 CI box), but the membership count and the throughput floor are hard:
 the deployment layer must sustain at least 100 concurrent members
 through the full discovery lifecycle.
+
+A second, smaller rig gates what a receive turn is for: 16 closed-loop
+sensors converge on one display, and what one socket drain brings in must
+be published as one batch (``BusStats.turn_events / turns``) and leave in
+fewer packets than events.
 """
 
 import time
@@ -19,11 +24,17 @@ from repro.deploy import CellServer, ServerConfig, make_devices, read_healthz
 from repro.discovery.membership import MemberState
 from repro.matching.filters import Filter
 from repro.smc.cell import CellConfig
+from repro.transport.udp import TURN_DATAGRAMS
 
 CLIENTS = 100
 JOIN_TIMEOUT_S = 60.0
 PUBLISH_WINDOW_S = 2.0
 THROUGHPUT_FLOOR_EPS = 200.0      # events/s; loopback does thousands
+
+WARD_SENSORS = 16
+WARD_EVENTS = 8000
+WARD_IN_FLIGHT = 64               # the closed loop's cap on unresolved events
+TURN_COALESCING_FLOOR = 2.0       # events per turn; measured 64 (the cap)
 
 
 @pytest.fixture
@@ -136,3 +147,84 @@ def test_hundred_clients_full_lifecycle(server, benchmark):
     finally:
         for device in all_devices:
             device.close()
+
+
+def test_a_ward_of_sensors_is_published_by_the_turn(benchmark):
+    """16 sensors, one ~60 B reading per packet, one display, closed loop.
+
+    The sensors' datagrams converge on one socket, so every drain hands
+    up several publishes back to back: the bus must publish them as one
+    batch per turn (coalescing factor >= 2) and the display must receive
+    fewer DATA packets than events (one BATCH payload per turn, not one
+    packet per reading).  Nothing is configured for it — no batch size,
+    no timer: the sensors publish one reading per packet.
+    """
+    server = CellServer(ServerConfig(
+        cell=CellConfig(cell_name="turn-ward"), discovery_port=0,
+        healthz_host=None,
+        # The closed loop keeps WARD_IN_FLIGHT deliveries queued toward
+        # the display on purpose: load, not a member to quench or shed.
+        quench_backlog=512, wake_backlog=128, shed_backlog=2048))
+    server.start()
+    sensors = make_devices(server.scheduler, server.address, WARD_SENSORS,
+                           name_prefix="sensor", announce_retry_s=0.25)
+    display = make_devices(server.scheduler, server.address, 1,
+                           name_prefix="display", announce_retry_s=0.25)[0]
+    everyone = sensors + [display]
+    try:
+        for device in everyone:
+            device.start()
+        assert pump(server, lambda: all(d.joined for d in everyone)
+                    and len(server.cell.bus.members()) == len(everyone),
+                    JOIN_TIMEOUT_S)
+        got = []
+        display.subscribe(Filter.where("vitals.hr"), got.append)
+        stats = server.cell.bus.stats
+        assert pump(server, lambda: stats.subscriptions_active >= 1, 5.0)
+        # Counters are cumulative (joins publish too): gate the phase.
+        turns, turn_events = stats.turns, stats.turn_events
+        channel = display.endpoint.channel_to(server.address).stats
+        packets = channel.delivered
+
+        started = time.monotonic()
+        published = 0
+        while len(got) < WARD_EVENTS:
+            while (published < WARD_EVENTS
+                   and published - len(got) < WARD_IN_FLIGHT):
+                sensor = sensors[published % WARD_SENSORS]
+                sensor.publish("vitals.hr", {"hr": 60 + published % 90,
+                                             "patient": sensor.name})
+                published += 1
+            assert time.monotonic() - started < 60.0, (
+                f"delivered {len(got)}/{published}")
+            server.run_for(0.002)
+        elapsed = time.monotonic() - started
+
+        turns = stats.turns - turns
+        turn_events = stats.turn_events - turn_events
+        packets = channel.delivered - packets
+        assert turn_events == WARD_EVENTS
+        coalescing = turn_events / turns
+        assert coalescing >= TURN_COALESCING_FLOOR, (
+            f"{turn_events} events in {turns} turns: {coalescing:.2f} "
+            f"per turn < {TURN_COALESCING_FLOOR}")
+        assert packets < WARD_EVENTS, (
+            f"the display received {packets} DATA packets for "
+            f"{WARD_EVENTS} events")
+        assert stats.turn_high_water <= TURN_DATAGRAMS
+        assert stats.published == (stats.matched + stats.unmatched
+                                   + stats.duplicates_dropped
+                                   + stats.from_unknown_member)
+
+        benchmark.extra_info["events_per_turn"] = round(coalescing, 1)
+        benchmark.extra_info["display_packets"] = packets
+        benchmark.extra_info["rate_eps"] = round(WARD_EVENTS / elapsed, 0)
+        print(f"\nturns: {WARD_EVENTS} events in {turns} turns "
+              f"({coalescing:.1f}/turn, high water {stats.turn_high_water}), "
+              f"{packets} DATA packets to the display, "
+              f"{WARD_EVENTS / elapsed:.0f} ev/s")
+        benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+    finally:
+        for device in everyone:
+            device.close()
+        server.close()

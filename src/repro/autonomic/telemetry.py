@@ -144,6 +144,10 @@ def register_bus_sensors(registry: MetricRegistry, bus: "EventBus") -> None:
     registry.add("bus.duplicates_dropped", lambda: stats.duplicates_dropped)
     registry.add("bus.subscriptions_active", lambda: stats.subscriptions_active)
     registry.add("bus.members_active", lambda: stats.members_active)
+    # turn_events / turns: the events one receive turn brings in, i.e.
+    # the coalescing the batch pipeline gets without waiting for it.
+    registry.add("bus.turns", lambda: stats.turns)
+    registry.add("bus.turn_events", lambda: stats.turn_events)
 
 
 def register_shard_sensors(registry: MetricRegistry,

@@ -21,6 +21,17 @@ event" (Section II-C).  This class is the semantics layer the paper builds
   :meth:`EventBus.publish_batch` at length one — both are names for the
   same dedup → match → dispatch body, so a single reading takes the
   engine, the plan executor and the proxy flush a batch takes;
+* **a receive turn is one publish**: what members send is not published
+  datagram by datagram.  Proxies hand it to the *turn queue*
+  (:meth:`EventBus.publish_at_turn_end`), and when the transport's
+  receive turn ends — one socket drain, or one scheduler instant — the
+  queue goes through :meth:`EventBus.publish_batch` as one batch: one
+  match call, one dispatch, one payload per subscriber for the whole
+  drain.  No timer and no threshold: a turn of one event is a publish of
+  one in the instant it arrived, and under load the batch grows by
+  itself.  Order is what it would be datagram by datagram, because every
+  entry that reads or writes the subscription table, or publishes
+  directly, flushes the queue first;
 * **per-component delivery**: a subscriber with several overlapping
   subscriptions still receives each event once ("all events are delivered
   to each interested component exactly once");
@@ -58,6 +69,7 @@ from repro.core.events import Event
 if TYPE_CHECKING:                                    # pragma: no cover
     from repro.core.proxy import Proxy
     from repro.core.quench import QuenchController
+    from repro.transport.base import Transport
 
 LocalCallback = Callable[[Event], None]
 #: One local subscriber's share of one publish: the callback captured at
@@ -71,15 +83,19 @@ class DeliverMemo:
     Dispatch TLV-encodes each matched event exactly once and shares the
     framed DELIVER payload with every interested service-style proxy —
     at 50 subscribers the old per-proxy ``encode_outbound`` ran the full
-    TLV encode 50 times for identical bytes.  Keyed by event identity:
-    the memo lives only for one dispatch, during which every event in
-    the batch is strongly referenced.
+    TLV encode 50 times for identical bytes.  The same goes one level up
+    for a slice of several events: subscribers whose slices hold the same
+    events share the chunked BATCH payloads, one join instead of one per
+    subscriber.  Keyed by event identity: the memo lives only for one
+    dispatch, during which every event in the batch is strongly
+    referenced.
     """
 
-    __slots__ = ("_frames",)
+    __slots__ = ("_frames", "_payloads")
 
     def __init__(self) -> None:
         self._frames: dict[int, bytes] = {}
+        self._payloads: dict[tuple[int, ...], list[bytes]] = {}
 
     def deliver_frame(self, event: Event) -> bytes:
         """The shared DELIVER framing of ``event``, encoded on first use."""
@@ -88,6 +104,16 @@ class DeliverMemo:
             framed = protocol.deliver_frame(event)
             self._frames[id(event)] = framed
         return framed
+
+    def payloads(self, events: Sequence[Event], limit: int) -> list[bytes]:
+        """The reliable payloads carrying ``events`` under a flush cap of
+        ``limit`` bytes, chunked on first use."""
+        key = (limit, *map(id, events))
+        payloads = self._payloads.get(key)
+        if payloads is None:
+            payloads = self._payloads[key] = protocol.chunk_frames(
+                [self.deliver_frame(event) for event in events], limit)
+        return payloads
 
 
 @dataclass
@@ -102,6 +128,11 @@ class BusStats:
         + from_unknown_member``
 
     is an invariant the soak tests assert after thousands of events.
+    Member publications are counted when their receive turn ends (see
+    :meth:`EventBus.publish_at_turn_end`): ``turn_events / turns`` is the
+    mean number of events one turn brought in, the coalescing factor the
+    batch pipeline is getting for free, and ``turn_high_water`` the most
+    one turn ever held.
     """
 
     published: int = 0
@@ -114,6 +145,9 @@ class BusStats:
     subscriptions_active: int = 0
     members_active: int = 0
     purged_members: int = field(default=0, repr=False)
+    turns: int = field(default=0, repr=False)
+    turn_events: int = field(default=0, repr=False)
+    turn_high_water: int = field(default=0, repr=False)
 
 
 class LocalPublisher:
@@ -178,6 +212,9 @@ class EventBus:
         self._proxies: dict[ServiceId, "Proxy"] = {}
         self._watermarks: dict[ServiceId, int] = {}
         self._next_sub_id = itertools.count(1)
+        #: Member publications of the receive turn in progress, in
+        #: arrival order (see publish_at_turn_end).
+        self._turn_queue: list[Event] = []
 
     # -- local services ----------------------------------------------------
 
@@ -199,6 +236,7 @@ class EventBus:
         """Subscribe an in-process callback; returns the subscription id."""
         if isinstance(filters, Filter):
             filters = [filters]
+        self.flush_turn()
         sub_id = next(self._next_sub_id)
         subscription = Subscription(sub_id, self.service_id, filters)
         self.engine.subscribe(subscription)
@@ -213,6 +251,7 @@ class EventBus:
             raise SubscriptionNotFoundError(f"no subscription with id {sub_id}")
         if self._sub_owner[sub_id] is not None:
             raise BusError(f"subscription {sub_id} is not a local subscription")
+        self.flush_turn()
         self.engine.unsubscribe(sub_id)
         del self._local_callbacks[sub_id]
         del self._sub_owner[sub_id]
@@ -249,6 +288,7 @@ class EventBus:
         Member event.  Erasing the watermark is what scopes exactly-once
         delivery to one membership session.
         """
+        self.flush_turn()
         self._proxies.pop(member, None)
         for sub_id in self._member_subs.pop(member, set()):
             self.engine.unsubscribe(sub_id)
@@ -266,6 +306,7 @@ class EventBus:
         """Register a subscription on behalf of a member; returns bus id."""
         if member not in self._proxies:
             raise NotAMemberError(f"{member} is not an SMC member")
+        self.flush_turn()
         sub_id = next(self._next_sub_id)
         subscription = Subscription(sub_id, member, list(filters))
         self.engine.subscribe(subscription)
@@ -279,6 +320,7 @@ class EventBus:
         if self._sub_owner.get(sub_id) != member:
             raise BusError(
                 f"subscription {sub_id} is not owned by member {member}")
+        self.flush_turn()
         self.engine.unsubscribe(sub_id)
         del self._sub_owner[sub_id]
         self._member_subs[member].discard(sub_id)
@@ -293,6 +335,7 @@ class EventBus:
     def publish(self, event: Event) -> bool:
         """Match and dispatch one event; True if it was fresh (not a
         duplicate).  A batch of one: see :meth:`publish_batch`."""
+        self.flush_turn()
         return self._publish((event,)) == 1
 
     def publish_batch(self, events: Sequence[Event]) -> int:
@@ -323,8 +366,50 @@ class EventBus:
         callbacks' slices all ride one scheduler turn, in first-match
         order (:meth:`_deliver_local`): a publish costs the scheduler one
         timer however many events it carried and subscriptions it matched.
+
+        This is also how a receive turn is published: the turn queue
+        (:meth:`publish_at_turn_end`) comes through here as one batch.
+        Whatever it still holds is published first, so events leave in
+        the order they reached the bus.
         """
+        self.flush_turn()
         return self._publish(events)
+
+    def publish_at_turn_end(self, events: Sequence[Event],
+                            transport: "Transport") -> None:
+        """Publish member-originated ``events`` when ``transport``'s
+        receive turn ends, in one batch with the rest of the turn.
+
+        The proxies' one way in.  ``transport`` is the turn's owner (the
+        bus knows a scheduler, not a transport): its
+        :meth:`~repro.transport.base.Transport.call_at_turn_end` runs
+        :meth:`flush_turn` when the socket drain or scheduler instant
+        that delivered the events is over, at once when none is in
+        progress.  It is asked on every call — registering is idempotent
+        within a turn — so no state here can leave a queued event without
+        a flush ahead of it, whatever ended the last turn.
+        """
+        self._turn_queue.extend(events)
+        transport.call_at_turn_end(self.flush_turn)
+
+    def flush_turn(self) -> None:
+        """Publish what the turn queue holds, as one batch.
+
+        Runs at turn end, and before anything that must see the queued
+        events already published: a subscription or membership change
+        (they were sent before it), a direct publish (they arrived before
+        it), and cell / server shutdown (a transport closed mid-turn drops
+        its turn-end callbacks; the counters must still conserve).
+        """
+        queued = self._turn_queue
+        if queued:
+            self._turn_queue = []
+            stats = self.stats
+            stats.turns += 1
+            stats.turn_events += len(queued)
+            stats.turn_high_water = max(stats.turn_high_water, len(queued))
+            # Through the public entry: one name for every publication.
+            self.publish_batch(queued)
 
     def _publish(self, events: Sequence[Event]) -> int:
         # Dedup phase: count every attempt, keep the fresh events.

@@ -201,15 +201,18 @@ class Proxy:
                  memo: DeliverMemo | None) -> None:
         if self._destroyed:
             return
-        encode = (memo.deliver_frame
-                  if memo is not None and self.shared_outbound
-                  else self.encode_outbound)
-        frames = []
-        for event in events:
-            payload = encode(event)
-            if payload is not None:
-                frames.append(payload)
-        if not frames:
+        # A run of the slice becomes payloads either through the
+        # dispatch's memo (shared framing: subscribers with equal slices
+        # share the joined payloads, not just the frames) or by encoding
+        # for this member alone.
+        if memo is not None and self.shared_outbound:
+            items: Sequence = events
+            chunk = memo.payloads
+        else:
+            items = [payload for payload in map(self.encode_outbound, events)
+                     if payload is not None]
+            chunk = protocol.chunk_frames
+        if not items:
             return
         limit = self.flush_limit
         if limit is None:
@@ -218,20 +221,20 @@ class Proxy:
         # the byte limit: a sensor that buffers 4 events must never be
         # handed a 50-event batch it cannot hold.
         capacity = self.capacity
-        if 0 < capacity < len(frames):
-            runs = [frames[i:i + capacity]
-                    for i in range(0, len(frames), capacity)]
+        if 0 < capacity < len(items):
+            runs = [items[i:i + capacity]
+                    for i in range(0, len(items), capacity)]
         else:
-            runs = (frames,)
+            runs = (items,)
         for run in runs:
-            for payload in protocol.chunk_frames(run, limit):
+            for payload in chunk(run, limit):
                 # The bus software hands the payload off to this member's
                 # channel (runtime -> socket); under simulation this
                 # charges the core host.
                 self.bus.meter.charge_copy(OUTBOUND_COPIES * len(payload))
                 self.endpoint.send_reliable(self.member_address, payload)
         stats = self.stats
-        stats.events_delivered += len(frames)
+        stats.events_delivered += len(items)
         stats.batches_flushed += 1
 
     def transport_stats(self):
@@ -337,8 +340,14 @@ class Proxy:
         self._publish_events(events)
 
     def _publish_events(self, events: Sequence[Event]) -> None:
+        """The one way member publications enter the bus: PUBLISH frames,
+        the PUBLISH runs of a BATCH and translated device data alike join
+        the bus's turn queue, published as one batch when this endpoint's
+        receive turn ends (:meth:`EventBus.publish_at_turn_end`) — or
+        sooner, if something that must come after them reaches the bus
+        first (a SUBSCRIBE later in the same BATCH, say)."""
         self.stats.events_published += len(events)
-        self.bus.publish_batch(events)
+        self.bus.publish_at_turn_end(events, self.endpoint.transport)
 
     def publish_translated(self, event_type: str, attributes: dict) -> Event:
         """Publish an event the proxy itself synthesised from device data.

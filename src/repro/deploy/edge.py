@@ -84,6 +84,13 @@ class BackpressureGuard:
     counts of unacknowledged payloads on the member's channel;
     ``wake_backlog`` is the level below which an edge-issued quench is
     lifted (hysteresis: wake < quench).
+
+    The unit is the reliable *payload*, not the event: a BATCH payload
+    counts once however many events it carries.  Since a receive turn is
+    published as one batch, a busy cell queues fewer, fuller payloads per
+    subscriber for the same events — the bounds keep their unit, so they
+    read as so many flushes behind, and a declared capacity (which bounds
+    events per payload in the proxy) still clamps them.
     """
 
     def __init__(self, bus: EventBus, endpoint: PacketEndpoint, *,

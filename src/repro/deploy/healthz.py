@@ -41,7 +41,13 @@ snapshot` produces)::
     bus               BusStats (published, matched, delivered_local,
                       delivered_remote, duplicates_dropped, unmatched,
                       from_unknown_member, subscriptions_active,
-                      members_active, purged_members)
+                      members_active, purged_members, turns, turn_events,
+                      turn_high_water).  Member publications are counted
+                      when their receive turn ends: turn_events / turns
+                      is the mean number of events one socket drain
+                      brought in and published as one batch (the
+                      coalescing factor), turn_high_water the largest
+                      single turn
     channels          aggregate ChannelStats over every member channel
     transport         UDP socket counters
     discovery         DiscoveryStats (admissions, purges, degradations,

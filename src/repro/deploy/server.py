@@ -233,6 +233,9 @@ class CellServer:
             self.healthz.close()
         for pollable in self.transport.pollables():
             self.scheduler.unregister_pollable(pollable)
+        # Closed from inside a drain (a signal handler), the transport
+        # drops its turn end: flush while deliveries can still be sent.
+        self.cell.bus.flush_turn()
         self.transport.close()
 
     @property

@@ -21,7 +21,7 @@ from repro.core import protocol as bus_protocol
 from repro.core.client import BusClient
 from repro.core.protocol import BusOp
 from repro.discovery.agent import AgentConfig, DiscoveryAgent
-from repro.errors import ConfigurationError
+from repro.errors import CodecError, ConfigurationError
 from repro.sim.kernel import Scheduler
 from repro.transport import wire
 from repro.transport.base import Address
@@ -161,13 +161,25 @@ class RawSensorDevice(Device):
     def _on_payload(self, peer, payload: bytes) -> None:
         try:
             op, body = bus_protocol.unframe(payload)
-        except Exception:
+        except CodecError:
             return
         if op == BusOp.DEVICE_CMD:
             self.stats.commands_received += 1
             # Device protocol parsers expect real bytes; the zero-copy
             # decode path hands up memoryview slices.
             self.handle_command(wire.as_bytes(body))
+        elif op == BusOp.BATCH:
+            # The proxy coalesces a slice of two or more commands into
+            # BATCH payloads like any other proxy's.  A bad frame is
+            # skipped, not the batch: the channel acknowledged all of it.
+            try:
+                frames = bus_protocol.parse_batch(body)
+            except CodecError:
+                return
+            for framed in frames:
+                if len(framed) and framed[0] == BusOp.BATCH:
+                    continue                # batches never nest
+                self._on_payload(peer, framed)
 
 
 class SmartDevice(Device):

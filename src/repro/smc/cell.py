@@ -28,7 +28,7 @@ from repro.core.quench import QuenchController
 from repro.devices.protocols import standard_translators
 from repro.discovery.auth import Authenticator
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, TransportClosedError
 from repro.matching.engine import MatchingEngine, make_engine
 from repro.matching.filters import Filter
 from repro.policy.deployment import PolicyDeployer
@@ -177,6 +177,14 @@ class SelfManagedCell:
             self.autonomic.start()
 
     def stop(self) -> None:
+        # A transport closed mid-turn never runs its turn end: publish
+        # what that turn brought in, so the bus counters conserve.
+        try:
+            self.bus.flush_turn()
+        except TransportClosedError:
+            # The transport died first: the events are counted and local
+            # subscribers served; nothing can reach a member any more.
+            pass
         if self._started:
             self._started = False
             self.discovery.stop()

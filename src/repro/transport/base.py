@@ -132,10 +132,14 @@ class Transport:
 
         A turn is one batch of arrivals handed up back to back: one drain
         of a UDP socket, or everything arriving at one scheduler instant.
-        It is the reliable channel's unit of acknowledgement: deferred
-        work costs once per turn, not per datagram, and is never later
-        than the turn that caused it (no timer).  On a socket transport
-        outside a drain (packets fed in by hand, or pulled with
+        It is the unit of acknowledgement *and of publication*: the
+        reliable channel defers its cumulative ACK to it, and the event
+        bus the member publications the turn brought in
+        (:meth:`~repro.core.bus.EventBus.publish_at_turn_end`), so
+        deferred work costs once per turn, not per datagram, and is never
+        later than the turn that caused it (no timer).  Registering the
+        same callback again within a turn is a no-op.  On a socket
+        transport outside a drain (packets fed in by hand, or pulled with
         :meth:`recv`) the callback runs at once.
         """
         if self._turn_scheduler is not None:
@@ -175,13 +179,25 @@ class Transport:
             self.stats.receive_queue_high_water = len(self._inbox)
 
     def _end_turn(self) -> None:
-        """Close the receive turn and run what was deferred to its end."""
+        """Close the receive turn and run what was deferred to its end.
+
+        A turn always pays its debts: every callback runs whatever an
+        earlier one raised (the publish flush and each channel's ACK share
+        this list), and the first error leaves once all of them have.
+        """
         self._turn_open = False
         callbacks, self._turn_end = self._turn_end, {}
         if self._closed:
             return          # closed mid-turn: nothing may be sent any more
+        error: BaseException | None = None
         for callback in callbacks:
-            callback()
+            try:
+                callback()
+            except BaseException as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
 
     def _check_open(self) -> None:
         if self._closed:

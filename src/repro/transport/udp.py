@@ -31,6 +31,16 @@ DEFAULT_DISCOVERY_PORT = 41200
 
 _RECV_BUFFER = 65535
 
+#: Datagrams one receive turn hands up at most.  A turn holds open its
+#: ACKs, the scheduler's due timers and the bus's turn queue; reliable
+#: senders are window-limited, but a RAW or hostile flood that refills the
+#: socket as fast as it is read would otherwise keep one drain, and so
+#: one turn, going for as long as it lasts.  256 small datagrams is what
+#: a default-sized (208 KiB) Linux receive buffer holds, so a drain of
+#: what was waiting is never cut short; the selector is level-triggered,
+#: so whatever is left starts the next turn.
+TURN_DATAGRAMS = 256
+
 
 class _SocketPollable:
     """Adapter exposing one extra socket as a RealtimeScheduler pollable.
@@ -164,10 +174,11 @@ class UdpTransport(Transport):
         return polls
 
     def poll(self) -> int:
-        """Drain both sockets; returns the number of datagrams delivered.
+        """One receive turn per socket; returns the datagrams delivered.
 
         For single-threaded tests that drive the transport without a
-        scheduler loop.
+        scheduler loop (call it until it returns 0 to empty a socket
+        holding more than :data:`TURN_DATAGRAMS`).
         """
         count = self._drain(self._socket)
         if self._broadcast_socket is not None:
@@ -175,11 +186,13 @@ class UdpTransport(Transport):
         return count
 
     def _drain(self, sock: socket.socket) -> int:
-        """Hand up everything queued on ``sock``: one receive turn."""
-        count = 0
+        """Hand up what is queued on ``sock``, :data:`TURN_DATAGRAMS` at
+        most: one receive turn."""
         self._turn_open = True
         try:
-            while True:
+            for count in range(TURN_DATAGRAMS):
+                if self._closed:        # by what the last datagram set off
+                    return count
                 try:
                     payload, src = sock.recvfrom(_RECV_BUFFER)
                 except BlockingIOError:
@@ -189,7 +202,7 @@ class UdpTransport(Transport):
                         return count
                     raise TransportError(f"recvfrom failed: {exc}") from exc
                 self._deliver(src, payload)
-                count += 1
+            return TURN_DATAGRAMS
         finally:
             self._end_turn()
 

@@ -323,6 +323,49 @@ class TestWorkerDifferential:
             assert pool.stats.inline_fallbacks == fallbacks
 
 
+    def test_a_turn_of_single_publishes_crosses_the_pipe_once(self, pools):
+        """K one-event PUBLISH datagrams handed up in one receive turn
+        are one plan round over the worker pipe, not K — and deliver what
+        K turns deliver."""
+        from repro.transport.inmem import InMemoryHub
+        from tests.core.conftest import CoreKit
+
+        def drive(one_turn):
+            sim = Simulator()
+            kit = CoreKit(sim, InMemoryHub(sim), shards=4)
+            pool.rebind(kit.bus.sharded)
+            inboxes = {index: [] for index in range(6)}
+            for index, inbox in inboxes.items():
+                kit.bus.subscribe_local(
+                    Filter([Constraint("hr", Op.GT, index)]), inbox.append)
+            sensors = [kit.client(f"sensor-{i}") for i in range(3)]
+            executes = pool.stats.executes
+            for k in range(12):
+                sensors[k % 3].publish("vitals", {"hr": k % 9})
+                if not one_turn:
+                    sim.run_until_idle()
+            sim.run_until_idle()
+            stats = kit.bus.stats
+            assert stats.published == stats.matched + stats.unmatched \
+                + stats.duplicates_dropped + stats.from_unknown_member
+            return ({index: [(e.sender, e.seqno) for e in inbox]
+                     for index, inbox in inboxes.items()},
+                    pool.stats.executes - executes,
+                    (stats.published, stats.matched, stats.unmatched))
+
+        pool = pools[2]
+        fallbacks = pool.stats.inline_fallbacks
+        per_turn_boxes, per_turn_executes, per_turn_stats = drive(False)
+        one_turn_boxes, one_turn_executes, one_turn_stats = drive(True)
+        assert (per_turn_executes, one_turn_executes) == (12, 1)
+        assert one_turn_stats == per_turn_stats
+        assert one_turn_boxes == per_turn_boxes
+        assert [len(inbox) for inbox in one_turn_boxes.values()] \
+            == [len([k for k in range(12) if k % 9 > index])
+                for index in range(6)]
+        assert pool.stats.inline_fallbacks == fallbacks
+
+
 class TestWorkerFailure:
     def _bound_pool(self, workers=2, shards=4):
         matcher = ShardedMatcher(shards, "forwarding")

@@ -24,6 +24,7 @@ from repro.discovery.membership import MembershipTable, MemberRecord
 from repro.discovery.messages import AnnounceBody
 from repro.errors import ConfigurationError
 from repro.ids import service_id_from_name
+from repro.matching.filters import Filter
 from repro.smc.cell import CellConfig
 
 
@@ -183,6 +184,8 @@ class TestCellServer:
         assert snapshot["cell"] == "test-ward"
         assert snapshot["started"] is True
         assert snapshot["member_count"] == 0
+        for counter in ("turns", "turn_events", "turn_high_water"):
+            assert snapshot["bus"][counter] == 0, counter
         # Unicast + broadcast + healthz are all selector-registered.
         assert snapshot["pollables"] == 3
 
@@ -199,6 +202,41 @@ class TestCellServer:
             # Directed beacons now reach the member's address.
             assert device.transport.local_address \
                 in server.transport._broadcast_peers
+        finally:
+            device.close()
+
+    def test_close_from_inside_a_drain_still_publishes_the_turn(self, server):
+        """A server closed mid-turn (a signal handler) drops its turn end
+        with the transport; what the turn had brought in is published
+        first, so the counters conserve and healthz shows the turn."""
+        device = make_devices(server.scheduler, server.address, 1,
+                              announce_retry_s=0.05)[0]
+        seen = []
+        server.cell.subscribe(Filter.where("vitals"), seen.append)
+        try:
+            device.start()
+            assert wait(server, lambda: device.joined
+                        and server.cell.bus.members())
+            stats = server.cell.bus.stats
+            published = stats.published
+            routed = server.cell.bootstrap._on_payload
+
+            def close_on_arrival(peer, payload):
+                routed(peer, payload)
+                assert stats.published == published      # queued, not yet
+                server.close()
+
+            server.cell.endpoint.set_payload_handler(close_on_arrival)
+            device.publish("vitals", {"hr": 99})
+            assert wait(server, lambda: stats.published > published,
+                        timeout=2.0)
+            assert stats.published == published + 1
+            assert stats.published == (stats.matched + stats.unmatched
+                                       + stats.duplicates_dropped
+                                       + stats.from_unknown_member)
+            assert server.snapshot()["bus"]["turn_events"] >= 1
+            server.scheduler.run_for(0.01)               # local delivery
+            assert [event.get("hr") for event in seen] == [99]
         finally:
             device.close()
 

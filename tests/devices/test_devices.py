@@ -2,7 +2,11 @@
 
 import pytest
 
+from repro.core import protocol
+from repro.core.events import Event
+from repro.core.protocol import BusOp
 from repro.devices.actuators import DrugPump, ManualSensor, NurseDisplay
+from repro.devices.protocols import PumpProtocol
 from repro.devices.sensors import (
     ECGMonitor,
     ECGSink,
@@ -210,6 +214,51 @@ class TestActuators:
         sim.run(10.0)
         assert pump.delivered_total_ml() == 4.0     # 2 doses, then refused
         assert pump.refused_doses == 2
+
+    def test_batched_commands_all_reach_the_pump(self, sim, cell_net):
+        # One publish_batch is one slice for the pump's proxy, which wraps
+        # two or more frames in BATCH like any proxy: the dumb device has
+        # to unpack it, or the channel acks doses nobody delivers.
+        cell, endpoint = cell_net
+        pump = DrugPump(endpoint("pump-1"), sim, "pump-1", "p-1")
+        pump.start()
+        sim.run(3.0)
+        dose = ("smc.cmd.deliver_dose", {"target": "pump", "dose_ml": 2.0})
+        cell.publisher("clinician").publish_batch([dose, dose])
+        sim.run(6.0)
+        assert pump.delivered_total_ml() == 4.0
+        assert pump.stats.commands_received == 2
+
+    def test_capacity_split_batch_reaches_the_pump_in_order(self, sim,
+                                                             cell_net):
+        # Five commands toward a member that holds two: BATCH, BATCH, and
+        # a lone unwrapped frame, executed in publication order.
+        cell, endpoint = cell_net
+        pump = DrugPump(endpoint("pump-1"), sim, "pump-1", "p-1")
+        pump.start()
+        sim.run(3.0)
+        proxy = cell.bus.proxy_of(pump.endpoint.service_id)
+        proxy.capacity = 2
+        flushed = proxy.stats.batches_flushed
+        doses = [0.5, 1.0, 1.5, 2.0, 2.5]
+        cell.publisher("clinician").publish_batch(
+            [("smc.cmd.deliver_dose", {"target": "pump", "dose_ml": dose})
+             for dose in doses])
+        sim.run(6.0)
+        assert [record.dose_ml for record in pump.doses] == doses
+        assert proxy.stats.batches_flushed == flushed + 1
+        assert proxy.transport_stats().sent >= 3
+
+    def test_bad_frame_in_a_batch_costs_only_itself(self, sim, cell_net):
+        _, endpoint = cell_net
+        pump = DrugPump(endpoint("pump-1"), sim, "pump-1", "p-1")
+        dose = Event("smc.cmd.deliver_dose", {"dose_ml": 1.0}, 1, 1, 0.0)
+        command = protocol.frame(
+            BusOp.DEVICE_CMD, PumpProtocol("p-1").encode_command(dose))
+        nested = protocol.frame_batch([command, command])
+        pump._on_payload(None, protocol.frame_batch(
+            [command, b"", b"\xff", nested, command]))
+        assert pump.delivered_total_ml() == 2.0
 
     def test_pump_refuses_empty_reservoir(self, sim, cell_net):
         cell, endpoint = cell_net

@@ -422,6 +422,35 @@ class TestAckDueAcrossTeardown:
         sim.run(0.01)                        # must not raise
         assert sent_to == []
 
+    def test_a_raising_turn_end_callback_does_not_cost_the_ack(
+            self, sim, hub, endpoints):
+        # A turn always pays its debts.  The upcall runs before the
+        # channel registers its ACK, so the failing callback comes first.
+        core, dev = endpoints("core"), endpoints("dev")
+        ran = []
+
+        def boom():
+            ran.append("boom")
+            raise RuntimeError("flush failed")
+
+        def second_boom():
+            ran.append("second")
+            raise ValueError("also failed")
+
+        def upcall(peer, data):
+            core.transport.call_at_turn_end(boom)
+            core.transport.call_at_turn_end(second_boom)
+            core.transport.call_at_turn_end(boom)      # once per turn
+
+        core.set_payload_handler(upcall)
+        dev.send_reliable("core", b"x")
+        with pytest.raises(RuntimeError, match="flush failed"):
+            sim.run_until_idle()                 # the first error, not lost
+        assert ran == ["boom", "second"]
+        assert core.channel_to("dev").stats.acks_sent == 1
+        sim.run_until_idle()
+        assert dev.channel_to("core").unacked_count() == 0
+
     def test_unchanged_mapping_skips_learn_peer_but_roam_still_learned(
             self, sim, hub, endpoints):
         core, dev = endpoints("core"), endpoints("dev")

@@ -14,7 +14,7 @@ from repro.ids import service_id_from_socket
 from repro.sim.kernel import RealtimeScheduler
 from repro.transport.endpoint import PacketEndpoint
 from repro.transport.packets import PacketType
-from repro.transport.udp import UdpTransport
+from repro.transport.udp import TURN_DATAGRAMS, UdpTransport
 
 
 @pytest.fixture
@@ -124,6 +124,80 @@ class TestUdpWithEndpoint:
             ep_a.send_reliable(b.local_address, message)
         assert poll_until([a, b], lambda: len(got) == 30, timeout=5.0)
         assert got == expected
+
+
+class TestBoundedTurn:
+    """One socket drain is one receive turn, and a turn is bounded."""
+
+    def test_a_flood_that_refills_the_socket_cannot_hold_a_turn_open(
+            self, udp_pair):
+        # The hostile case: every datagram read puts another one in, so
+        # the socket is never empty while the flood lasts.  Unbounded,
+        # one drain (one turn: its ACKs, the timers, the turn queue)
+        # would span all of it.
+        a, b = udp_pair
+        total = 10 * TURN_DATAGRAMS
+        sent = received = in_turn = 0
+        turn_sizes = []
+
+        def send_one():
+            nonlocal sent
+            a.send(b.local_address, sent.to_bytes(4, "big"))
+            sent += 1
+
+        def end_of_turn():
+            nonlocal in_turn
+            turn_sizes.append(in_turn)
+            in_turn = 0
+
+        def receive(src, data):
+            nonlocal received, in_turn
+            assert int.from_bytes(data, "big") == received      # in order
+            received += 1
+            in_turn += 1
+            b.call_at_turn_end(end_of_turn)
+            if sent < total:
+                send_one()
+
+        b.set_receiver(receive)
+        for _ in range(8):
+            send_one()
+        assert poll_until([b], lambda: received == total)
+        assert sent == total                        # every datagram came up
+        assert sum(turn_sizes) == total
+        assert len(turn_sizes) >= 10
+        assert max(turn_sizes) <= TURN_DATAGRAMS
+
+    def test_a_short_drain_ends_its_turn_at_once(self, udp_pair):
+        a, b = udp_pair
+        ends = []
+        b.set_receiver(lambda src, data: b.call_at_turn_end(
+            lambda: ends.append(data)))
+        a.send(b.local_address, b"one")
+        assert poll_until([b], lambda: ends)
+        assert ends == [b"one"]
+        b.call_at_turn_end(lambda: ends.append(b"outside"))  # no drain open
+        assert ends == [b"one", b"outside"]
+
+    def test_a_raising_callback_still_lets_the_rest_of_the_turn_end(
+            self, udp_pair):
+        a, b = udp_pair
+        ran = []
+
+        def boom():
+            raise RuntimeError("flush failed")
+
+        def receive(src, data):
+            b.call_at_turn_end(boom)
+            b.call_at_turn_end(lambda: ran.append(data))
+
+        b.set_receiver(receive)
+        a.send(b.local_address, b"x")
+        with pytest.raises(RuntimeError, match="flush failed"):
+            poll_until([b], lambda: ran)
+        assert ran == [b"x"]
+        b.call_at_turn_end(lambda: ran.append(b"turn closed"))
+        assert ran == [b"x", b"turn closed"]
 
 
 class TestRealtimeScheduler:
