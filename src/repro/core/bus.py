@@ -89,6 +89,12 @@ class DeliverMemo:
     subscriber.  Keyed by event identity: the memo lives only for one
     dispatch, during which every event in the batch is strongly
     referenced.
+
+    "Encodes" means TLV work only for an event built at the core (a
+    ``LocalPublisher``'s, a translated reading, a management event): a
+    member-published event carries the bytes it was decoded from, so its
+    frame here is the opcode joined to those bytes — the core forwards
+    what it validated — and what the memo saves is that join per proxy.
     """
 
     __slots__ = ("_frames", "_payloads")

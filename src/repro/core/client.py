@@ -251,8 +251,11 @@ class BusClient:
     def _on_deliver(self, body: bytes) -> None:
         self.meter.charge_copy(INBOUND_COPIES * len(body))
         try:
-            event, _ = decode_event(body)
+            event, end = decode_event(body)
         except CodecError:
+            self.stats.malformed += 1
+            return
+        if end != len(body):                      # trailing bytes
             self.stats.malformed += 1
             return
         # Exactly-once toward the application: per-sender watermark.

@@ -52,7 +52,41 @@ POLICY_DEPLOYED_TYPE = "smc.policy.deployed"
 POLICY_VIOLATION_TYPE = "smc.policy.violation"
 
 
-class Event:
+_VALUE_TYPES = (bool, int, float, str, bytes)
+
+
+class _EventFields:
+    """An event's storage.  :func:`_trusted` fills one of these with plain
+    slot stores and then turns it into an :class:`Event` — same slot
+    layout, so the class swap is legal — whose ``__setattr__`` refuses
+    every later store."""
+
+    __slots__ = ("type", "attributes", "sender", "seqno", "timestamp",
+                 "_view", "_wire")
+
+
+def _trusted(event_type: str, attributes: Mapping[str, Value],
+             sender: ServiceId, seqno: int, timestamp: float,
+             raw: bytes | None) -> "Event":
+    """The one construction body: build an event from fields already
+    validated — by ``Event(...)`` for values a caller supplies, by
+    :func:`decode_event` against the wire.  Checks nothing.  ``raw`` is
+    the validated wire extent a decoded event keeps for
+    :func:`write_event` to forward, None for an event built here.
+    """
+    event = _EventFields()
+    event.type = event_type
+    event.attributes = MappingProxyType(attributes)
+    event.sender = sender
+    event.seqno = seqno
+    event.timestamp = timestamp
+    event._view = None
+    event._wire = raw
+    event.__class__ = Event
+    return event
+
+
+class Event(_EventFields):
     """One immutable event.
 
     Attribute values are restricted to the wire-codec types (bool, int,
@@ -61,11 +95,10 @@ class Event:
     name automatically via :meth:`attrs_view`.
     """
 
-    __slots__ = ("type", "attributes", "sender", "seqno", "timestamp",
-                 "_view")
+    __slots__ = ()
 
-    def __init__(self, type: str, attributes: Mapping[str, Value],
-                 sender: ServiceId, seqno: int, timestamp: float) -> None:
+    def __new__(cls, type: str, attributes: Mapping[str, Value],
+                sender: ServiceId, seqno: int, timestamp: float) -> "Event":
         if not type:
             raise BusError("event type must be non-empty")
         if seqno < 0:
@@ -77,26 +110,21 @@ class Event:
         for name, value in attrs.items():
             if not name or not isinstance(name, str):
                 raise BusError(f"bad attribute name: {name!r}")
-            if not isinstance(value, (bool, int, float, str, bytes)):
+            if not isinstance(value, _VALUE_TYPES):
                 raise BusError(
                     f"attribute {name!r} has unsupported type "
                     f"{type_name(value)}")
-        object.__setattr__(self, "type", type)
-        object.__setattr__(self, "attributes", MappingProxyType(attrs))
-        object.__setattr__(self, "sender", sender)
-        object.__setattr__(self, "seqno", seqno)
-        object.__setattr__(self, "timestamp", timestamp)
-        object.__setattr__(self, "_view", None)
+        return _trusted(type, attrs, sender, seqno, timestamp, None)
 
     def __setattr__(self, key: str, _value) -> None:
         raise AttributeError(f"Event is immutable (tried to set {key!r})")
 
     def attrs_view(self) -> Mapping[str, Value]:
         """Attributes plus the reserved ``type`` entry, for matching."""
-        view = object.__getattribute__(self, "_view")
+        view = self._view
         if view is None:
             view = {TYPE_ATTR: self.type, **self.attributes}
-            object.__setattr__(self, "_view", view)
+            _set_view(self, view)
         return view
 
     def key(self) -> tuple[ServiceId, int]:
@@ -128,6 +156,11 @@ def type_name(value) -> str:
     return type(value).__name__
 
 
+#: The slot's own store: the one write an event takes after construction
+#: (the lazily built matching view), past ``Event.__setattr__``.
+_set_view = _EventFields._view.__set__
+
+
 # -- codec -------------------------------------------------------------------
 
 _TS_STRUCT = struct.Struct("!d")
@@ -139,8 +172,19 @@ def write_event(out: list[bytes], event: Event) -> None:
     The scatter-gather half of the codec: framing and batching layers
     stack their own chunks around these and the whole payload is joined
     exactly once at the reliable-payload boundary.
+
+    An event that came off the wire is *forwarded*, not re-encoded: the
+    extent :func:`decode_event` validated and kept is appended as one
+    chunk, so every DELIVER of a member-published event costs the core no
+    TLV work and carries the publisher's bytes unchanged.  Events built
+    in this process (``Event(...)``) are encoded here, names and the
+    event type as interned chunks (:func:`repro.transport.wire.name_chunk`).
     """
-    wire.write_str(out, event.type)
+    raw = event._wire
+    if raw is not None:
+        out.append(raw)
+        return
+    out.append(wire.name_chunk(event.type))
     out.append(event.sender.to_bytes48())
     out.append(wire.encode_varint(event.seqno))
     out.append(_TS_STRUCT.pack(event.timestamp))
@@ -170,6 +214,20 @@ def decode_event(buf: wire.Buffer, offset: int = 0) -> tuple[Event, int]:
     through here; the per-call overhead of the modular wire functions is
     measurable at event rates), with the one-byte-varint fast path that
     covers realistic type-name lengths and sequence numbers.
+
+    The event keeps the extent it was parsed from — ``buf[offset:pos]``,
+    nothing beyond the parsed event — for :func:`write_event` to forward.
+    That is the copy described above, not a second one: when the event
+    is the whole buffer, as at every call site in the cell, the slice is
+    that object itself (a mid-buffer decode copies just the extent).
+    What changes is its lifetime: it used to die with this call and now
+    lives as long as the event.  Decoding retains on every hop, the
+    subscriber's too: there is one decode path and it takes no switch,
+    though nothing on the subscriber side forwards today
+    (``BusClient.publish`` builds a new event).  So an application that
+    keeps a delivered 1 KB event holds about 2 KB — the decoded values
+    and the 1 KB they were decoded from — and one that keeps events for
+    long should keep the fields it needs instead.
     """
     if type(buf) is not bytes:
         buf = bytes(buf)
@@ -220,17 +278,9 @@ def decode_event(buf: wire.Buffer, offset: int = 0) -> tuple[Event, int]:
         raise CodecError(f"reserved attribute {TYPE_ATTR!r} on wire")
     # The wire layer already enforced every Event invariant (non-empty
     # type and names, codec value types, seqno >= 0 by varint), so build
-    # the event directly instead of paying Event.__init__'s revalidation
-    # — this is a large share of per-event decode cost on the hot path.
-    event = object.__new__(Event)
-    _set = object.__setattr__
-    _set(event, "type", event_type)
-    _set(event, "attributes", MappingProxyType(attributes))
-    _set(event, "sender", sender)
-    _set(event, "seqno", seqno)
-    _set(event, "timestamp", timestamp)
-    _set(event, "_view", None)
-    return event, pos
+    # the event directly instead of paying Event(...)'s revalidation.
+    return _trusted(event_type, attributes, sender, seqno, timestamp,
+                    buf[offset:pos]), pos
 
 
 #: Interned wire bytes -> event type string; bounded like the sender

@@ -29,6 +29,15 @@ joined bytes, so the encode → frame → batch stack copies nothing until
 :func:`chunk_frames` joins each reliable payload exactly once.  The
 ``parse``/``count`` side accepts any buffer and slices ``memoryview``\\ s
 instead of materialising per-frame copies.
+
+An event is serialised once, by whoever built it.  A frame around an
+event that came off the wire is the opcode chunk plus the bytes
+:func:`~repro.core.events.decode_event` validated
+(:func:`~repro.core.events.write_event` forwards them), so the DELIVER
+body a subscriber receives is byte for byte the PUBLISH body the
+publisher sent; only events built at the core are encoded here.  A body
+that carries anything after its event is malformed, as trailing bytes
+are for every other opcode.
 """
 
 from __future__ import annotations
@@ -167,7 +176,7 @@ def _frame_chunks(framed: Frame) -> tuple[list[bytes] | tuple[bytes, ...], int]:
     """Normalise one frame to (chunks, wire size)."""
     if isinstance(framed, (bytes, bytearray, memoryview)):
         return (framed,), len(framed)
-    return framed, sum(len(chunk) for chunk in framed)
+    return framed, sum(map(len, framed))
 
 
 def chunk_frames(frames: Sequence[Frame],

@@ -270,7 +270,9 @@ class Proxy:
 
     def _dispatch(self, op: BusOp, body: bytes) -> None:
         if op == BusOp.PUBLISH:
-            event, _ = decode_event(body)
+            event, end = decode_event(body)
+            if end != len(body):
+                raise CodecError("trailing bytes after event")
             self.publish_for_member(event)
         elif op == BusOp.SUBSCRIBE:
             subscription, _ = decode_subscription(body)
@@ -313,7 +315,9 @@ class Proxy:
                 if sub_op == BusOp.BATCH:
                     raise CodecError("nested BATCH frame")
                 if sub_op == BusOp.PUBLISH:
-                    event, _ = decode_event(sub_body)
+                    event, end = decode_event(sub_body)
+                    if end != len(sub_body):
+                        raise CodecError("trailing bytes after event")
                     pending.append(event)
                     continue
                 if pending:

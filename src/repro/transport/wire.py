@@ -36,7 +36,18 @@ returning joined bytes, so multi-layer encoders (event -> frame -> batch
 boundary.  Every ``decode_*`` function accepts any object supporting the
 buffer protocol (``bytes``, ``bytearray``, ``memoryview``) and slices
 without materialising intermediate copies; the only copies taken are for
-values that escape into long-lived objects (``bytes`` attribute values).
+values that escape into long-lived objects (``bytes`` attribute values,
+and the event's own extent: :func:`repro.core.events.decode_event`
+flattens a non-``bytes`` buffer once to parse it and the event keeps
+that copy, so a hop that forwards the event emits those bytes instead of
+encoding them again — an event is serialised once, by whoever built it).
+
+Both directions intern the deployment's small vocabulary of names: the
+reader maps wire bytes to ``str`` (``_NAME_CACHE``), the writer maps a
+name to its length-prefixed chunk (:func:`name_chunk`), each bounded and
+cleared when full.  Varints of one to three bytes, which is every count,
+length and realistic sequence number, are built and parsed without a
+loop.
 """
 
 from __future__ import annotations
@@ -86,9 +97,21 @@ _FLOAT_BODY = struct.Struct("!d")
 #: keeps the writers allocation-free on the hot path.
 _VARINT_1 = tuple(bytes((b,)) for b in range(0x80))
 
+#: Two- and three-byte varints (sequence numbers and lengths past 127)
+#: are packed in one C call instead of a ``bytearray`` loop.
+_VARINT_2 = struct.Struct("BB").pack
+_VARINT_3 = struct.Struct("BBB").pack
+#: Tagged ints whose zig-zag value fits one varint byte (-64..63) are
+#: interned whole, indexed by that value.
+_SMALL_INTS = tuple(bytes((_TAG_INT, b)) for b in range(0x80))
+
 #: Interned wire bytes -> attribute name (see decode_attr_map).
 _NAME_CACHE: dict[bytes, str] = {}
 _NAME_CACHE_MAX = 4096
+#: The write side's twin: attribute name or event type -> its
+#: length-prefixed wire chunk (see name_chunk).  Same cap, same
+#: clear-on-full rule.
+_NAME_CHUNKS: dict[str, bytes] = {}
 
 
 def encode_varint(value: int) -> bytes:
@@ -97,15 +120,17 @@ def encode_varint(value: int) -> bytes:
         return _VARINT_1[value]
     if value < 0:
         raise CodecError(f"varint requires a non-negative int, got {value}")
-    out = bytearray()
-    while True:
-        byte = value & 0x7F
+    if value < 0x4000:
+        return _VARINT_2(value & 0x7F | 0x80, value >> 7)
+    if value < 0x200000:
+        return _VARINT_3(value & 0x7F | 0x80, value >> 7 & 0x7F | 0x80,
+                         value >> 14)
+    groups = []
+    while value > 0x7F:
+        groups.append(value & 0x7F | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return bytes(out)
+    groups.append(value)
+    return bytes(groups)
 
 
 def write_varint(out: list[bytes], value: int) -> None:
@@ -114,20 +139,37 @@ def write_varint(out: list[bytes], value: int) -> None:
 
 
 def decode_varint(buf: Buffer, offset: int = 0) -> tuple[int, int]:
-    """Decode a LEB128 unsigned integer; returns (value, new offset)."""
-    result = 0
-    shift = 0
-    pos = offset
+    """Decode a LEB128 unsigned integer; returns (value, new offset).
+
+    The first two bytes are unrolled — one- and two-byte varints are
+    nearly every count, length and sequence number on this wire — and
+    longer ones finish in the loop.
+    """
+    size = len(buf)
+    if offset >= size:
+        raise CodecError("truncated varint")
+    result = buf[offset]
+    pos = offset + 1
+    if result < 0x80:
+        return result, pos
+    if pos >= size:
+        raise CodecError("truncated varint")
+    byte = buf[pos]
+    pos += 1
+    if byte < 0x80:
+        return result & 0x7F | byte << 7, pos
+    result = result & 0x7F | (byte & 0x7F) << 7
+    shift = 14
     while True:
-        if pos >= len(buf):
+        if pos >= size:
             raise CodecError("truncated varint")
         if shift > 70:
             raise CodecError("varint too long")
         byte = buf[pos]
         pos += 1
+        if byte < 0x80:
+            return result | byte << shift, pos
         result |= (byte & 0x7F) << shift
-        if not byte & 0x80:
-            return result, pos
         shift += 7
 
 
@@ -292,29 +334,91 @@ def decode_frames(buf: Buffer, offset: int = 0) -> tuple[list[Buffer], int]:
     the caller passes a ``memoryview`` — and must be copied by the caller
     if they outlive the underlying buffer.
     """
-    count, pos = decode_varint(buf, offset)
+    size = len(buf)
+    if offset < size and buf[offset] < 0x80:    # one-byte count fast path
+        count = buf[offset]
+        pos = offset + 1
+    else:
+        count, pos = decode_varint(buf, offset)
     if count > MAX_FRAMES:
         raise CodecError(f"frame count too large: {count}")
     frames: list[Buffer] = []
     for _ in range(count):
-        length, pos = decode_varint(buf, pos)
-        if pos + length > len(buf):
+        if pos < size and buf[pos] < 0x80:
+            end = pos + 1 + buf[pos]
+            pos += 1
+        else:
+            length, pos = decode_varint(buf, pos)
+            end = pos + length
+        if end > size:
             raise CodecError("truncated frame in batch")
-        frames.append(buf[pos:pos + length])
-        pos += length
+        frames.append(buf[pos:end])
+        pos = end
     return frames, pos
 
 
+def _encode_name(name: str) -> bytes:
+    """Build, validate and intern ``name``'s chunk (name_chunk's miss
+    path); bounded so name churn cannot grow the table without limit."""
+    if not name:
+        raise CodecError("names on the wire must be non-empty")
+    raw = name.encode("utf-8")
+    if len(raw) > _MAX_BLOB:
+        raise CodecError(f"string too long for wire: {len(raw)} bytes")
+    chunk = b"".join((encode_varint(len(raw)), raw))
+    if len(_NAME_CHUNKS) >= _NAME_CACHE_MAX:
+        _NAME_CHUNKS.clear()
+    _NAME_CHUNKS[name] = chunk
+    return chunk
+
+
+def name_chunk(name: str) -> bytes:
+    """The length-prefixed wire chunk of an attribute name or event type.
+
+    What :func:`write_str` would append for ``name``, as one interned
+    chunk: a deployment's vocabulary of names is small and every event
+    repeats it, so the writer skips the UTF-8 encode, the length check and
+    a chunk per name — the interning :func:`decode_attr_map` gives the
+    reader.  Names are never empty.
+    """
+    chunk = _NAME_CHUNKS.get(name)
+    return chunk if chunk is not None else _encode_name(name)
+
+
 def write_attr_map(out: list[bytes], attributes: Mapping[str, Value]) -> None:
-    """Append an attribute map's chunks with a stable (sorted) key order."""
+    """Append an attribute map's chunks with a stable (sorted) key order.
+
+    One interned chunk per name (:func:`name_chunk`, inlined) and, for
+    the exact ``int`` and ``float`` values sensor readings are made of,
+    one chunk per value; everything else (``bool``, ``str``, ``bytes``,
+    subclasses) goes through :func:`write_value`.
+    """
     if len(attributes) > _MAX_ATTRS:
         raise CodecError(f"too many attributes: {len(attributes)}")
-    out.append(encode_varint(len(attributes)))
+    append = out.append
+    append(encode_varint(len(attributes)))
+    interned = _NAME_CHUNKS.get
     for name in sorted(attributes):
-        if not name:
-            raise CodecError("attribute names must be non-empty")
-        write_str(out, name)
-        write_value(out, attributes[name])
+        chunk = interned(name)
+        append(chunk if chunk is not None else _encode_name(name))
+        value = attributes[name]
+        kind = type(value)
+        if kind is int:
+            encoded = value << 1 if value >= 0 else ~(value << 1)
+            if encoded < 0x80:
+                append(_SMALL_INTS[encoded])
+            elif encoded < 0x4000:
+                # Tag + two varint bytes in one pack: -8192..8191, where
+                # heart rates and the like live.
+                append(_VARINT_3(_TAG_INT, encoded & 0x7F | 0x80,
+                                 encoded >> 7))
+            else:
+                append(_INT_TAG)
+                append(encode_varint(encoded))
+        elif kind is float:
+            append(_FLOAT_STRUCT.pack(_TAG_FLOAT, value))
+        else:
+            write_value(out, value)
 
 
 def encode_attr_map(attributes: Mapping[str, Value]) -> bytes:
@@ -331,11 +435,15 @@ def decode_attr_map(buf: Buffer, offset: int = 0) -> tuple[dict[str, Value], int
     (non-empty names, no duplicates), so decoded maps can back an event
     without re-validation.
     """
-    count, pos = decode_varint(buf, offset)
+    size = len(buf)
+    if offset < size and buf[offset] < 0x80:    # one-byte count fast path
+        count = buf[offset]
+        pos = offset + 1
+    else:
+        count, pos = decode_varint(buf, offset)
     if count > _MAX_ATTRS:
         raise CodecError(f"attribute count too large: {count}")
     attributes: dict[str, Value] = {}
-    size = len(buf)
     for _ in range(count):
         # Inlined decode_str: one short name per attribute is the hottest
         # token on the whole decode path.

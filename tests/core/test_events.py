@@ -129,6 +129,102 @@ class TestCodec:
         assert decoded == event
 
 
+class TestConstruction:
+    """``Event(...)`` and ``decode_event`` build through one trusted body
+    (slot stores on the fields base, then a class swap): what comes out
+    is a plain, frozen ``Event`` either way."""
+
+    ATTRS = {"hr": 131, "spo2": 97.5, "patient": "p-1", "raw": b"\x00",
+             "alarm": True}
+
+    def both(self):
+        built = Event("health.hr", self.ATTRS, SENDER, 300, 1.5)
+        decoded, _ = decode_event(encode_event(built))
+        return built, decoded
+
+    def test_both_are_exactly_events(self):
+        for event in self.both():
+            assert type(event) is Event
+
+    def test_equal_and_hash_equal(self):
+        built, decoded = self.both()
+        assert built == decoded and decoded == built
+        assert hash(built) == hash(decoded)
+        assert len({built, decoded}) == 1
+        assert decoded.timestamp == built.timestamp
+        assert dict(decoded.attributes) == dict(built.attributes)
+
+    def test_every_slot_rejects_assignment(self):
+        slots = [name for cls in Event.__mro__
+                 for name in getattr(cls, "__slots__", ())]
+        assert {"type", "attributes", "sender", "seqno", "timestamp"} \
+            < set(slots)
+        assert any(name.startswith("_") for name in slots)
+        for event in self.both():
+            for name in slots:
+                with pytest.raises(AttributeError):
+                    setattr(event, name, None)
+            with pytest.raises(AttributeError):
+                event.brand_new = 1
+            with pytest.raises(AttributeError):
+                event.__class__ = object
+
+    def test_attribute_map_is_readonly_either_way(self):
+        for event in self.both():
+            with pytest.raises(TypeError):
+                event.attributes["hr"] = 0
+
+    def test_attrs_view_is_cached(self):
+        for event in self.both():
+            view = event.attrs_view()
+            assert view == {"type": "health.hr", **self.ATTRS}
+            assert event.attrs_view() is view
+
+    def test_no_instance_dict(self):
+        for event in self.both():
+            assert not hasattr(event, "__dict__")
+
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(type=""), "event type must be non-empty"),
+        (dict(seqno=-1), "event seqno must be >= 0, got -1"),
+        (dict(attributes={"type": "spoofed"}),
+         "attribute name 'type' is reserved for the event type"),
+        (dict(attributes={"": 1}), "bad attribute name: ''"),
+        (dict(attributes={7: 1}), "bad attribute name: 7"),
+        (dict(attributes={"x": [1, 2]}),
+         "attribute 'x' has unsupported type list"),
+        (dict(attributes={"x": None}),
+         "attribute 'x' has unsupported type NoneType"),
+    ])
+    def test_constructor_errors_are_the_parents(self, overrides, message):
+        with pytest.raises(BusError) as raised:
+            make_event(**overrides)
+        assert str(raised.value) == message
+
+    def test_value_subclasses_accepted_as_before(self):
+        import enum
+
+        class Level(enum.IntEnum):
+            HIGH = 3
+
+        class Tag(str):
+            pass
+
+        event = make_event(attributes={"level": Level.HIGH, "tag": Tag("x")})
+        assert event.attributes["level"] is Level.HIGH
+        decoded, _ = decode_event(encode_event(event))
+        assert decoded.attributes == {"level": 3, "tag": "x"}
+        assert type(decoded.attributes["level"]) is int
+
+    def test_positional_and_keyword_construction(self):
+        positional = Event("health.hr", {"hr": 1}, SENDER, 7, 1.5)
+        keyword = Event(type="health.hr", attributes={"hr": 1},
+                        sender=SENDER, seqno=7, timestamp=1.5)
+        assert positional == keyword
+        with pytest.raises(TypeError):
+            Event("health.hr", {"hr": 1}, SENDER, 7)
+
+
 class TestManagementEvents:
     def test_new_member_event(self):
         member = ServiceId(0xABCDEF)
