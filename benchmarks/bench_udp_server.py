@@ -4,8 +4,8 @@ Unlike the simulation benchmarks, this one runs on the wall clock and
 real loopback UDP — it is the measurement the paper's prototype chapter
 describes, scaled to the deployment layer: N devices (each with its own
 socket) join a :class:`~repro.deploy.server.CellServer` by rendezvous,
-publish vitals through the bus, survive a silence/recovery cycle, and
-leave.  Assertions are deliberately conservative (loopback on a loaded
+publish vitals through the bus, survive a silence/recovery cycle and a
+purge-and-rejoin, and leave.  Assertions are deliberately conservative (loopback on a loaded
 CI box), but the membership count and the throughput floor are hard:
 the deployment layer must sustain at least 100 concurrent members
 through the full discovery lifecycle.
@@ -21,7 +21,7 @@ import time
 import pytest
 
 from repro.deploy import CellServer, ServerConfig, make_devices, read_healthz
-from repro.discovery.membership import MemberState
+from repro.discovery.lifecycle import LifecycleState
 from repro.matching.filters import Filter
 from repro.smc.cell import CellConfig
 from repro.transport.udp import TURN_DATAGRAMS
@@ -114,20 +114,41 @@ def test_hundred_clients_full_lifecycle(server, benchmark):
         assert snapshot["bus"]["matched"] >= published
         assert snapshot["edge"]["capacity_rejections"] == 0
 
-        # -- silence -> SILENT -> recovery --------------------------------
+        # -- silence -> DEGRADED -> recovery ------------------------------
         quiet = devices[0]
         quiet.agent._cancel_timers()           # mute heartbeats only
         table = server.cell.discovery.table
         assert pump(server,
                     lambda: (record := table.get(quiet.service_id)) is not None
-                    and record.state is MemberState.SILENT,
-                    10.0), "muted device never went SILENT"
+                    and record.lifecycle is LifecycleState.DEGRADED,
+                    10.0), "muted device never went DEGRADED"
         quiet.agent._start_heartbeats(0.2)     # resume before purge
         assert pump(server,
                     lambda: (record := table.get(quiet.service_id)) is not None
-                    and record.state is MemberState.ACTIVE,
+                    and record.lifecycle is LifecycleState.HEALTHY,
                     10.0), "silent device never recovered"
         assert server.cell.discovery.stats.recoveries >= 1
+
+        # -- purge -> rejoin: a new session that works --------------------
+        returner = devices[2]
+        returner.freeze()                      # stalls past purge_after_s
+        assert pump(server, lambda: table.get(returner.service_id) is None,
+                    15.0), "stalled device never purged"
+        returner.thaw()
+        returner.leave()                       # forget the dead session
+        returner.start()                       # ... and re-announce
+        assert pump(server, lambda: returner.joined
+                    and server.cell.bus.is_member(returner.service_id),
+                    10.0), "purged device never rejoined"
+        assert returner.agent.last_join_was_new
+        delivered = len(got)
+        returner.publish("vitals.hr", {"hr": 150.0, "patient": returner.name})
+        assert pump(server, lambda: len(got) == delivered + 1, 10.0), \
+            "publish after the rejoin was never delivered"
+        proxy = server.cell.bus.proxy_of(returner.service_id)
+        assert proxy.stats.events_published == 1
+        assert server.cell.endpoint.existing_channel(
+            returner.transport.local_address).stats.out_of_order == 0
 
         # -- polite drain: LEAVE all, then one purge by timeout -----------
         straggler = devices[1]
@@ -137,7 +158,8 @@ def test_hundred_clients_full_lifecycle(server, benchmark):
                 device.leave()
         assert pump(server, lambda: len(table) == 0, 30.0), (
             f"{len(table)} members remain after drain")
-        assert server.cell.discovery.stats.purges == len(all_devices)
+        # Every device once, and the returner's first session.
+        assert server.cell.discovery.stats.purges == len(all_devices) + 1
         assert server.cell.discovery.stats.leaves == len(all_devices) - 1
 
         benchmark.extra_info["clients"] = len(all_devices)

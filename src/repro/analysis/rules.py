@@ -20,10 +20,11 @@ RL003       zero-copy hot path: no ``bytes()`` materialisation, byte
             ``+``-concatenation or byte-join off the send boundary in the
             wire/packet/bus dispatch modules (PR 5's copy-per-layer bug
             class); ``encode*`` functions are the designated join points.
-RL004       codec symmetry: every ``encode_X`` has ``write_X`` and
-            ``decode_X`` siblings, and every BusOp opcode appears in the
-            protocol module's opcode table (drift between the three
-            codec faces is how decoders rot).
+RL004       codec symmetry: every ``write_X`` has a ``decode_X`` sibling
+            (``encode_X`` is derived from the writer, so it cannot
+            drift), and every BusOp opcode appears in the protocol
+            module's opcode table (drift between the codec faces is how
+            decoders rot).
 RL005       fork safety: no pickle import reachable from the worker-pool
             hot path, and every socket created in the deployment layer is
             ``set_inheritable(False)`` (PR 7's spawn-clean worker rules).
@@ -333,32 +334,31 @@ _OPCODE_TABLES = (("core/protocol.py", "BusOp"),
 
 
 class CodecSymmetryRule(Rule):
-    """RL004: encode_X implies write_X + decode_X, opcodes stay documented."""
+    """RL004: write_X implies decode_X, opcodes stay documented."""
 
     rule_id = "RL004"
-    title = "codec symmetry (encode/write/decode triples, opcode table)"
+    title = "codec symmetry (write/decode pairs, opcode table)"
 
     def check_module(self, module: ModuleInfo) -> Iterator[Finding]:
         if matches_any(module.rel, _RL004_SCOPE):
-            yield from self._check_triples(module)
+            yield from self._check_pairs(module)
         for pattern, class_name in _OPCODE_TABLES:
             if matches_any(module.rel, (pattern,)):
                 yield from self._check_opcode_table(module, class_name)
 
-    def _check_triples(self, module: ModuleInfo) -> Iterator[Finding]:
+    def _check_pairs(self, module: ModuleInfo) -> Iterator[Finding]:
         functions = {node.name: node for node in module.tree.body
                      if isinstance(node, ast.FunctionDef)}
         for name, node in functions.items():
-            if not name.startswith("encode_"):
+            if not name.startswith("write_"):
                 continue
-            stem = name[len("encode_"):]
-            for sibling in (f"write_{stem}", f"decode_{stem}"):
-                if sibling not in functions:
-                    yield self.finding(
-                        module, node,
-                        f"{name} has no {sibling} sibling; the wire codec "
-                        f"keeps encode/write/decode triples in lockstep "
-                        f"(zero-copy writers, symmetric decoders)")
+            sibling = f"decode_{name[len('write_'):]}"
+            if sibling not in functions:
+                yield self.finding(
+                    module, node,
+                    f"{name} has no {sibling} sibling; the wire codec "
+                    f"keeps every zero-copy writer in lockstep with a "
+                    f"symmetric decoder")
 
     def _check_opcode_table(self, module: ModuleInfo,
                             class_name: str) -> Iterator[Finding]:

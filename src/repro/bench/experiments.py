@@ -750,7 +750,6 @@ def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
     def build(sim, hub, heartbeat_s, **config):
         defaults = dict(cell_name="lifecycle", beacon_period_s=heartbeat_s,
                         heartbeat_period_s=heartbeat_s,
-                        silent_after_s=3.0 * heartbeat_s,
                         purge_after_s=10.0 * heartbeat_s,
                         sweep_period_s=heartbeat_s / 10.0)
         defaults.update(config)
@@ -795,10 +794,8 @@ def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
     subscriber = agent(sim, hub, "sub")
     pub_client = BusClient(publisher.endpoint, sim, None)
     sub_client = BusClient(subscriber.endpoint, sim, None)
-    publisher.on_joined = lambda _c, addr: setattr(
-        pub_client, "bus_address", addr)
-    subscriber.on_joined = lambda _c, addr: setattr(
-        sub_client, "bus_address", addr)
+    publisher.client = pub_client
+    subscriber.client = sub_client
     drained_at: dict[str, float] = {}
     bus.subscribe_local(Filter.where(PURGE_MEMBER_TYPE),
                         lambda e: drained_at.setdefault("purged", sim.now()))

@@ -190,11 +190,7 @@ def _attach_service(network: SimNetwork, sim: Simulator, host: SimHost,
     agent = DiscoveryAgent(endpoint, sim, AgentConfig(
         name=service_name, device_type="service",
         target_cell="paper-testbed", beacon_timeout_s=120.0))
-
-    def joined(_cell_name: str, core_address) -> None:
-        client.bus_address = core_address
-
-    agent.on_joined = joined
+    agent.client = client
     agent.start()
     return client, agent
 

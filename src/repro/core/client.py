@@ -179,12 +179,16 @@ class BusClient:
         self._require_connected()
         filter_tuple = tuple(filters)
         sub_id = next(self._next_sub_id)
+        self._send_subscribe(sub_id, filter_tuple)
+        self._subscriptions[sub_id] = (filter_tuple, callback)
+        return sub_id
+
+    def _send_subscribe(self, sub_id: int,
+                        filter_tuple: tuple[Filter, ...]) -> None:
         subscription = Subscription(sub_id, self.service_id, filter_tuple)
         self.endpoint.send_reliable(
             self.bus_address,
             protocol.frame(BusOp.SUBSCRIBE, encode_subscription(subscription)))
-        self._subscriptions[sub_id] = (filter_tuple, callback)
-        return sub_id
 
     def unsubscribe(self, sub_id: int) -> None:
         if sub_id not in self._subscriptions:
@@ -201,11 +205,7 @@ class BusClient:
         """Re-issue every live subscription (after a purge-and-rejoin)."""
         self._require_connected()
         for sub_id, (filter_tuple, _cb) in self._subscriptions.items():
-            subscription = Subscription(sub_id, self.service_id, filter_tuple)
-            self.endpoint.send_reliable(
-                self.bus_address,
-                protocol.frame(BusOp.SUBSCRIBE,
-                               encode_subscription(subscription)))
+            self._send_subscribe(sub_id, filter_tuple)
 
     def _require_connected(self) -> None:
         if self.bus_address is None:
@@ -214,39 +214,32 @@ class BusClient:
     # -- inbound ------------------------------------------------------------
 
     def _on_payload(self, peer: ServiceId, payload: bytes) -> None:
+        """One ordered payload from the core, frame by frame
+        (:func:`~repro.core.protocol.walk` states the BATCH policy)."""
+        stats = self.stats
         try:
-            op, body = protocol.unframe(payload)
+            batched, frames, bad = protocol.walk(payload)
         except CodecError:
-            self.stats.malformed += 1
+            stats.malformed += 1
             return
-        if op == BusOp.DELIVER:
-            self._on_deliver(body)
-        elif op == BusOp.BATCH:
-            try:
-                frames = protocol.parse_batch(body)
-            except CodecError:
-                self.stats.malformed += 1
-                return
-            self.stats.batches_received += 1
-            for framed in frames:
-                if len(framed) and framed[0] == BusOp.BATCH:
-                    self.stats.malformed += 1     # batches never nest
-                    continue
-                self._on_payload(peer, framed)
-        elif op == BusOp.QUENCH:
-            try:
-                state = protocol.parse_quench(body)
-            except CodecError:
-                self.stats.malformed += 1
-                return
-            self._set_quenched(state)
-        elif op == BusOp.DEVICE_CMD:
-            if self.on_command is not None:
-                # Command callbacks parse device byte-protocols and may
-                # hold the bytes; the view must not escape.
-                self.on_command(wire.as_bytes(body))
-        else:
-            self.stats.malformed += 1
+        if batched:
+            stats.batches_received += 1
+            stats.malformed += bad
+        for op, body in frames:
+            if op == BusOp.DELIVER:
+                self._on_deliver(body)
+            elif op == BusOp.QUENCH:
+                try:
+                    self._set_quenched(protocol.parse_quench(body))
+                except CodecError:
+                    stats.malformed += 1
+            elif op == BusOp.DEVICE_CMD:
+                if self.on_command is not None:
+                    # Command callbacks parse device byte-protocols and may
+                    # hold the bytes; the view must not escape.
+                    self.on_command(wire.as_bytes(body))
+            else:
+                stats.malformed += 1
 
     def _on_deliver(self, body: bytes) -> None:
         self.meter.charge_copy(INBOUND_COPIES * len(body))

@@ -34,15 +34,11 @@ from repro.transport.wire import Value
 NEW_MEMBER_TYPE = "smc.member.new"
 #: Discovery declares a device gone; proxies self-destruct on this.
 PURGE_MEMBER_TYPE = "smc.member.purge"
-#: A member fell silent but is still masked (transient disconnection).
-MEMBER_SILENT_TYPE = "smc.member.silent"
-#: A silent member was heard from again before the purge timeout.
-MEMBER_RECOVERED_TYPE = "smc.member.recovered"
 #: A member re-announced (or heartbeated) from a new transport address:
 #: it roamed.  Queued deliveries were migrated to the new address.
 MEMBER_MOVED_TYPE = "smc.member.moved"
-#: A member's health lifecycle changed (joining/healthy/degraded/draining/
-#: gone) or it re-declared its capacity.  Attributes: ``member``, ``name``,
+#: A member's state changed (joining/healthy/degraded/draining/gone) or
+#: it re-declared its capacity.  Attributes: ``member``, ``name``,
 #: ``state``, ``previous``, ``capacity`` and optionally ``reason``.
 MEMBER_STATE_TYPE = "smc.member.state"
 #: Prefix for management command events the policy service emits.
@@ -191,11 +187,7 @@ def write_event(out: list[bytes], event: Event) -> None:
     wire.write_attr_map(out, event.attributes)
 
 
-def encode_event(event: Event) -> bytes:
-    """Serialise an event for the wire."""
-    out: list[bytes] = []
-    write_event(out, event)
-    return b"".join(out)
+encode_event = wire.encoder(write_event)
 
 
 def decode_event(buf: wire.Buffer, offset: int = 0) -> tuple[Event, int]:

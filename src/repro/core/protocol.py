@@ -21,8 +21,17 @@ BATCH            length-prefixed list of framed payloads (batch pipeline)
 
 A BATCH payload amortises per-packet overhead: a publisher coalesces many
 PUBLISH frames into one reliable payload, and a proxy flushes one DELIVER
-batch per scheduling round instead of one packet per event.  Batches never
-nest — a BATCH frame inside a BATCH body is malformed.
+batch per scheduling round instead of one packet per event.
+
+Every receiver — proxy, client, dumb device — reads a payload through
+:func:`walk`, the only code that turns one into ``(op, body)`` frames, so
+the BATCH policy is stated once, here.  An undecodable envelope (empty
+payload, unknown opcode, truncated / trailing / oversized frame list)
+raises :class:`~repro.errors.CodecError`: one malformed payload.  Inside
+a BATCH an empty frame, an unknown opcode or a nested BATCH (batches never
+nest) is one bad frame, counted for the caller and skipped — the channel
+acknowledged the whole payload, so the good frames around it must not be
+lost.  Every other frame is handed over in arrival order.
 
 Zero-copy framing: the ``*_parts`` builders return chunk lists instead of
 joined bytes, so the encode → frame → batch stack copies nothing until
@@ -172,6 +181,30 @@ def parse_batch(body: wire.Buffer) -> list[wire.Buffer]:
     return frames
 
 
+def walk(payload: wire.Buffer
+         ) -> tuple[bool, list[tuple[BusOp, wire.Buffer]], int]:
+    """One ordered payload as ``(batched, frames, bad)``.
+
+    ``frames`` are the ``(op, body)`` pairs to handle, in arrival order,
+    with exactly one BATCH level flattened; ``bad`` counts the frames the
+    module's BATCH policy skipped; ``batched`` says whether the payload
+    was a BATCH.  Raises :class:`CodecError` for an undecodable envelope.
+    Bodies are slices of ``payload`` (see :func:`unframe`).
+    """
+    op, body = unframe(payload)
+    if op is not BusOp.BATCH:
+        return False, [(op, body)], 0
+    frames = []
+    bad = 0
+    for framed in parse_batch(body):
+        op = _OP_FROM_BYTE.get(framed[0]) if len(framed) else None
+        if op is None or op is BusOp.BATCH:
+            bad += 1
+        else:
+            frames.append((op, framed[1:]))
+    return True, frames, bad
+
+
 def _frame_chunks(framed: Frame) -> tuple[list[bytes] | tuple[bytes, ...], int]:
     """Normalise one frame to (chunks, wire size)."""
     if isinstance(framed, (bytes, bytearray, memoryview)):
@@ -240,9 +273,12 @@ def count_publications(payload: wire.Buffer) -> int:
 
     Used for publication accounting on payloads that are dropped before
     they reach the bus (e.g. traffic from non-members): the bus counts
-    every publication *attempt*, even rejected ones.  Counts opcodes from
-    a single varint walk over the batch body — no frame is materialised
-    or copied on this reject path.
+    every publication *attempt*, even rejected ones.  Equal to the number
+    of PUBLISH frames :func:`walk` hands over (0 where it raises), but
+    counted from a single varint walk over the batch body: this is the
+    path anyone can reach without being a member, and on a hostile
+    ``MAX_FRAMES``-frame batch a count over :func:`walk`, which slices
+    two views per frame, measured 3.4x slower (82 ms against 24 ms).
     """
     if not len(payload):
         return 0

@@ -255,27 +255,46 @@ class Proxy:
     # -- endpoint-facing interface ----------------------------------------
 
     def on_payload(self, payload: bytes) -> None:
-        """Handle one ordered payload from the member's channel."""
+        """Handle one ordered payload from the member's channel, frame
+        by frame (:func:`~repro.core.protocol.walk` states the BATCH
+        policy): each run of PUBLISH frames enters the bus as one batch,
+        and a frame whose body does not decode is counted and skipped
+        like the walk's bad frames, never the rest of the payload."""
         if self._destroyed:
             return
+        stats = self.stats
         try:
-            op, body = protocol.unframe(payload)
+            batched, frames, bad = protocol.walk(payload)
         except CodecError:
-            self.stats.malformed_payloads += 1
+            stats.malformed_payloads += 1
             return
-        try:
-            self._dispatch(op, body)
-        except (CodecError, BusError):
-            self.stats.malformed_payloads += 1
+        if batched:
+            stats.batches_received += 1
+            stats.malformed_payloads += bad
+        pending: list[Event] = []
+        for op, body in frames:
+            try:
+                if op == BusOp.PUBLISH:
+                    event, end = decode_event(body)
+                    if end != len(body):
+                        raise CodecError("trailing bytes after event")
+                    pending.append(event)
+                    continue
+                if pending:
+                    self._publish_events(pending)
+                    pending = []
+                self._dispatch(op, body)
+            except (CodecError, BusError):
+                stats.malformed_payloads += 1
+        if pending:
+            self._publish_events(pending)
 
     def _dispatch(self, op: BusOp, body: bytes) -> None:
-        if op == BusOp.PUBLISH:
-            event, end = decode_event(body)
+        """One frame that is not a PUBLISH."""
+        if op == BusOp.SUBSCRIBE:
+            subscription, end = decode_subscription(body)
             if end != len(body):
-                raise CodecError("trailing bytes after event")
-            self.publish_for_member(event)
-        elif op == BusOp.SUBSCRIBE:
-            subscription, _ = decode_subscription(body)
+                raise CodecError("trailing bytes after subscription")
             self._subscribe_for_member(subscription)
         elif op == BusOp.UNSUBSCRIBE:
             client_sub_id = protocol.parse_unsubscribe(body)
@@ -287,61 +306,13 @@ class Proxy:
             # real bytes; the view must not escape the decode path.
             self.on_device_data(wire.as_bytes(body))
         elif op == BusOp.ADVERTISE:
-            filt, _ = decode_filter(body)
+            filt, end = decode_filter(body)
+            if end != len(body):
+                raise CodecError("trailing bytes after advertised filter")
             if self.bus.quench is not None:
                 self.bus.quench.register_advertisement(self.member_id, filt)
-        elif op == BusOp.BATCH:
-            self._dispatch_batch(body)
         else:
             self.stats.malformed_payloads += 1
-
-    def _dispatch_batch(self, body: bytes) -> None:
-        """Unpack one BATCH payload, feeding runs of PUBLISH frames to the
-        bus's batch pipeline and other opcodes to their per-frame handlers
-        in arrival order.
-
-        A bad frame (nested batch, undecodable body) is counted and
-        skipped without discarding the rest of the batch — the same
-        skip-and-continue policy :class:`~repro.core.client.BusClient`
-        applies to inbound batches, so a partially-bad batch over the
-        already-acknowledged channel never silently drops good events.
-        """
-        frames = protocol.parse_batch(body)
-        self.stats.batches_received += 1
-        pending: list[Event] = []
-        for framed in frames:
-            try:
-                sub_op, sub_body = protocol.unframe(framed)
-                if sub_op == BusOp.BATCH:
-                    raise CodecError("nested BATCH frame")
-                if sub_op == BusOp.PUBLISH:
-                    event, end = decode_event(sub_body)
-                    if end != len(sub_body):
-                        raise CodecError("trailing bytes after event")
-                    pending.append(event)
-                    continue
-                if pending:
-                    self.publish_for_member_batch(pending)
-                    pending = []
-                self._dispatch(sub_op, sub_body)
-            except (CodecError, BusError):
-                self.stats.malformed_payloads += 1
-        if pending:
-            self.publish_for_member_batch(pending)
-
-    def publish_for_member(self, event: Event) -> None:
-        """Push a member-originated event into the bus.
-
-        "The proxy then deals with internal communication of the event to
-        the event bus" — acknowledgement to the publisher happened at the
-        channel layer when the payload was accepted.
-        """
-        self._publish_events((event,))
-
-    def publish_for_member_batch(self, events: Sequence[Event]) -> None:
-        """Push a member-originated run of events into the bus in one
-        call."""
-        self._publish_events(events)
 
     def _publish_events(self, events: Sequence[Event]) -> None:
         """The one way member publications enter the bus: PUBLISH frames,
@@ -349,7 +320,9 @@ class Proxy:
         the bus's turn queue, published as one batch when this endpoint's
         receive turn ends (:meth:`EventBus.publish_at_turn_end`) — or
         sooner, if something that must come after them reaches the bus
-        first (a SUBSCRIBE later in the same BATCH, say)."""
+        first (a SUBSCRIBE later in the same BATCH, say).  The publisher
+        was acknowledged at the channel layer when the payload was
+        accepted."""
         self.stats.events_published += len(events)
         self.bus.publish_at_turn_end(events, self.endpoint.transport)
 

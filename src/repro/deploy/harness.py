@@ -1,8 +1,9 @@
 """Client-side harness for deployed cells: one device on real sockets.
 
 A :class:`LoopbackDevice` is the device half of deployment mode — the
-stack a real sensor or PDA application would run (UdpTransport →
-PacketEndpoint → DiscoveryAgent + BusClient), assembled onto the same
+stack a real sensor or PDA application would run, a
+:class:`~repro.devices.base.SmartDevice` (PacketEndpoint → DiscoveryAgent
++ BusClient) on its own UdpTransport, assembled onto the same
 :class:`~repro.sim.kernel.RealtimeScheduler` so one selector loop drives
 any number of devices alongside (or across the loopback from) a
 :class:`~repro.deploy.server.CellServer`.
@@ -10,8 +11,9 @@ any number of devices alongside (or across the loopback from) a
 Devices join by rendezvous (:meth:`~repro.discovery.agent.DiscoveryAgent.
 announce_to` at the server's unicast address) because loopback has no
 broadcast domain; once admitted, the server's directed beacons keep the
-agent's out-of-range watchdog fed, and the BusClient is pointed at the
-core automatically on JOIN_ACK.
+agent's out-of-range watchdog fed.  A device the cell purged (silent too
+long) hears no more beacons, notices, and rejoins on the next
+:meth:`~LoopbackDevice.start` — as a new session, like any SmartDevice.
 
 This is what the localhost benchmark and the CI smoke job drive by the
 hundred.
@@ -21,9 +23,9 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.core.client import BusClient
 from repro.core.events import Event
-from repro.discovery.agent import AgentConfig, DiscoveryAgent
+from repro.devices.base import SmartDevice
+from repro.discovery.agent import AgentConfig
 from repro.matching.filters import Filter
 from repro.sim.kernel import RealtimeScheduler
 from repro.transport.base import Address
@@ -31,7 +33,7 @@ from repro.transport.endpoint import PacketEndpoint
 from repro.transport.udp import UdpTransport
 
 
-class LoopbackDevice:
+class LoopbackDevice(SmartDevice):
     """One device-side stack on real UDP, joined by rendezvous."""
 
     def __init__(self, scheduler: RealtimeScheduler, core_address: Address,
@@ -39,18 +41,16 @@ class LoopbackDevice:
                  window: int | None = None, batch: int = 0) -> None:
         if batch < 0:
             raise ValueError(f"batch must be >= 0, got {batch}")
-        self.scheduler = scheduler
-        self.core_address = core_address
+        #: Where to announce: the cell core's unicast address.
+        self.rendezvous = core_address
         # Devices never bind the discovery port — beacons arrive directed
         # at the unicast socket.
         self.transport = UdpTransport(bind_host=bind_host,
                                       listen_for_broadcast=False)
         endpoint_kwargs = {} if window is None else {"window": window}
-        self.endpoint = PacketEndpoint(self.transport, scheduler,
-                                       **endpoint_kwargs)
-        self.agent = DiscoveryAgent(self.endpoint, scheduler, config)
-        self.client = BusClient(self.endpoint, scheduler, bus_address=None)
-        self.agent.on_joined = self._on_joined
+        super().__init__(PacketEndpoint(self.transport, scheduler,
+                                        **endpoint_kwargs),
+                         scheduler, config)
         self._registered = False
         #: Publishes buffered per flush; 0 sends each publish immediately.
         #: Buffered publishes ride one BATCH frame via
@@ -60,23 +60,28 @@ class LoopbackDevice:
         self.batch = batch
         self._buffer: list[tuple[str, dict | None]] = []
 
-    def _on_joined(self, _cell_name: str, core_address: Address) -> None:
-        self.client.bus_address = core_address
-
     # -- lifecycle -----------------------------------------------------------
+
+    def _listen(self, listening: bool) -> None:
+        """Put the socket on (or take it off) the scheduler's selector."""
+        if listening == self._registered:
+            return
+        self._registered = listening
+        if listening:
+            self.scheduler.register_pollables(self.transport.pollables())
+        else:
+            for pollable in self.transport.pollables():
+                self.scheduler.unregister_pollable(pollable)
 
     def start(self) -> None:
         """Register the socket and announce at the rendezvous address."""
-        if not self._registered:
-            self.scheduler.register_pollables(self.transport.pollables())
-            self._registered = True
-        self.agent.announce_to(self.core_address)
+        self._listen(True)
+        self.agent.announce_to(self.rendezvous)
 
     def leave(self) -> None:
         """Politely LEAVE the cell (the agent stays constructed)."""
         self.flush()
-        self.agent.stop()
-        self.client.bus_address = None
+        self.stop()
 
     def leave_gracefully(self, reason: str = "drain") -> None:
         """Send LEAVE_INTENT and let the cell drain our queue.
@@ -88,12 +93,8 @@ class LoopbackDevice:
         self.agent.leave_gracefully(reason)
 
     def close(self) -> None:
-        self.flush()
-        self.agent.stop()
-        if self._registered:
-            for pollable in self.transport.pollables():
-                self.scheduler.unregister_pollable(pollable)
-            self._registered = False
+        self.leave()
+        self._listen(False)
         self.transport.close()
 
     # -- fault-injection hooks ----------------------------------------------
@@ -105,40 +106,23 @@ class LoopbackDevice:
         needs to prove the DEGRADED detection and purge paths.  The agent
         object survives (for inspecting its stats) but is stopped.
         """
-        if self._registered:
-            for pollable in self.transport.pollables():
-                self.scheduler.unregister_pollable(pollable)
-            self._registered = False
-        self.agent.freeze()          # no LEAVE, no further heartbeats
+        self.freeze()                # no LEAVE, no further heartbeats
         self.transport.close()
         self.client.bus_address = None
 
     def freeze(self) -> None:
         """Simulate a process stall: stop reading the socket and stop all
         agent timers, but keep every resource for :meth:`thaw`."""
-        if self._registered:
-            for pollable in self.transport.pollables():
-                self.scheduler.unregister_pollable(pollable)
-            self._registered = False
+        self._listen(False)
         self.agent.freeze()
 
     def thaw(self) -> None:
         """Resume after :meth:`freeze`: re-register the socket, restart
         the agent's timers."""
-        if not self._registered:
-            self.scheduler.register_pollables(self.transport.pollables())
-            self._registered = True
+        self._listen(True)
         self.agent.thaw()
 
     # -- conveniences --------------------------------------------------------
-
-    @property
-    def joined(self) -> bool:
-        return self.agent.joined
-
-    @property
-    def name(self) -> str:
-        return self.agent.config.name
 
     @property
     def service_id(self) -> int:

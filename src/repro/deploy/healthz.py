@@ -33,9 +33,10 @@ snapshot` produces)::
         name            announced device name
         device_type     announced device type
         address         current "host:port" (follows roams)
-        state           masking state: "active" | "silent"
-        lifecycle       health state: "joining" | "healthy" |
-                        "degraded" | "draining"
+        lifecycle       the member's one state, the masking *and*
+                        health signal: "joining" | "healthy" |
+                        "degraded" (silent past silent_after_s; proxy
+                        and queue survive until purge) | "draining"
         capacity        declared inbound event capacity (0 = undeclared)
         silence_s       seconds since last heard
     bus               BusStats (published, matched, delivered_local,

@@ -280,7 +280,6 @@ class CellServer:
             "name": record.name,
             "device_type": record.device_type,
             "address": format_address(record.address),
-            "state": record.state.value,
             "lifecycle": record.lifecycle.value,
             "capacity": record.capacity,
             "silence_s": round(record.silence(now), 3),

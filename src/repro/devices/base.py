@@ -49,37 +49,29 @@ class Device:
         self.agent = DiscoveryAgent(endpoint, scheduler, agent_config)
         self.agent.on_joined = self._joined
         self.agent.on_left = self._left
-        self.core_address: Address | None = None
-        self.cell_name: str | None = None
 
     def start(self) -> None:
         self.agent.start()
 
     def stop(self) -> None:
         self.agent.stop()
-        self.core_address = None
-        self.cell_name = None
 
     @property
     def joined(self) -> bool:
         return self.agent.joined
 
+    @property
+    def core_address(self) -> Address | None:
+        """The cell core's address, as the agent knows it."""
+        return self.agent.core_address
+
     # -- membership hooks -------------------------------------------------
 
-    def _joined(self, cell_name: str, core_address: Address) -> None:
-        if self.agent.last_join_was_new:
-            # A new membership session: any channel state left over from a
-            # previous session with this core is stale (the cell built a
-            # fresh proxy and a fresh channel for us).
-            self.endpoint.reset_channel_to(core_address)
-        self.cell_name = cell_name
-        self.core_address = core_address
+    def _joined(self, _cell_name: str, _core_address: Address) -> None:
         self.stats.joins += 1
         self.on_joined()
 
     def _left(self, reason: str) -> None:
-        self.core_address = None
-        self.cell_name = None
         self.stats.losses += 1
         self.on_left(reason)
 
@@ -159,27 +151,19 @@ class RawSensorDevice(Device):
     # -- inbound ------------------------------------------------------------
 
     def _on_payload(self, peer, payload: bytes) -> None:
+        """Obey every DEVICE_CMD frame of one payload: the proxy
+        coalesces two or more commands into a BATCH like any other
+        proxy's (:func:`~repro.core.protocol.walk` states the policy)."""
         try:
-            op, body = bus_protocol.unframe(payload)
+            _batched, frames, _bad = bus_protocol.walk(payload)
         except CodecError:
             return
-        if op == BusOp.DEVICE_CMD:
-            self.stats.commands_received += 1
-            # Device protocol parsers expect real bytes; the zero-copy
-            # decode path hands up memoryview slices.
-            self.handle_command(wire.as_bytes(body))
-        elif op == BusOp.BATCH:
-            # The proxy coalesces a slice of two or more commands into
-            # BATCH payloads like any other proxy's.  A bad frame is
-            # skipped, not the batch: the channel acknowledged all of it.
-            try:
-                frames = bus_protocol.parse_batch(body)
-            except CodecError:
-                return
-            for framed in frames:
-                if len(framed) and framed[0] == BusOp.BATCH:
-                    continue                # batches never nest
-                self._on_payload(peer, framed)
+        for op, body in frames:
+            if op == BusOp.DEVICE_CMD:
+                self.stats.commands_received += 1
+                # Device protocol parsers expect real bytes; the zero-copy
+                # decode path hands up memoryview slices.
+                self.handle_command(wire.as_bytes(body))
 
 
 class SmartDevice(Device):
@@ -188,33 +172,24 @@ class SmartDevice(Device):
     One client lives for the whole device lifetime: its sequence counter
     must survive transient disconnections, because the cell masks those
     (the member was never purged, so the bus's duplicate-suppression
-    watermark for this sender is still in force).  Only the bus address is
-    refreshed on each join.
+    watermark for this sender is still in force).  The agent keeps it
+    pointed at the core: address on every join, channel reset and
+    subscriptions re-issued when the join opened a new session
+    (:meth:`~repro.discovery.agent.DiscoveryAgent._open_session`).
     """
 
     def __init__(self, endpoint: PacketEndpoint, scheduler: Scheduler,
                  agent_config: AgentConfig) -> None:
         super().__init__(endpoint, scheduler, agent_config)
         self.client = BusClient(endpoint, scheduler, bus_address=None)
-        self._ever_connected = False
+        self.agent.client = self.client
 
     def on_joined(self) -> None:
-        rejoined = self._ever_connected
-        self._ever_connected = True
-        self.client.bus_address = self.core_address
-        if rejoined and self.agent.last_join_was_new:
-            # We were purged and re-admitted: the new proxy has no
-            # subscription table, so put our subscriptions back.
-            self.client.resubscribe_all()
-        self.on_connected(self.client, rejoined=rejoined)
-
-    def on_left(self, reason: str) -> None:
-        self.client.bus_address = None
+        self.on_connected(self.client, rejoined=self.stats.joins > 1)
 
     def on_connected(self, client: BusClient, *, rejoined: bool) -> None:
         """Subclass hook: the bus client is ready (subscribe/publish here).
 
         ``rejoined`` is True when this is a re-connection after a transient
-        loss; subscriptions may need re-issuing if the member was purged in
-        the meantime.
+        loss; the subscriptions made before it are already back in place.
         """

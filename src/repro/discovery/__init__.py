@@ -13,7 +13,7 @@ repetition, not retransmission).  Its *outputs*, though, are bus events:
 devices via 'New Member' and 'Purge Member' events".
 
 The protocol masks transient disconnections: a member that falls silent is
-marked SILENT (and masked) until the purge timeout expires — "a nurse
+marked DEGRADED (and masked) until the purge timeout expires — "a nurse
 leaves the room for a short period of time before returning" must not
 destroy her proxy and its queued events.
 """
@@ -25,7 +25,7 @@ from repro.discovery.auth import (
     DeviceTypeAllowList,
     SharedSecretAuthenticator,
 )
-from repro.discovery.membership import MemberRecord, MembershipTable, MemberState
+from repro.discovery.membership import MemberRecord, MembershipTable
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
 
 __all__ = [
@@ -36,7 +36,6 @@ __all__ = [
     "AgentState",
     "MembershipTable",
     "MemberRecord",
-    "MemberState",
     "Authenticator",
     "AllowAllAuthenticator",
     "SharedSecretAuthenticator",

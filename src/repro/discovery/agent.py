@@ -27,7 +27,7 @@ import enum
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.discovery.messages import (
     AnnounceBody,
@@ -43,6 +43,9 @@ from repro.sim.kernel import Scheduler
 from repro.transport.base import Address
 from repro.transport.endpoint import PacketEndpoint
 from repro.transport.packets import Packet, PacketType
+
+if TYPE_CHECKING:
+    from repro.core.client import BusClient
 
 
 class AgentState(enum.Enum):
@@ -113,7 +116,12 @@ class DiscoveryAgent:
         self.stats = AgentStats()
         self.cell_name: str | None = None
         self.core_address: Address | None = None
-        #: Invoked as ``on_joined(cell_name, core_address)``.
+        #: The device's bus client, if it runs one.  It follows the
+        #: membership: pointed at the core on every join (see
+        #: :meth:`_open_session`), disconnected when the cell is lost.
+        self.client: BusClient | None = None
+        #: Invoked as ``on_joined(cell_name, core_address)``, after the
+        #: session is open.
         self.on_joined: Callable[[str, Address], None] | None = None
         #: True when the most recent JOIN_ACK opened a *new* membership
         #: session (see JoinAckBody.new_session); read it in on_joined.
@@ -178,8 +186,7 @@ class DiscoveryAgent:
                 pass
         self._cancel_timers()
         self.state = AgentState.STOPPED
-        self.cell_name = None
-        self.core_address = None
+        self._forget_cell()
         self._frozen = False
 
     def leave_gracefully(self, reason: str = "drain") -> None:
@@ -269,8 +276,33 @@ class DiscoveryAgent:
         if first_join:
             self.stats.joins += 1
             self._start_heartbeats(ack.heartbeat_period_s)
+            self._open_session(src, ack.new_session)
             if self.on_joined is not None:
                 self.on_joined(ack.cell_name, src)
+
+    def _open_session(self, core_address: Address, new_session: bool) -> None:
+        """The new-session rule, written once for every device stack.
+
+        ``new_session`` means the cell built a fresh proxy and channel for
+        us (first admission, or purged and re-admitted).  Channel state
+        from an earlier session is stale — its sequence numbers would
+        park every later payload in the core's reorder buffer — and the
+        new proxy has no subscription table, so the client's
+        subscriptions are re-issued.  Otherwise the disconnection was
+        masked: the session continues and only the address is refreshed.
+        """
+        if new_session:
+            self.endpoint.reset_channel_to(core_address)
+        if self.client is not None:
+            self.client.bus_address = core_address
+            if new_session:
+                self.client.resubscribe_all()
+
+    def _forget_cell(self) -> None:
+        self.cell_name = None
+        self.core_address = None
+        if self.client is not None:
+            self.client.bus_address = None
 
     def _on_join_nak(self, nak: JoinNakBody) -> None:
         if self.state != AgentState.ANNOUNCING:
@@ -303,8 +335,7 @@ class DiscoveryAgent:
     def _enter_searching(self) -> None:
         self._cancel_timers()
         self.state = AgentState.SEARCHING
-        self.cell_name = None
-        self.core_address = None
+        self._forget_cell()
         self._last_beacon_at = None
 
     def _enter_announcing(self) -> None:
@@ -372,15 +403,11 @@ class DiscoveryAgent:
         if silence > self.config.beacon_timeout_s:
             was_joined = self.state == AgentState.JOINED
             self.stats.losses += 1
+            # Cancels every timer, this watchdog included: searching needs
+            # none (the next beacon restarts the cycle).
             self._enter_searching()
-            self._start_watchdog_noop()
             if was_joined and self.on_left is not None:
                 self.on_left("beacon silence")
-
-    def _start_watchdog_noop(self) -> None:
-        # _enter_searching cancelled every timer including the watchdog;
-        # searching needs no watchdog (the next beacon restarts the cycle).
-        pass
 
     # -- internals ---------------------------------------------------------
 

@@ -1,26 +1,29 @@
-"""Member health lifecycle.
+"""The member state machine — the only one.
 
-Layered *over* the ACTIVE/SILENT masking machine in
-:mod:`repro.discovery.membership`: masking answers "is the member's state
-still valid?" (the paper's transient-disconnection guarantee), while the
-lifecycle answers "how healthy is this member, operationally?"::
+One enum and one transition table answer both questions the cell asks
+about a member: "is its state still valid?" (the paper's masking of
+transient disconnections) and "how healthy is it?" (healthz,
+backpressure, graceful drain)::
 
-    JOINING --first heartbeat--> HEALTHY <--heard again-- DEGRADED
-       |                            |  \\                    ^ |
-       |                            |   +-- missed 3 x hb --+ |
-       +------- LEAVE_INTENT -------+------------------------ | --+
-       |                                                      |   v
-       +--------------------> GONE <----- purge/deadline -- DRAINING
+    JOINING --heard--> HEALTHY <--heard again-- DEGRADED
+       |                  |  \\                    ^ |
+       |                  |   +-- silent too long -+ |
+       +-- LEAVE_INTENT --+------------------------- | --+
+       |                                             |   v
+       +--------------> GONE <--- purge/deadline -- DRAINING
 
 * ``JOINING``   — admitted, but no heartbeat seen yet.
 * ``HEALTHY``   — heartbeating within its contract.
-* ``DEGRADED``  — missed roughly three heartbeat intervals.  Jitter
-  tolerant: a single late heartbeat does not degrade, and the member
-  recovers the moment it is heard again.  A crashed ("ghost") member is
-  flagged here long before the masking purge fires.
+* ``DEGRADED``  — silent for longer than ``silent_after_s`` (three
+  heartbeat intervals unless configured: one late heartbeat does not
+  degrade).  This *is* the masking state: the member is still part of the
+  cell — its proxy, channel and queued events survive — and it recovers
+  the moment it is heard again.  A crashed ("ghost") member is flagged
+  here long before the purge timeout fires.
 * ``DRAINING``  — announced its departure (LEAVE_INTENT); the cell is
   flushing its queued deliveries before tearing the channel down.
-* ``GONE``      — purged.  Terminal.
+* ``GONE``      — purged (silent past ``purge_after_s``, LEAVE, drained or
+  drain deadline).  Terminal, and the only irreversible transition.
 
 The transition table is enforced: an illegal transition is a bug in the
 discovery service, not a recoverable protocol event, so ``advance``
@@ -69,16 +72,3 @@ def advance(current: LifecycleState, target: LifecycleState) -> LifecycleState:
         raise DiscoveryError(
             f"illegal lifecycle transition {current.value} -> {target.value}")
     return target
-
-
-def degraded_threshold(heartbeat_period_s: float,
-                       degraded_after_s: float | None = None) -> float:
-    """Silence beyond which a member is DEGRADED.
-
-    Defaults to three heartbeat intervals — two in a row may be jitter or
-    a single lost datagram, three is a pattern (the kiboserve exemplar's
-    miss threshold, and the bound the chaos soak asserts against).
-    """
-    if degraded_after_s is not None:
-        return degraded_after_s
-    return 3.0 * heartbeat_period_s

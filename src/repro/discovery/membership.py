@@ -1,37 +1,21 @@
 """Group membership table.
 
-Tracks every admitted member's lifecycle::
-
-    ACTIVE --silence > silent_after--> SILENT --silence > purge_after--> PURGED
-      ^                                  |
-      +------- heard from again ---------+
-
-SILENT is the masking state the paper requires: the member is still part of
-the SMC (its proxy and queued events survive), but the cell knows it has
-not been heard from.  Only the purge transition is irreversible.
-
-Orthogonally, each record carries a *health lifecycle*
-(:class:`~repro.discovery.lifecycle.LifecycleState`): JOINING → HEALTHY →
-DEGRADED → DRAINING → GONE.  Masking decides when state is discarded;
-the lifecycle is the operational health signal (healthz, backpressure,
-graceful drain) and is reported on the bus as ``smc.member.state``.
+One record per admitted member.  Each record carries the member's one
+state (:class:`~repro.discovery.lifecycle.LifecycleState`, whose module
+holds the transition table) and when it was last heard from; the
+discovery service's sweep moves the state, and every move is reported on
+the bus as ``smc.member.state``.  A record leaves the table only when the
+member is GONE.
 """
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.discovery.lifecycle import LifecycleState, advance
 from repro.errors import DiscoveryError
 from repro.ids import ServiceId
 from repro.transport.base import Address
-
-
-class MemberState(enum.Enum):
-    ACTIVE = "active"
-    SILENT = "silent"
-    PURGED = "purged"
 
 
 @dataclass
@@ -44,35 +28,20 @@ class MemberRecord:
     address: Address
     admitted_at: float
     last_heard: float
-    state: MemberState = MemberState.ACTIVE
-    silent_since: float | None = field(default=None)
-    #: Health lifecycle, orthogonal to the masking state above.
     lifecycle: LifecycleState = LifecycleState.JOINING
     #: Declared inbound event capacity (0 = undeclared); carried on
     #: ANNOUNCE/HEARTBEAT and honoured by backpressure and flushing.
     capacity: int = 0
-    #: When the member entered DEGRADED (None while healthy).
-    degraded_since: float | None = field(default=None)
     #: When the member sent LEAVE_INTENT (None unless DRAINING).
-    drain_started: float | None = field(default=None)
-
-    def heard(self, now: float) -> bool:
-        """Record liveness; returns True if this recovered a SILENT member."""
-        self.last_heard = now
-        if self.state == MemberState.SILENT:
-            self.state = MemberState.ACTIVE
-            self.silent_since = None
-            return True
-        return False
+    drain_started: float | None = None
 
     def silence(self, now: float) -> float:
         """Seconds since the member was last heard from."""
         return now - self.last_heard
 
-    def advance_lifecycle(self, target: LifecycleState) -> LifecycleState:
+    def advance_lifecycle(self, target: LifecycleState) -> None:
         """Move to ``target``, enforcing the transition table."""
         self.lifecycle = advance(self.lifecycle, target)
-        return self.lifecycle
 
 
 class MembershipTable:
@@ -94,16 +63,12 @@ class MembershipTable:
             record = self._records.pop(member_id)
         except KeyError:
             raise DiscoveryError(f"member {member_id} not admitted") from None
-        record.state = MemberState.PURGED
-        record.lifecycle = LifecycleState.GONE
+        record.advance_lifecycle(LifecycleState.GONE)
         return record
 
     def members(self) -> list[MemberRecord]:
         """All records, ordered by member id for determinism."""
         return [self._records[k] for k in sorted(self._records)]
-
-    def in_state(self, state: MemberState) -> list[MemberRecord]:
-        return [r for r in self.members() if r.state == state]
 
     def in_lifecycle(self, state: LifecycleState) -> list[MemberRecord]:
         return [r for r in self.members() if r.lifecycle == state]

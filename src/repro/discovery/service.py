@@ -3,7 +3,8 @@
 Runs on the SMC core next to the event bus.  Broadcasts periodic BEACONs so
 devices can find the cell; admits devices that ANNOUNCE themselves (after
 authentication); tracks member liveness through HEARTBEATs; and drives the
-masking state machine (ACTIVE → SILENT → purge) with a periodic sweep.
+one member state machine (:mod:`repro.discovery.lifecycle`) from each
+member's silence, with a periodic sweep.
 
 Membership *changes* are reported onto the event bus as ``smc.member.*``
 events — that is the entire coupling between discovery and the bus, exactly
@@ -18,15 +19,13 @@ from repro.core.bootstrap import format_address
 from repro.core.bus import EventBus
 from repro.core.events import (
     MEMBER_MOVED_TYPE,
-    MEMBER_RECOVERED_TYPE,
-    MEMBER_SILENT_TYPE,
     MEMBER_STATE_TYPE,
     NEW_MEMBER_TYPE,
     PURGE_MEMBER_TYPE,
 )
 from repro.discovery.auth import AllowAllAuthenticator, Authenticator
-from repro.discovery.lifecycle import LifecycleState, degraded_threshold
-from repro.discovery.membership import MembershipTable, MemberRecord, MemberState
+from repro.discovery.lifecycle import LifecycleState
+from repro.discovery.membership import MembershipTable, MemberRecord
 from repro.discovery.messages import (
     AnnounceBody,
     BeaconBody,
@@ -49,21 +48,21 @@ class DiscoveryConfig:
     """Timing and identity of one cell's discovery protocol.
 
     ``silent_after`` and ``purge_after`` realise the paper's masking of
-    transient disconnections: a device may be silent for up to
-    ``purge_after`` seconds (nurse out of the room) before the cell gives
-    up on it and launches a Purge Member event (Section VI names exactly
-    this timeout as a tuning scenario).
+    transient disconnections: a member silent for longer than
+    ``silent_after`` is DEGRADED but keeps its proxy and queued events,
+    and may stay silent for up to ``purge_after`` seconds (nurse out of
+    the room) before the cell gives up on it and launches a Purge Member
+    event (Section VI names exactly this timeout as a tuning scenario).
     """
 
     cell_name: str
     beacon_period_s: float = 1.0
     heartbeat_period_s: float = 1.0
-    silent_after_s: float = 2.5
+    #: Silence beyond which a member is DEGRADED.  None means three
+    #: heartbeat intervals: two missed may be jitter, three is a pattern.
+    silent_after_s: float | None = None
     purge_after_s: float = 10.0
     sweep_period_s: float = 0.5
-    #: Silence beyond which a member's lifecycle is DEGRADED.  None means
-    #: the jitter-tolerant default of three heartbeat intervals.
-    degraded_after_s: float | None = None
     #: How long a DRAINING member gets to flush its queued deliveries
     #: before drain degrades to the ordinary purge path.
     drain_deadline_s: float = 5.0
@@ -71,22 +70,18 @@ class DiscoveryConfig:
     def __post_init__(self) -> None:
         if not self.cell_name:
             raise ConfigurationError("cell_name must be non-empty")
+        if self.silent_after_s is None:
+            object.__setattr__(self, "silent_after_s",
+                               3.0 * self.heartbeat_period_s)
         for name in ("beacon_period_s", "heartbeat_period_s",
                      "silent_after_s", "purge_after_s", "sweep_period_s",
                      "drain_deadline_s"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be > 0")
-        if self.degraded_after_s is not None and self.degraded_after_s <= 0:
-            raise ConfigurationError("degraded_after_s must be > 0")
         if self.purge_after_s <= self.silent_after_s:
             raise ConfigurationError(
                 "purge_after_s must exceed silent_after_s "
-                "(SILENT is the masking state before a purge)")
-
-    @property
-    def degraded_threshold_s(self) -> float:
-        return degraded_threshold(self.heartbeat_period_s,
-                                  self.degraded_after_s)
+                "(DEGRADED is the masking state before a purge)")
 
 
 @dataclass
@@ -98,7 +93,6 @@ class DiscoveryStats:
     heartbeats_seen: int = 0
     recoveries: int = 0
     roams: int = 0
-    silences: int = 0
     purges: int = 0
     leaves: int = 0
     degradations: int = 0
@@ -108,7 +102,7 @@ class DiscoveryStats:
 
 
 class DiscoveryService:
-    """Beacons, admission, leases and the purge state machine."""
+    """Beacons, admission, leases and the member state machine."""
 
     def __init__(self, bus: EventBus, endpoint: PacketEndpoint,
                  scheduler: Scheduler, config: DiscoveryConfig,
@@ -273,18 +267,13 @@ class DiscoveryService:
         self._mark_heard(record)
 
     def _mark_heard(self, record: MemberRecord) -> None:
-        recovered = record.heard(self.scheduler.now())
-        if recovered:
-            self.stats.recoveries += 1
-            self._publisher.publish(MEMBER_RECOVERED_TYPE, {
-                "member": int(record.member_id), "name": record.name,
-            })
+        record.last_heard = self.scheduler.now()
+        if record.lifecycle is LifecycleState.DEGRADED:
+            self.stats.recoveries += 1      # a ghost come back to life
         if record.lifecycle in (LifecycleState.JOINING,
                                 LifecycleState.DEGRADED):
-            # First heartbeat, or a ghost come back to life.  DRAINING is
-            # deliberately excluded: heartbeats while draining only prove
-            # the member survived long enough to be flushed.
-            record.degraded_since = None
+            # DRAINING is deliberately excluded: heartbeats while draining
+            # only prove the member survived long enough to be flushed.
             self._set_lifecycle(record, LifecycleState.HEALTHY)
 
     def _update_capacity(self, record: MemberRecord, capacity: int) -> None:
@@ -333,7 +322,7 @@ class DiscoveryService:
                 backlog += channel.unacked_count()
         return backlog
 
-    # -- the masking state machine ------------------------------------------
+    # -- the sweep: silence drives the state machine -------------------------
 
     def _sweep(self) -> None:
         now = self.scheduler.now()
@@ -342,28 +331,19 @@ class DiscoveryService:
                 self._sweep_draining(record, now)
                 continue
             silence = record.silence(now)
-            if (record.lifecycle is not LifecycleState.DEGRADED
-                    and silence > self.config.degraded_threshold_s):
-                record.degraded_since = now
+            if silence <= self.config.silent_after_s:
+                continue
+            if silence > self.config.purge_after_s:
+                self._purge(record, reason="timeout")
+            elif record.lifecycle is not LifecycleState.DEGRADED:
                 self.stats.degradations += 1
                 self.degraded_latencies.append(silence)
                 self._set_lifecycle(record, LifecycleState.DEGRADED)
-            if (record.state == MemberState.ACTIVE
-                    and silence > self.config.silent_after_s):
-                record.state = MemberState.SILENT
-                record.silent_since = now
-                self.stats.silences += 1
-                self._publisher.publish(MEMBER_SILENT_TYPE, {
-                    "member": int(record.member_id), "name": record.name,
-                })
-            if (record.state == MemberState.SILENT
-                    and silence > self.config.purge_after_s):
-                self._purge(record, reason="timeout")
 
     def _sweep_draining(self, record: MemberRecord, now: float) -> None:
         """Draining members purge on empty backlog — or on the deadline.
 
-        While DRAINING the masking timers are suspended: the member told
+        While DRAINING the silence timers are suspended: the member told
         us it is leaving, so silence is expected, and the only questions
         left are "is the queue flushed?" and "has it taken too long?".
         """

@@ -286,10 +286,11 @@ class Subscription:
 
 # -- wire codec ------------------------------------------------------------
 #
-# Same discipline as repro.transport.wire: every encode_X has a write_X
-# sibling that appends chunks to a caller-supplied list (the worker-pool
-# delta path frames subscriptions inside larger pipe messages) and a
-# decode_X inverse.  repro-lint RL004 holds the triples in lockstep.
+# Same discipline as repro.transport.wire: a format is a write_X that
+# appends chunks to a caller-supplied list (the worker-pool delta path
+# frames subscriptions inside larger pipe messages) with a decode_X
+# inverse — repro-lint RL004 holds the pair in lockstep — and encode_X is
+# derived from the writer.
 
 #: Interned one-byte operator chunks, so the writers never allocate for them.
 _OP_BYTES = {op: bytes((int(op),)) for op in Op}
@@ -303,10 +304,7 @@ def write_constraint(out: list[bytes], constraint: Constraint) -> None:
         wire.write_value(out, constraint.value)
 
 
-def encode_constraint(constraint: Constraint) -> bytes:
-    out: list[bytes] = []
-    write_constraint(out, constraint)
-    return b"".join(out)
+encode_constraint = wire.encoder(write_constraint)
 
 
 def decode_constraint(buf: bytes, offset: int = 0) -> tuple[Constraint, int]:
@@ -331,10 +329,7 @@ def write_filter(out: list[bytes], filt: Filter) -> None:
         write_constraint(out, constraint)
 
 
-def encode_filter(filt: Filter) -> bytes:
-    out: list[bytes] = []
-    write_filter(out, filt)
-    return b"".join(out)
+encode_filter = wire.encoder(write_filter)
 
 
 def decode_filter(buf: bytes, offset: int = 0) -> tuple[Filter, int]:
@@ -355,10 +350,7 @@ def write_subscription(out: list[bytes], subscription: Subscription) -> None:
         write_filter(out, filt)
 
 
-def encode_subscription(subscription: Subscription) -> bytes:
-    out: list[bytes] = []
-    write_subscription(out, subscription)
-    return b"".join(out)
+encode_subscription = wire.encoder(write_subscription)
 
 
 def decode_subscription(buf: bytes, offset: int = 0) -> tuple[Subscription, int]:

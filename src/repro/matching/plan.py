@@ -128,11 +128,8 @@ def write_plan(out: list[bytes], plan: MatchPlan) -> None:
         wire.write_attr_map(out, projection)
 
 
-def encode_plan(plan: MatchPlan) -> bytes:
-    """Serialise one plan (joined; IPC framing normally joins instead)."""
-    out: list[bytes] = []
-    write_plan(out, plan)
-    return b"".join(out)
+#: Joined form; IPC framing normally joins a whole message instead.
+encode_plan = wire.encoder(write_plan)
 
 
 def decode_plan(buf: wire.Buffer, offset: int = 0) -> tuple[MatchPlan, int]:

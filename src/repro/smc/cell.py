@@ -8,7 +8,7 @@ it.
 
 When the cell runs on a simulated host, the matching engine's cost meter is
 wired to that host automatically, so the Siena engine's translation work is
-charged to the PDA's virtual CPU exactly as DESIGN.md §3 describes.
+charged to the PDA's virtual CPU.
 """
 
 from __future__ import annotations
@@ -69,12 +69,11 @@ class CellConfig:
     #: Discovery timing (see DiscoveryConfig).
     beacon_period_s: float = 1.0
     heartbeat_period_s: float = 1.0
-    silent_after_s: float = 2.5
+    #: Silence before DEGRADED (None = 3 x heartbeat) and before purge.
+    silent_after_s: float | None = None
     purge_after_s: float = 10.0
     sweep_period_s: float = 0.5
-    #: Lifecycle tuning: silence before DEGRADED (None = 3 x heartbeat)
-    #: and the graceful-drain flush deadline (see DiscoveryConfig).
-    degraded_after_s: float | None = None
+    #: The graceful-drain flush deadline.
     drain_deadline_s: float = 5.0
     #: Authorisation default when no auth policy applies.
     default_authorise: bool = True
@@ -87,7 +86,6 @@ class CellConfig:
             silent_after_s=self.silent_after_s,
             purge_after_s=self.purge_after_s,
             sweep_period_s=self.sweep_period_s,
-            degraded_after_s=self.degraded_after_s,
             drain_deadline_s=self.drain_deadline_s,
         )
 

@@ -92,10 +92,9 @@ class FederationLink:
         self.agent = DiscoveryAgent(peer_endpoint, scheduler, AgentConfig(
             name=name, device_type="smc.peer", target_cell=peer_cell_name))
         self.client = BusClient(peer_endpoint, scheduler, bus_address=None)
+        self.agent.client = self.client
         self.agent.on_joined = self._on_joined
-        self.agent.on_left = self._on_left
         self._publisher = cell.bus.local_publisher(name)
-        self._subscribed = False
         self.peer_cell_name: str | None = None
 
     # -- lifecycle -----------------------------------------------------------
@@ -105,8 +104,6 @@ class FederationLink:
 
     def stop(self) -> None:
         self.agent.stop()
-        self.client.bus_address = None
-        self._subscribed = False
 
     @property
     def connected(self) -> bool:
@@ -114,22 +111,12 @@ class FederationLink:
 
     # -- join plumbing ----------------------------------------------------
 
-    def _on_joined(self, cell_name: str, core_address: Address) -> None:
+    def _on_joined(self, cell_name: str, _core_address: Address) -> None:
+        # The agent has pointed the client at the peer's core and, after a
+        # purge, put the import subscription back on its fresh proxy.
         self.peer_cell_name = cell_name
-        new_session = self.agent.last_join_was_new
-        if new_session:
-            # Purged and re-admitted: drop stale channel state, then put
-            # the import subscriptions back on the peer's fresh proxy.
-            self.client.endpoint.reset_channel_to(core_address)
-        self.client.bus_address = core_address
-        if not self._subscribed:
+        if not self.client.subscription_count():
             self.client.subscribe(list(self._imports), self._on_imported)
-            self._subscribed = True
-        elif new_session:
-            self.client.resubscribe_all()
-
-    def _on_left(self, reason: str) -> None:
-        self.client.bus_address = None
 
     # -- import path -------------------------------------------------------
 

@@ -29,11 +29,12 @@ layers)::
     frame list    varint frame count, then per frame: varint length + the
                   opaque frame bytes (the BATCH body).
 
-Zero-copy discipline: every ``encode_*`` function has a ``write_*``
-sibling that appends chunks to a caller-supplied list instead of
+Zero-copy discipline: a format is written once, in a ``write_*``
+function that appends chunks to a caller-supplied list instead of
 returning joined bytes, so multi-layer encoders (event -> frame -> batch
 -> packet) can delay the single ``b"".join`` to the reliable-payload
-boundary.  Every ``decode_*`` function accepts any object supporting the
+boundary; its ``encode_*`` twin is derived from it (:func:`encoder`).
+Every ``decode_*`` function accepts any object supporting the
 buffer protocol (``bytes``, ``bytearray``, ``memoryview``) and slices
 without materialising intermediate copies; the only copies taken are for
 values that escape into long-lived objects (``bytes`` attribute values,
@@ -54,13 +55,14 @@ from __future__ import annotations
 
 import struct
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, TypeVar
 
 from repro.errors import CodecError
 
 Value = bool | int | float | str | bytes
 #: Anything the decode entry points accept.
 Buffer = bytes | bytearray | memoryview
+_T = TypeVar("_T")
 
 
 def as_bytes(buf: Buffer) -> bytes:
@@ -138,6 +140,21 @@ def write_varint(out: list[bytes], value: int) -> None:
     out.append(encode_varint(value))
 
 
+def encoder(write: Callable[[list[bytes], _T], None]) -> Callable[[_T], bytes]:
+    """Derive ``encode_X`` from ``write_X``: its chunks on a fresh list,
+    joined once.  Every codec module builds its ``encode_*`` twins here,
+    so none of them can drift from the writer that defines the format."""
+    def encode(value: _T) -> bytes:
+        out: list[bytes] = []
+        write(out, value)
+        return b"".join(out)
+    encode.__name__ = encode.__qualname__ = write.__name__.replace(
+        "write_", "encode_", 1)
+    encode.__module__ = write.__module__
+    encode.__doc__ = f"The joined bytes of :func:`{write.__name__}`."
+    return encode
+
+
 def decode_varint(buf: Buffer, offset: int = 0) -> tuple[int, int]:
     """Decode a LEB128 unsigned integer; returns (value, new offset).
 
@@ -209,11 +226,7 @@ def write_value(out: list[bytes], value: Value) -> None:
         raise CodecError(f"unsupported value type: {type(value).__name__}")
 
 
-def encode_value(value: Value) -> bytes:
-    """Encode one tagged value."""
-    out: list[bytes] = []
-    write_value(out, value)
-    return out[0] if len(out) == 1 else b"".join(out)
+encode_value = encoder(write_value)
 
 
 def decode_value(buf: Buffer, offset: int = 0) -> tuple[Value, int]:
@@ -279,11 +292,7 @@ def write_str(out: list[bytes], text: str) -> None:
     out.append(raw)
 
 
-def encode_str(text: str) -> bytes:
-    """Encode a bare length-prefixed UTF-8 string (no tag)."""
-    out: list[bytes] = []
-    write_str(out, text)
-    return b"".join(out)
+encode_str = encoder(write_str)
 
 
 def decode_str(buf: Buffer, offset: int = 0) -> tuple[str, int]:
@@ -301,10 +310,11 @@ def decode_str(buf: Buffer, offset: int = 0) -> tuple[str, int]:
 
 
 def write_frames(out: list[bytes], frames: Sequence[Buffer]) -> None:
-    """Append a frame list's chunks to ``out`` without joining.
-
-    The frames themselves are appended as-is (callers own their
-    lifetime); only the count and length prefixes are fresh chunks.
+    """Append a frame list's chunks to ``out`` without joining (batch
+    framing): a varint frame count followed by varint-length-prefixed
+    frames.  The frames are opaque here — the bus protocol layer decides
+    what they mean — and are appended as-is (callers own their lifetime);
+    only the count and length prefixes are fresh chunks.
     """
     if len(frames) > MAX_FRAMES:
         raise CodecError(f"too many frames in batch: {len(frames)}")
@@ -314,17 +324,7 @@ def write_frames(out: list[bytes], frames: Sequence[Buffer]) -> None:
         out.append(frame)
 
 
-def encode_frames(frames: Sequence[Buffer]) -> bytes:
-    """Encode a list of opaque byte frames (batch framing).
-
-    The batch publish pipeline coalesces many bus payloads into one
-    reliable payload: a varint frame count followed by varint-length-
-    prefixed frames.  The frames themselves are opaque here — the bus
-    protocol layer decides what they mean.
-    """
-    out: list[bytes] = []
-    write_frames(out, frames)
-    return b"".join(out)
+encode_frames = encoder(write_frames)
 
 
 def decode_frames(buf: Buffer, offset: int = 0) -> tuple[list[Buffer], int]:
@@ -421,11 +421,7 @@ def write_attr_map(out: list[bytes], attributes: Mapping[str, Value]) -> None:
             write_value(out, value)
 
 
-def encode_attr_map(attributes: Mapping[str, Value]) -> bytes:
-    """Encode an attribute dictionary with a stable (sorted) key order."""
-    out: list[bytes] = []
-    write_attr_map(out, attributes)
-    return b"".join(out)
+encode_attr_map = encoder(write_attr_map)
 
 
 def decode_attr_map(buf: Buffer, offset: int = 0) -> tuple[dict[str, Value], int]:

@@ -35,8 +35,12 @@ def grow(payload: bytes) -> bytes:
     return total
 
 
-def encode_orphan(value: int) -> bytes:                         # RL004 x2
-    return value.to_bytes(4, "big")
+def write_orphan(out: list, value: int) -> None:                # RL004
+    out.append(value.to_bytes(4, "big"))
+
+
+def write_stray(out: list, flag: bool) -> None:                 # RL004
+    out.append(b"\x01" if flag else b"\x00")
 
 
 def chunk_constants() -> bytes:

@@ -21,8 +21,7 @@ from repro.analysis.rules import (
 FIXTURE_TREE = Path(__file__).parent / "fixtures" / "tree"
 
 #: Every finding the fixture tree must produce — and nothing else.
-#: (relative path, line, rule id); note the deliberate pair on wire.py:38,
-#: one per missing sibling of ``encode_orphan``.
+#: (relative path, line, rule id).
 EXPECTED = sorted([
     ("core/protocol.py", 17, "RL004"),          # GOSSIP not in opcode table
     ("core/workers.py", 3, "RL005"),            # direct pickle import
@@ -39,8 +38,8 @@ EXPECTED = sorted([
     ("transport/wire.py", 25, "RL003"),         # b"".join off boundary
     ("transport/wire.py", 29, "RL003"),         # byte + concatenation
     ("transport/wire.py", 34, "RL003"),         # byte += concatenation
-    ("transport/wire.py", 38, "RL004"),         # missing write_orphan
     ("transport/wire.py", 38, "RL004"),         # missing decode_orphan
+    ("transport/wire.py", 42, "RL004"),         # missing decode_stray
 ])
 
 

@@ -295,3 +295,63 @@ class TestActuators:
             HeartRateProtocol("p-1").encode_reading(99.0)) is True
         sim.run(5.0)
         assert [e.get("hr") for e in got] == [99.0]
+
+
+class TestSmartDeviceNewSession:
+    """Purge -> rejoin -> publish / deliver on the in-memory hub: the
+    agent's new-session rule resets the channel and re-issues the
+    subscriptions, whichever stack the client sits in."""
+
+    def test_purged_smart_devices_work_again_after_rejoining(self, sim, hub):
+        from repro.core.bootstrap import ProxyBootstrap
+        from repro.core.bus import EventBus
+        from repro.devices.base import SmartDevice
+        from repro.discovery.agent import AgentConfig
+        from repro.discovery.service import DiscoveryConfig, DiscoveryService
+
+        core = PacketEndpoint(hub.create("core"), sim)
+        bus = EventBus(sim)
+        ProxyBootstrap(bus, core)
+        service = DiscoveryService(bus, core, sim, DiscoveryConfig(
+            cell_name="cell", beacon_period_s=0.5, heartbeat_period_s=0.5,
+            purge_after_s=4.0, sweep_period_s=0.25))
+
+        connections = []
+
+        class Recorder(SmartDevice):
+            def on_connected(self, client, *, rejoined):
+                connections.append((self.name, rejoined))
+
+        publisher, subscriber = (
+            Recorder(PacketEndpoint(hub.create(name), sim), sim,
+                     AgentConfig(name=name, device_type="service",
+                                 beacon_timeout_s=2.0))
+            for name in ("pub", "sub"))
+        service.start()
+        publisher.start()
+        subscriber.start()
+        sim.run(2.0)
+        got = []
+        subscriber.client.subscribe(Filter.where("vitals.hr"),
+                                    lambda event: got.append(event.get("n")))
+        publisher.client.publish("vitals.hr", {"n": 1})
+        sim.run(3.0)
+        assert got == [1]
+
+        hub.drop_filter = lambda src, dest, data: False     # partition
+        sim.run(12.0)
+        assert len(service.table) == 0
+        assert not publisher.joined and not subscriber.joined
+        assert publisher.client.publish("vitals.hr", {"n": 99}) is None
+        hub.drop_filter = None
+        sim.run(20.0)
+        assert publisher.joined and subscriber.joined
+        assert connections == [("pub", False), ("sub", False),
+                               ("pub", True), ("sub", True)]
+
+        publisher.client.publish("vitals.hr", {"n": 2})
+        sim.run(22.0)
+        assert got == [1, 2]
+        proxy = bus.proxy_of(publisher.endpoint.service_id)
+        assert proxy.stats.events_published == 1        # a fresh proxy
+        assert core.existing_channel("pub").stats.out_of_order == 0

@@ -7,8 +7,7 @@ import pytest
 
 from repro.core.bus import EventBus
 from repro.core.events import (
-    MEMBER_RECOVERED_TYPE,
-    MEMBER_SILENT_TYPE,
+    MEMBER_STATE_TYPE,
     NEW_MEMBER_TYPE,
     PURGE_MEMBER_TYPE,
 )
@@ -19,7 +18,8 @@ from repro.discovery.auth import (
     DeviceTypeAllowList,
     SharedSecretAuthenticator,
 )
-from repro.discovery.membership import MembershipTable, MemberRecord, MemberState
+from repro.discovery.lifecycle import LifecycleState
+from repro.discovery.membership import MembershipTable, MemberRecord
 from repro.discovery.messages import AnnounceBody, BeaconBody, JoinAckBody
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
 from repro.errors import ConfigurationError, DiscoveryError
@@ -49,6 +49,16 @@ def membership_log(bus, sim):
                         lambda e: log.append((e.type, e.get("name"),
                                               e.get("reason"))))
     return log
+
+
+def transition_log(bus):
+    """Every ``smc.member.state`` move as ``(name, previous, state)``."""
+    moves = []
+    bus.subscribe_local(Filter.where(MEMBER_STATE_TYPE),
+                        lambda e: moves.append((e.get("name"),
+                                                e.get("previous"),
+                                                e.get("state"))))
+    return moves
 
 
 class TestConfig:
@@ -199,6 +209,7 @@ class TestLiveness:
     def test_silence_then_purge(self, sim, hub, endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = membership_log(bus, sim)
+        moves = transition_log(bus)
         agent = make_agent(sim, endpoints("dev"))
         service.start()
         agent.start()
@@ -206,12 +217,14 @@ class TestLiveness:
         assert agent.joined
         hub.drop_filter = lambda src, dest, data: False   # total partition
         sim.run(12.0)
-        assert (MEMBER_SILENT_TYPE, "dev", None) in log
+        assert moves.index(("dev", "healthy", "degraded")) \
+            < moves.index(("dev", "degraded", "gone"))
         assert (PURGE_MEMBER_TYPE, "dev", "timeout") in log
 
     def test_transient_silence_masked(self, sim, hub, endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = membership_log(bus, sim)
+        moves = transition_log(bus)
         agent = make_agent(sim, endpoints("dev"))
         service.start()
         agent.start()
@@ -221,8 +234,8 @@ class TestLiveness:
         hub.drop_filter = None
         sim.run(6.0)
         types = [t for t, *_ in log]
-        assert MEMBER_SILENT_TYPE in types
-        assert MEMBER_RECOVERED_TYPE in types
+        assert moves.index(("dev", "healthy", "degraded")) \
+            < moves.index(("dev", "degraded", "healthy"))
         assert PURGE_MEMBER_TYPE not in types
         assert agent.joined
 
@@ -283,7 +296,7 @@ class TestMembershipTable:
         assert 1 in table
         assert table.by_name("a") is record
         removed = table.remove(1)
-        assert removed.state == MemberState.PURGED
+        assert removed.lifecycle is LifecycleState.GONE
         assert 1 not in table
 
     def test_double_admit_rejected(self):
@@ -298,23 +311,35 @@ class TestMembershipTable:
         with pytest.raises(DiscoveryError):
             MembershipTable().remove(9)
 
-    def test_heard_recovers_silent(self):
-        record = MemberRecord(member_id=1, name="a", device_type="t",
-                              address="x", admitted_at=0.0, last_heard=0.0)
-        record.state = MemberState.SILENT
-        assert record.heard(5.0) is True
-        assert record.state == MemberState.ACTIVE
-        assert record.heard(6.0) is False
+    def test_heard_recovers_silent(self, sim, hub, endpoints):
+        service, _ = make_service(sim, endpoints("core"))
+        agent = make_agent(sim, endpoints("dev"), beacon_timeout_s=100.0)
+        service.start()
+        agent.start()
+        sim.run(2.0)
+        record = service.table.by_name("dev")
+        hub.drop_filter = lambda src, dest, data: False
+        sim.run(4.0)                                # past silent_after_s
+        assert record.lifecycle is LifecycleState.DEGRADED
+        hub.drop_filter = None
+        sim.run(5.0)
+        assert record.lifecycle is LifecycleState.HEALTHY
+        assert service.stats.recoveries == 1
+        sim.run(7.0)                    # heard again: nothing to recover
+        assert service.stats.recoveries == 1
 
     def test_in_state_listing(self):
         table = MembershipTable()
         for index in range(3):
             table.admit(MemberRecord(member_id=index, name=f"n{index}",
                                      device_type="t", address="x",
-                                     admitted_at=0.0, last_heard=0.0))
-        table.get(1).state = MemberState.SILENT
-        assert [r.member_id for r in table.in_state(MemberState.ACTIVE)] == [0, 2]
-        assert [r.member_id for r in table.in_state(MemberState.SILENT)] == [1]
+                                     admitted_at=0.0, last_heard=0.0,
+                                     lifecycle=LifecycleState.HEALTHY))
+        table.get(1).advance_lifecycle(LifecycleState.DEGRADED)
+        assert [r.member_id for r in
+                table.in_lifecycle(LifecycleState.HEALTHY)] == [0, 2]
+        assert [r.member_id for r in
+                table.in_lifecycle(LifecycleState.DEGRADED)] == [1]
 
 
 class TestMessages:
@@ -463,7 +488,7 @@ class TestRoaming:
         hub.drop_filter = lambda src, dest, data: False
         sim.run(sim.now() + 2.5)                    # past silent_after_s
         record = service.table.get(dev_ep.service_id)
-        assert record.state is MemberState.SILENT
+        assert record.lifecycle is LifecycleState.DEGRADED
         hub.drop_filter = None
         announce = AnnounceBody("dev", "service", b"")
         self._spoof_from(hub, "dev-roamed",
@@ -471,7 +496,7 @@ class TestRoaming:
                                 sender=dev_ep.service_id,
                                 payload=announce.encode()))
         sim.run(sim.now() + 1.0)
-        assert record.state is MemberState.ACTIVE
+        assert record.lifecycle is LifecycleState.HEALTHY
         assert record.address == "dev-roamed"
         assert service.stats.roams == 1
         assert service.stats.recoveries == 1

@@ -1,4 +1,4 @@
-"""Member health lifecycle: DEGRADED detection, graceful drain, capacity,
+"""The member state machine: DEGRADED detection, graceful drain, capacity,
 jittered backoff, and the beacon-silence watchdog.
 
 Everything runs on the simulator + in-memory hub with the fault injector
@@ -23,9 +23,8 @@ from repro.discovery.lifecycle import (
     LifecycleState,
     advance,
     can_advance,
-    degraded_threshold,
 )
-from repro.discovery.membership import MemberRecord, MemberState
+from repro.discovery.membership import MemberRecord
 from repro.discovery.messages import LeaveIntentBody
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
 from repro.errors import ConfigurationError, DiscoveryError
@@ -89,14 +88,17 @@ class TestLifecycleTable:
             record.advance_lifecycle(LifecycleState.DEGRADED)
 
     def test_degraded_threshold_defaults_to_three_heartbeats(self):
-        assert degraded_threshold(0.5) == pytest.approx(1.5)
-        assert degraded_threshold(0.5, 9.0) == pytest.approx(9.0)
-        assert DiscoveryConfig(cell_name="c").degraded_threshold_s == \
+        assert DiscoveryConfig(cell_name="c", heartbeat_period_s=0.5
+                               ).silent_after_s == pytest.approx(1.5)
+        assert DiscoveryConfig(cell_name="c", heartbeat_period_s=0.5,
+                               silent_after_s=9.0
+                               ).silent_after_s == pytest.approx(9.0)
+        assert DiscoveryConfig(cell_name="c").silent_after_s == \
             pytest.approx(3.0)
 
     def test_config_validates_lifecycle_fields(self):
         with pytest.raises(ConfigurationError):
-            DiscoveryConfig(cell_name="c", degraded_after_s=0.0)
+            DiscoveryConfig(cell_name="c", silent_after_s=0.0)
         with pytest.raises(ConfigurationError):
             DiscoveryConfig(cell_name="c", drain_deadline_s=-1.0)
 
@@ -128,12 +130,12 @@ class TestDegradedDetection:
         assert ("degraded", "healthy", "dev", 0, None) in log
         # The measured detection latency respects the advertised bound:
         # threshold (3 x heartbeat) plus at most one sweep period.
-        threshold = service.config.degraded_threshold_s
+        threshold = service.config.silent_after_s
         assert service.degraded_latencies
         assert all(lat <= threshold + service.config.sweep_period_s + 1e-9
                    for lat in service.degraded_latencies)
         assert service.stats.degradations == 1
-        # Left dead, the masking machine still purges the ghost.
+        # Left dead, the ghost is still purged at the masking timeout.
         sim.run(12.0)
         assert service.table.get(agent.endpoint.service_id) is None
         assert ("gone", "degraded", "dev", 0, "timeout") in log
@@ -154,7 +156,7 @@ class TestDegradedDetection:
         sim.run(5.0)     # next heartbeat lands
         assert record.lifecycle is LifecycleState.HEALTHY
         assert ("healthy", "degraded", "dev", 0, None) in log
-        assert record.state is MemberState.ACTIVE
+        assert service.stats.recoveries == 1
 
     def test_lifecycle_counts(self, sim, endpoints):
         service, _ = make_service(sim, endpoints("core"))

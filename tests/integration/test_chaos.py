@@ -162,7 +162,7 @@ def test_chaos_soak_detection_conservation_and_drain(sim, hub, endpoints):
     sim.run(25.0)
 
     # -- ghost detection within the advertised bound -----------------------
-    threshold = cell.service.config.degraded_threshold_s
+    threshold = cell.service.config.silent_after_s
     assert cell.service.degraded_latencies, "no degradation ever detected"
     assert all(lat <= threshold + cell.SWEEP_S + 1e-9
                for lat in cell.service.degraded_latencies)
@@ -290,7 +290,7 @@ class TestUdpChaos:
             assert self.wait(
                 server, lambda: discovery.stats.degradations >= 1), \
                 "crash never detected DEGRADED"
-            threshold = discovery.config.degraded_threshold_s
+            threshold = discovery.config.silent_after_s
             assert all(lat <= threshold + discovery.config.sweep_period_s
                        + 0.5           # realtime scheduler slop
                        for lat in discovery.degraded_latencies)

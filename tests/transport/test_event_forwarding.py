@@ -14,7 +14,8 @@ the opcode plus the publisher's own bytes.  Pinned here:
 * **the extent** — what is forwarded is ``[offset:pos]`` of the buffer
   the event was decoded from, nothing beyond it;
 * **trailing bytes** — ``PUBLISH || event || garbage`` is malformed at
-  the proxy (bare and inside a BATCH) and at the client;
+  the proxy (bare and inside a BATCH) and at the client, and so are
+  SUBSCRIBE and ADVERTISE bodies with anything after them;
 * **the count gate** — N member-published events fanned out to S remote
   subscribers cost exactly N ``wire.write_attr_map`` calls in the whole
   process (the publishers'), none at the core; a core-built event costs
@@ -29,9 +30,15 @@ from hypothesis import strategies as st
 from repro.core import protocol
 from repro.core.events import Event, decode_event, encode_event
 from repro.core.protocol import BusOp
+from repro.core.quench import QuenchController
 from repro.devices.protocols import HeartRateProtocol
 from repro.ids import service_id_from_name
-from repro.matching.filters import Filter
+from repro.matching.filters import (
+    Filter,
+    Subscription,
+    encode_filter,
+    encode_subscription,
+)
 from repro.sim.kernel import Simulator
 from repro.transport import wire
 from repro.transport.inmem import InMemoryHub
@@ -318,6 +325,39 @@ class TestTrailingBytes:
         cell.send(protocol.frame_batch(frames))
         assert cell.proxy("pub").stats.malformed_payloads == 1
         assert [event.seqno for event in cell.inboxes[0]] == [1, 3]
+
+    def test_subscribe_with_trailing_bytes_is_malformed(self):
+        """``SUBSCRIBE || subscription || garbage`` registers nothing,
+        alone or inside a BATCH, and the frames around it still count."""
+        cell = Cell()
+        stats = cell.kit.bus.stats
+        active = stats.subscriptions_active
+
+        def subscribe(sub_id, junk=b""):
+            return protocol.frame(BusOp.SUBSCRIBE, encode_subscription(
+                Subscription(sub_id, cell.sender, [Filter.where("x")])) + junk)
+
+        cell.send(subscribe(1, b"\x00"))
+        assert cell.proxy("pub").stats.malformed_payloads == 1
+        assert stats.subscriptions_active == active
+        cell.send(protocol.frame_batch(
+            [subscribe(2), subscribe(3, b"junk"), subscribe(4)]))
+        assert cell.proxy("pub").stats.malformed_payloads == 2
+        assert stats.subscriptions_active == active + 2
+
+    def test_advertise_with_trailing_bytes_is_malformed(self):
+        """``ADVERTISE || filter || garbage`` advertises nothing, alone or
+        inside a BATCH."""
+        cell = Cell()
+        quench = QuenchController(cell.kit.bus)
+        good = protocol.frame(BusOp.ADVERTISE,
+                              encode_filter(Filter.where("x")))
+        cell.send(good + b"\x00")
+        assert cell.proxy("pub").stats.malformed_payloads == 1
+        assert quench.stats.advertisements == 0
+        cell.send(protocol.frame_batch([good + b"junk", good]))
+        assert cell.proxy("pub").stats.malformed_payloads == 2
+        assert quench.stats.advertisements == 1
 
     def test_deliver_with_trailing_bytes_is_malformed_at_the_client(self):
         cell = Cell()
