@@ -18,7 +18,7 @@ Run:  PYTHONPATH=src python examples/autonomic_ward.py
 
 import random
 
-from repro.autonomic import AutonomicConfig, AutonomicManager, ShardRebalancer
+from repro.autonomic import AutonomicManager, ShardRebalancer
 from repro.core.sharding import ShardedEventBus
 from repro.matching.filters import Constraint, Filter, Op
 from repro.sim.kernel import Simulator
@@ -48,9 +48,7 @@ def main() -> None:
     # control need network hops, see CellConfig.autonomic for the full
     # cell wiring.
     manager = AutonomicManager(
-        sim, None,
-        [ShardRebalancer(bus.sharded, hot_ratio=2.0, min_fragments=64)],
-        config=AutonomicConfig())
+        sim, [ShardRebalancer(bus.sharded, hot_ratio=2.0, min_fragments=64)])
 
     monitor = bus.local_publisher("vitals-pack")
 

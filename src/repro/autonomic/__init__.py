@@ -4,9 +4,9 @@ The paper's motivating claim is that the event service *supports
 autonomic management*; this package is that management loop, closed over
 the service's own mechanisms — RTT-adaptive retransmission timeouts,
 loss/quench-adaptive batch flush sizing, and live shard rebalancing of
-hot name classes.  See :mod:`repro.autonomic.manager` for the loop,
-:mod:`repro.autonomic.controllers` for the three controllers and
-:mod:`repro.autonomic.telemetry` for the sensor layer.
+hot name classes.  See :mod:`repro.autonomic.manager` for the loop and
+its audit log (the Knowledge) and :mod:`repro.autonomic.controllers` for
+the three controllers, each of which monitors its own targets' counters.
 """
 
 from repro.autonomic.controllers import (
@@ -20,15 +20,12 @@ from repro.autonomic.manager import (
     AutonomicManager,
     build_bus_manager,
 )
-from repro.autonomic.telemetry import MetricRegistry, RollingWindow
 
 __all__ = [
     "Actuation",
     "AutonomicConfig",
     "AutonomicManager",
     "FlushController",
-    "MetricRegistry",
-    "RollingWindow",
     "RttController",
     "ShardRebalancer",
     "build_bus_manager",

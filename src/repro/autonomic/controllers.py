@@ -43,8 +43,8 @@ from repro.core import protocol
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:                                      # pragma: no cover
-    from repro.autonomic.telemetry import MetricRegistry
     from repro.core.sharding import ShardedMatcher
+    from repro.transport.endpoint import PacketEndpoint
     from repro.transport.reliability import ChannelStats, ReliableChannel
 
 
@@ -69,9 +69,9 @@ class Controller(Protocol):
 
     name: str
 
-    def tick(self, now: float,
-             registry: "MetricRegistry | None" = None) -> list[Actuation]:
-        """Run one analyze→plan→execute round; return what was actuated."""
+    def tick(self, now: float) -> list[Actuation]:
+        """Run one monitor→analyze→plan→execute round over the
+        controller's own targets; return what was actuated."""
         ...
 
 
@@ -83,10 +83,10 @@ class RttController:
     Two regimes per channel:
 
     * **estimating** — the channel has RTT samples: plan
-      ``RTO = srtt + max(K * rttvar, granularity)`` (RFC 6298 §2.3),
-      clamped to ``[min_rto, max_rto]``, and actuate only when the change
-      clears a deadband (so the audit log records adaptations, not
-      jitter).
+      ``RTO = srtt + max(K * rttvar, GRANULARITY_S)`` (RFC 6298 §2.3),
+      clamped to ``[MIN_RTO_S, MAX_RTO_S]``, and actuate only when the
+      change clears ``DEADBAND`` (so the audit log records adaptations,
+      not jitter).
     * **blind** — no sample yet *and* retransmissions grew since the last
       tick while traffic is in flight.  An RTO below the path RTT makes
       every packet retransmit before its ack returns, and Karn's rule
@@ -97,23 +97,21 @@ class RttController:
 
     name = "rtt"
 
-    def __init__(self, channels: Callable[[], Iterable["ReliableChannel"]],
-                 *, k: float = 4.0, granularity_s: float = 0.001,
-                 min_rto_s: float = 0.002, max_rto_s: float = 60.0,
-                 deadband: float = 0.1) -> None:
-        if min_rto_s <= 0 or max_rto_s < min_rto_s:
-            raise ConfigurationError(
-                f"bad RTO bounds: min={min_rto_s}, max={max_rto_s}")
+    #: RFC 6298 §2.3: variance multiplier and clock granularity.
+    K = 4.0
+    GRANULARITY_S = 0.001
+    #: Bounds every planned RTO is clamped to.
+    MIN_RTO_S = 0.002
+    MAX_RTO_S = 60.0
+    #: Relative change an actuation must clear.
+    DEADBAND = 0.1
+
+    def __init__(self,
+                 channels: Callable[[], Iterable["ReliableChannel"]]) -> None:
         self._channels = channels
-        self._k = k
-        self._granularity = granularity_s
-        self._min_rto = min_rto_s
-        self._max_rto = max_rto_s
-        self._deadband = deadband
         self._seen: dict[int, tuple[int, int]] = {}   # id -> (samples, rtx)
 
-    def tick(self, now: float,
-             registry: "MetricRegistry | None" = None) -> list[Actuation]:
+    def tick(self, now: float) -> list[Actuation]:
         actuations: list[Actuation] = []
         seen: dict[int, tuple[int, int]] = {}
         for channel in self._channels():
@@ -128,7 +126,7 @@ class RttController:
                 if (stats.retransmissions > prev_rtx
                         and channel.unacked_count()):
                     old = channel.rto_initial
-                    new = min(old * 2.0, self._max_rto)
+                    new = min(old * 2.0, self.MAX_RTO_S)
                     if new > old:
                         channel.set_rto(new)
                         actuations.append(Actuation(
@@ -138,10 +136,10 @@ class RttController:
                 continue
             if stats.rtt_samples == prev_samples:
                 continue                     # no new evidence since last tick
-            rto = stats.srtt + max(self._k * stats.rttvar, self._granularity)
-            rto = min(max(rto, self._min_rto), self._max_rto)
+            rto = stats.srtt + max(self.K * stats.rttvar, self.GRANULARITY_S)
+            rto = min(max(rto, self.MIN_RTO_S), self.MAX_RTO_S)
             old = channel.rto_initial
-            if abs(rto - old) <= self._deadband * old:
+            if abs(rto - old) <= self.DEADBAND * old:
                 continue
             channel.set_rto(rto)
             actuations.append(Actuation(
@@ -160,6 +158,8 @@ class FlushTarget(Protocol):
     """What the flush controller needs from a batching sender."""
 
     flush_limit: int | None
+    #: Its window implies the cap a target without an override starts from.
+    endpoint: "PacketEndpoint"
 
     def transport_stats(self) -> "ChannelStats | None": ...
 
@@ -169,46 +169,37 @@ class FlushController:
 
     Per target and tick, the delta of ``(sent, retransmissions)`` since
     the previous tick gives the recent loss rate of that member's hop.
-    Loss above ``high_loss`` — or an active quench advisory — halves the
+    Loss above ``HIGH_LOSS`` — or an active quench advisory — halves the
     flush cap (a lost fragment then costs a small retransmission, and a
     quenched member's queue stops growing in big units); loss below
-    ``low_loss`` with real traffic doubles it toward ``max_bytes``,
-    amortising per-payload costs on links that have earned the trust.
+    ``LOW_LOSS`` with real traffic (``MIN_SENT`` packets) doubles it
+    toward ``MAX_BYTES``, amortising per-payload costs on links that have
+    earned the trust.  A target with no override yet starts from the cap
+    its hop's window implies (:func:`~repro.core.protocol.flush_limit`).
     Targets are re-listed every tick, so proxies created and destroyed by
     membership churn are picked up and dropped automatically.
     """
 
     name = "flush"
 
+    #: Bounds of the flush cap, in bytes.
+    MIN_BYTES = 1024
+    MAX_BYTES = protocol.BATCH_FLUSH_BYTES
+    #: Loss-rate thresholds, judged over at least ``MIN_SENT`` packets.
+    HIGH_LOSS = 0.05
+    LOW_LOSS = 0.01
+    MIN_SENT = 8
+
     def __init__(self, targets: Callable[[], Iterable[FlushTarget]], *,
                  quenched: Callable[[FlushTarget], bool] | None = None,
-                 label: Callable[[FlushTarget], str] = lambda t: str(t),
-                 min_bytes: int = 1024,
-                 max_bytes: int = protocol.BATCH_FLUSH_BYTES,
-                 high_loss: float = 0.05, low_loss: float = 0.01,
-                 min_sent: int = 8,
-                 default_limit: Callable[[FlushTarget], int] | None = None
+                 label: Callable[[FlushTarget], str] = lambda t: str(t)
                  ) -> None:
-        if min_bytes < 1 or max_bytes < min_bytes:
-            raise ConfigurationError(
-                f"bad flush bounds: min={min_bytes}, max={max_bytes}")
-        if not 0.0 <= low_loss <= high_loss:
-            raise ConfigurationError(
-                f"bad loss thresholds: low={low_loss}, high={high_loss}")
         self._targets = targets
         self._quenched = quenched
         self._label = label
-        self._min_bytes = min_bytes
-        self._max_bytes = max_bytes
-        self._high_loss = high_loss
-        self._low_loss = low_loss
-        self._min_sent = min_sent
-        self._default_limit = default_limit or (
-            lambda t: protocol.flush_limit(t.endpoint.window))
         self._seen: dict[int, tuple[int, int]] = {}   # id -> (sent, rtx)
 
-    def tick(self, now: float,
-             registry: "MetricRegistry | None" = None) -> list[Actuation]:
+    def tick(self, now: float) -> list[Actuation]:
         actuations: list[Actuation] = []
         seen: dict[int, tuple[int, int]] = {}
         for target in self._targets():
@@ -220,7 +211,7 @@ class FlushController:
             seen[key] = (stats.sent, stats.retransmissions)
             quenched = bool(self._quenched(target)) if self._quenched else False
             current = (target.flush_limit if target.flush_limit is not None
-                       else self._default_limit(target))
+                       else protocol.flush_limit(target.endpoint.window))
             if base is None and not quenched:
                 continue                       # first sight: baseline only
             d_sent = max(0, stats.sent - base[0]) if base else 0
@@ -228,11 +219,11 @@ class FlushController:
             loss = d_rtx / d_sent if d_sent else 0.0
             new = current
             action = None
-            if quenched or (d_sent >= self._min_sent and loss > self._high_loss):
-                new = max(self._min_bytes, current // 2)
+            if quenched or (d_sent >= self.MIN_SENT and loss > self.HIGH_LOSS):
+                new = max(self.MIN_BYTES, current // 2)
                 action = "shrink_flush"
-            elif d_sent >= self._min_sent and loss <= self._low_loss:
-                new = min(self._max_bytes, current * 2)
+            elif d_sent >= self.MIN_SENT and loss <= self.LOW_LOSS:
+                new = min(self.MAX_BYTES, current * 2)
                 action = "grow_flush"
             if action is None or new == current:
                 continue
@@ -251,60 +242,41 @@ class FlushController:
 class ShardRebalancer:
     """Split a hot name class across shards by a secondary value bucket.
 
-    Analyze: per-shard load, through one of two senses.
-    ``sense="fragments"`` (default) reads the registered-fragment counts
-    of :meth:`~repro.core.sharding.ShardedMatcher.shard_loads` — table
-    skew, visible before a single event flows.  ``sense="events"`` reads
-    the *growth* of :meth:`~repro.core.sharding.ShardedMatcher.
-    shard_events` between ticks — actual match work done per shard, which
-    under a :class:`~repro.core.workers.WorkerPoolExecutor` is exactly
-    per-worker load (shard ownership is static), making ``split_class``
-    the pool's load-levelling actuator: spreading a hot class across
-    shards spreads its events across workers.  Either way the hottest
-    shard must carry more than ``hot_ratio`` times the mean load to be
-    worth disturbing.  Plan: among the unsplit classes homed on that
-    shard with at least ``min_fragments`` fragments, pick the largest,
-    and as bucket key the attribute whose equality constraints are most
-    diverse (``min_buckets`` distinct operands at least — splitting on a
-    single value would move the pin, not break it).  Execute:
+    Analyze: per-shard load, read as the registered-fragment counts of
+    :meth:`~repro.core.sharding.ShardedMatcher.shard_loads` — table skew,
+    visible before a single event flows.  Under a
+    :class:`~repro.core.workers.WorkerPoolExecutor` shard ownership is
+    static, so spreading a hot class across shards spreads its events
+    across workers: ``split_class`` is the pool's load-levelling
+    actuator.  The hottest shard must carry more than ``hot_ratio`` times
+    the mean load to be worth disturbing.  Plan: among the unsplit classes
+    homed on that shard with at least ``min_fragments`` fragments, pick
+    the largest, and as bucket key the attribute whose equality
+    constraints are most diverse (``MIN_BUCKETS`` distinct operands at
+    least — splitting on a single value would move the pin, not break
+    it).  Execute:
     :meth:`~repro.core.sharding.ShardedMatcher.split_class`, one class
     per tick, so each split's effect is observed before the next.
     """
 
     name = "rebalance"
 
+    #: Distinct equality operands a bucket key needs.
+    MIN_BUCKETS = 2
+
     def __init__(self, matcher: "ShardedMatcher", *, hot_ratio: float = 2.0,
-                 min_fragments: int = 16, min_buckets: int = 2,
-                 sense: str = "fragments") -> None:
+                 min_fragments: int = 16) -> None:
         if hot_ratio < 1.0:
             raise ConfigurationError(f"hot_ratio must be >= 1, got {hot_ratio}")
-        if sense not in ("fragments", "events"):
-            raise ConfigurationError(
-                f"sense must be 'fragments' or 'events', got {sense!r}")
         self._matcher = matcher
         self._hot_ratio = hot_ratio
         self._min_fragments = min_fragments
-        self._min_buckets = min_buckets
-        self._sense = sense
-        self._last_events: list[int] | None = None
 
-    def _sense_loads(self) -> list[int]:
-        """Per-shard load as this controller's sense defines it."""
-        if self._sense == "fragments":
-            return self._matcher.shard_loads()
-        events = self._matcher.shard_events()
-        last, self._last_events = self._last_events, events
-        if last is None:
-            # First tick only observes — a delta needs two samples.
-            return [0] * len(events)
-        return [cur - prev for cur, prev in zip(events, last)]
-
-    def tick(self, now: float,
-             registry: "MetricRegistry | None" = None) -> list[Actuation]:
+    def tick(self, now: float) -> list[Actuation]:
         matcher = self._matcher
         if matcher.shard_count < 2:
             return []
-        loads = self._sense_loads()
+        loads = matcher.shard_loads()
         total = sum(loads)
         if not total:
             return []
@@ -320,7 +292,7 @@ class ShardRebalancer:
                 continue
             eligible = {name: diversity
                         for name, diversity in stat.eq_diversity.items()
-                        if diversity >= self._min_buckets}
+                        if diversity >= self.MIN_BUCKETS}
             if not eligible:
                 continue
             bucket = max(sorted(eligible), key=lambda n: eligible[n])
@@ -333,5 +305,5 @@ class ShardRebalancer:
         return [Actuation(
             now, self.name, f"shard-{hot}", "split_class",
             {"names": sorted(stat.names), "bucket_name": bucket,
-             "fragments": stat.fragments, "moved": moved, "sense": self._sense,
+             "fragments": stat.fragments, "moved": moved,
              "loads_before": loads, "loads_after": matcher.shard_loads()})]

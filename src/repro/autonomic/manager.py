@@ -3,14 +3,14 @@
 The paper positions the event service as the substrate *for autonomic
 management* of a ubiquitous e-health cell; this module is the management
 side using that substrate's own mechanisms as actuators.  An
-:class:`AutonomicManager` owns the knowledge base (a
-:class:`~repro.autonomic.telemetry.MetricRegistry` of sensors) and a set
-of controllers (:mod:`repro.autonomic.controllers`), and ticks them on
-the cell's scheduler:
+:class:`AutonomicManager` owns a set of controllers
+(:mod:`repro.autonomic.controllers`) and the audit log, and ticks the
+controllers on the cell's scheduler:
 
-* **monitor** — every sensor is sampled into its rolling window;
-* **analyze / plan / execute** — each enabled controller inspects its
-  targets (and, if it wants, the registry) and actuates;
+* **monitor** — each controller reads its own targets' live counters
+  (``channel.stats``, a proxy's transport stats, the matcher's class
+  stats); nothing is sampled on its behalf;
+* **analyze / plan / execute** — each controller decides and actuates;
 * **knowledge** — every actuation is appended to the bounded audit log,
   so operators (and tests) can reconstruct exactly what the cell did to
   itself and why.
@@ -39,14 +39,6 @@ from repro.autonomic.controllers import (
     RttController,
     ShardRebalancer,
 )
-from repro.autonomic.telemetry import (
-    MetricRegistry,
-    register_bus_sensors,
-    register_quench_sensors,
-    register_shard_sensors,
-    register_transport_sensors,
-)
-from repro.core import protocol
 from repro.errors import ConfigurationError
 from repro.sim.kernel import PeriodicTimer, Scheduler
 
@@ -55,37 +47,22 @@ if TYPE_CHECKING:                                      # pragma: no cover
     from repro.transport.endpoint import PacketEndpoint
 
 
+#: Audit-log bound (oldest actuations are discarded beyond it).
+AUDIT_LIMIT = 1000
+
+
 @dataclass(frozen=True)
 class AutonomicConfig:
-    """Everything configurable about one cell's control plane.
+    """The one thing configurable about a cell's control plane.
 
-    The per-controller flags exist so an operator can run any subset of
-    the loops; the defaults are meant to be deployment-agnostic — the
-    whole point of closing the loops is that the same config self-tunes
-    on a 3 ms USB cable and a 200 ms home uplink.
+    The controllers' own tuning is deployment-agnostic by design — the
+    whole point of closing the loops is that the same constants
+    self-tune on a 3 ms USB cable and a 200 ms home uplink.
     """
 
     #: Control period.  Half a second reacts within a few RTTs of even a
     #: wide-area link without measurably loading the cell.
     tick_s: float = 0.5
-    #: Per-controller enable flags.
-    rtt: bool = True
-    flush: bool = True
-    rebalance: bool = True
-    #: RTT controller bounds (see controllers.RttController).
-    rtt_min_rto_s: float = 0.002
-    rtt_max_rto_s: float = 60.0
-    #: Flush controller bounds and loss thresholds.
-    flush_min_bytes: int = 1024
-    flush_max_bytes: int = protocol.BATCH_FLUSH_BYTES
-    flush_high_loss: float = 0.05
-    flush_low_loss: float = 0.01
-    flush_min_sent: int = 8
-    #: Rebalancer sensitivity.
-    rebalance_hot_ratio: float = 2.0
-    rebalance_min_fragments: int = 16
-    #: Audit-log bound (oldest actuations are discarded beyond it).
-    audit_limit: int = 1000
 
     def __post_init__(self) -> None:
         if self.tick_s <= 0:
@@ -93,18 +70,16 @@ class AutonomicConfig:
 
 
 class AutonomicManager:
-    """Ticks a set of controllers over one knowledge base, with audit."""
+    """Ticks a set of controllers and keeps the audit log."""
 
     def __init__(self, scheduler: Scheduler,
-                 registry: MetricRegistry | None = None,
                  controllers: Sequence[Controller] = (),
                  *, config: AutonomicConfig | None = None) -> None:
         self.scheduler = scheduler
         self.config = config if config is not None else AutonomicConfig()
-        self.registry = registry if registry is not None else MetricRegistry()
         self.controllers: list[Controller] = list(controllers)
         #: Bounded audit trail of every actuation, oldest first.
-        self.audit: deque[Actuation] = deque(maxlen=self.config.audit_limit)
+        self.audit: deque[Actuation] = deque(maxlen=AUDIT_LIMIT)
         self.ticks = 0
         self._timer: PeriodicTimer | None = None
 
@@ -122,20 +97,15 @@ class AutonomicManager:
             self._timer.cancel()
             self._timer = None
 
-    @property
-    def started(self) -> bool:
-        return self._timer is not None
-
     # -- the loop ------------------------------------------------------------
 
     def tick(self) -> list[Actuation]:
         """One monitor→analyze→plan→execute round; returns new actuations."""
         now = self.scheduler.now()
         self.ticks += 1
-        self.registry.sample(now)                      # monitor
         fresh: list[Actuation] = []
-        for controller in self.controllers:            # analyze/plan/execute
-            fresh.extend(controller.tick(now, self.registry))
+        for controller in self.controllers:    # monitor/analyze/plan/execute
+            fresh.extend(controller.tick(now))
         self.audit.extend(fresh)                       # knowledge
         return fresh
 
@@ -149,7 +119,7 @@ class AutonomicManager:
 
     def __repr__(self) -> str:
         names = ",".join(c.name for c in self.controllers)
-        state = "started" if self.started else "stopped"
+        state = "stopped" if self._timer is None else "started"
         return (f"<AutonomicManager [{names}] ticks={self.ticks} "
                 f"actuations={len(self.audit)} {state}>")
 
@@ -158,54 +128,24 @@ def build_bus_manager(scheduler: Scheduler, bus: "EventBus",
                       endpoint: "PacketEndpoint",
                       config: AutonomicConfig | None = None
                       ) -> AutonomicManager:
-    """Assemble the standard control plane for one bus core.
-
-    Sensors cover the bus counters, the endpoint's channels, the shard
-    table (when the bus is sharded) and quench state (when enabled);
-    controllers are instantiated per the config's enable flags, wired to
-    the cell's own actuators:
+    """Assemble the standard control plane for one bus core:
 
     * RTT — every live channel of ``endpoint`` (member links);
     * flush — every member proxy registered on ``bus`` (re-listed each
-      tick, so churn is handled), with quench state as back-pressure;
+      tick, so churn is handled), with the proxy's quench state as
+      back-pressure;
     * rebalance — the bus's :class:`~repro.core.sharding.ShardedMatcher`,
       when it has more than one shard.
     """
     from repro.core.sharding import ShardedMatcher   # avoid import cycle
 
-    config = config if config is not None else AutonomicConfig()
-    registry = MetricRegistry()
-    register_bus_sensors(registry, bus)
-    register_transport_sensors(registry, endpoint)
-    if bus.quench is not None:
-        register_quench_sensors(registry, bus.quench)
-
-    controllers: list[Controller] = []
-    if config.rtt:
-        controllers.append(RttController(
-            endpoint.live_channels,
-            min_rto_s=config.rtt_min_rto_s, max_rto_s=config.rtt_max_rto_s))
-    if config.flush:
-        def proxies():
-            return [bus.proxy_of(member) for member in bus.members()]
-
-        def quenched(proxy) -> bool:
-            return (bus.quench is not None
-                    and bus.quench.is_quenched(proxy.member_id))
-
-        controllers.append(FlushController(
-            proxies, quenched=quenched,
-            label=lambda proxy: proxy.member_name,
-            min_bytes=config.flush_min_bytes,
-            max_bytes=config.flush_max_bytes,
-            high_loss=config.flush_high_loss,
-            low_loss=config.flush_low_loss,
-            min_sent=config.flush_min_sent))
+    controllers: list[Controller] = [
+        RttController(endpoint.live_channels),
+        FlushController(
+            lambda: [bus.proxy_of(member) for member in bus.members()],
+            quenched=lambda proxy: proxy.quenched,
+            label=lambda proxy: proxy.member_name)]
     matcher = bus.engine
-    if (config.rebalance and isinstance(matcher, ShardedMatcher)
-            and matcher.shard_count > 1):
-        register_shard_sensors(registry, matcher)
-        controllers.append(ShardRebalancer(
-            matcher, hot_ratio=config.rebalance_hot_ratio,
-            min_fragments=config.rebalance_min_fragments))
-    return AutonomicManager(scheduler, registry, controllers, config=config)
+    if isinstance(matcher, ShardedMatcher) and matcher.shard_count > 1:
+        controllers.append(ShardRebalancer(matcher))
+    return AutonomicManager(scheduler, controllers, config=config)

@@ -450,7 +450,7 @@ def run_rebalance_recovery(sub_count: int = 4000, batches: int = 10,
     import random
     import time as wallclock
 
-    from repro.autonomic import AutonomicConfig, AutonomicManager, ShardRebalancer
+    from repro.autonomic import AutonomicManager, ShardRebalancer
     from repro.core.events import Event
     from repro.core.sharding import ShardedEventBus
     from repro.ids import service_id_from_name
@@ -488,10 +488,8 @@ def run_rebalance_recovery(sub_count: int = 4000, batches: int = 10,
         manager = None
         if autonomic:
             manager = AutonomicManager(
-                sim, None,
-                [ShardRebalancer(bus.sharded, hot_ratio=2.0,
-                                 min_fragments=64)],
-                config=AutonomicConfig())
+                sim, [ShardRebalancer(bus.sharded, hot_ratio=2.0,
+                                      min_fragments=64)])
         bus.publish_batch(stamped[:batch_size])        # warm
         sim.run_until_idle()
         if manager is not None:

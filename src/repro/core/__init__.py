@@ -21,7 +21,6 @@ matching engine:
 
 from repro.core.bus import BusStats, EventBus
 from repro.core.bootstrap import ProxyBootstrap
-from repro.core.correlate import EventCorrelator
 from repro.core.client import BusClient
 from repro.core.events import (
     NEW_MEMBER_TYPE,
@@ -29,10 +28,8 @@ from repro.core.events import (
     Event,
     decode_event,
     encode_event,
-    new_member_event,
-    purge_member_event,
 )
-from repro.core.proxies import ActuatorProxy, SensorProxy, ServiceProxy
+from repro.core.proxies import SensorProxy, ServiceProxy
 from repro.core.proxy import DeviceTranslator, Proxy
 from repro.core.quench import QuenchController
 from repro.core.sharding import ShardedEventBus, ShardedMatcher
@@ -43,8 +40,6 @@ __all__ = [
     "decode_event",
     "NEW_MEMBER_TYPE",
     "PURGE_MEMBER_TYPE",
-    "new_member_event",
-    "purge_member_event",
     "EventBus",
     "BusStats",
     "ShardedEventBus",
@@ -53,9 +48,7 @@ __all__ = [
     "DeviceTranslator",
     "ServiceProxy",
     "SensorProxy",
-    "ActuatorProxy",
     "ProxyBootstrap",
     "BusClient",
     "QuenchController",
-    "EventCorrelator",
 ]

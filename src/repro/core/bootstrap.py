@@ -53,11 +53,9 @@ class ProxyBootstrap:
         self.endpoint = endpoint
         self.stats = BootstrapStats()
         self._factories: dict[str, ProxyFactory] = {}
-        self._default_factory: ProxyFactory = _service_proxy_factory
         # "The bootstrap mechanism must therefore be initialised on the
         # creation of the event bus": subscribe as soon as we exist.
-        self._sub_id = bus.subscribe_local(Filter.where(NEW_MEMBER_TYPE),
-                                           self._on_new_member)
+        bus.subscribe_local(Filter.where(NEW_MEMBER_TYPE), self._on_new_member)
         endpoint.set_payload_handler(self._on_payload)
 
     # -- registry -----------------------------------------------------------
@@ -71,26 +69,18 @@ class ProxyBootstrap:
         self._factories[device_type] = factory
 
     def register_translator(self, translator: DeviceTranslator,
-                            *, forward_acks: bool = False,
-                            proxy_class: type[SensorProxy] = SensorProxy) -> None:
-        """Convenience: register a SensorProxy-style factory for a
-        translator's device type."""
+                            *, forward_acks: bool = False) -> None:
+        """Convenience: register a SensorProxy factory for a translator's
+        device type."""
 
         def factory(bus: EventBus, endpoint: PacketEndpoint,
                     member_id: ServiceId, member_name: str,
                     member_address: Address) -> Proxy:
-            return proxy_class(bus, endpoint, member_id, member_name,
+            return SensorProxy(bus, endpoint, member_id, member_name,
                                member_address, translator,
                                forward_acks=forward_acks)
 
         self.register_factory(translator.device_type, factory)
-
-    def set_default_factory(self, factory: ProxyFactory) -> None:
-        """Factory used for device types with no specific registration."""
-        self._default_factory = factory
-
-    def known_device_types(self) -> list[str]:
-        return sorted(self._factories)
 
     # -- New Member reaction -------------------------------------------------
 
@@ -107,7 +97,8 @@ class ProxyBootstrap:
         name = str(event.get("name", ""))
         device_type = str(event.get("device_type", ""))
         address = self._resolve_address(member, event)
-        factory = self._factories.get(device_type, self._default_factory)
+        # A device type nobody registered speaks the bus protocol itself.
+        factory = self._factories.get(device_type, _service_proxy_factory)
         try:
             proxy = factory(self.bus, self.endpoint, member, name, address)
         except Exception:
@@ -123,8 +114,7 @@ class ProxyBootstrap:
 
         The discovery service heard the member's packets, so the endpoint
         normally already knows the real address.  The New Member event
-        carries a textual address as backup (and for federated cells that
-        learned of the member indirectly).
+        carries a textual address as backup.
         """
         if self.endpoint.knows_peer(member):
             return self.endpoint.address_of(member)
@@ -151,9 +141,6 @@ class ProxyBootstrap:
             publications = protocol.count_publications(payload)
             self.bus.stats.published += publications
             self.bus.stats.from_unknown_member += publications
-
-    def close(self) -> None:
-        self.bus.unsubscribe_local(self._sub_id)
 
 
 def _service_proxy_factory(bus: EventBus, endpoint: PacketEndpoint,

@@ -198,9 +198,6 @@ class BusClient:
             self.endpoint.send_reliable(self.bus_address,
                                         protocol.frame_unsubscribe(sub_id))
 
-    def subscription_count(self) -> int:
-        return len(self._subscriptions)
-
     def resubscribe_all(self) -> None:
         """Re-issue every live subscription (after a purge-and-rejoin)."""
         self._require_connected()

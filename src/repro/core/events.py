@@ -280,27 +280,3 @@ def decode_event(buf: wire.Buffer, offset: int = 0) -> tuple[Event, int]:
 #: cannot grow it without limit.
 _TYPE_CACHE: dict[bytes, str] = {}
 _TYPE_CACHE_MAX = 1024
-
-
-# -- management event factories --------------------------------------------
-
-def new_member_event(sender: ServiceId, seqno: int, timestamp: float, *,
-                     member: ServiceId, name: str, device_type: str,
-                     address: str) -> Event:
-    """Build the "New Member" event the discovery service publishes.
-
-    Carries "enough information for the proxy-creation process to be able
-    to generate the appropriate proxy type" (Section III-C).
-    """
-    return Event(NEW_MEMBER_TYPE,
-                 {"member": int(member), "name": name,
-                  "device_type": device_type, "address": address},
-                 sender, seqno, timestamp)
-
-
-def purge_member_event(sender: ServiceId, seqno: int, timestamp: float, *,
-                       member: ServiceId, name: str, reason: str) -> Event:
-    """Build the "Purge Member" event (departure, battery failure, timeout)."""
-    return Event(PURGE_MEMBER_TYPE,
-                 {"member": int(member), "name": name, "reason": reason},
-                 sender, seqno, timestamp)

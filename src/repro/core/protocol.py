@@ -83,11 +83,6 @@ _OP_FROM_BYTE = {int(op): op for op in BusOp}
 Frame = bytes | list[bytes]
 
 
-def op_chunk(op: BusOp) -> bytes:
-    """The interned one-byte wire chunk for ``op``."""
-    return _OP_CHUNKS[op]
-
-
 def frame(op: BusOp, body: bytes = b"") -> bytes:
     """Prepend the opcode byte to a body."""
     return _OP_CHUNKS[op] + body

@@ -13,10 +13,8 @@ services)".
   emitting raw protocol bytes; the proxy translates readings into typed
   events, registers subscriptions on the device's behalf, translates
   command events back into device bytes, and optionally forwards
-  application-level acknowledgements to the device.
-* :class:`ActuatorProxy` — a sensor-style proxy specialised for devices
-  that primarily *receive* commands (drug pumps, alarms); refuses to
-  translate readings and counts delivered commands.
+  application-level acknowledgements to the device.  Command-consuming
+  devices (drug pumps, displays) use it too.
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ class SensorProxy(Proxy):
         pre-processing of that data into fully fledged data objects before
         forwarding to other internal services."
         """
-        decoded = self.translator.decode_reading(data, self.bus.scheduler.now())
+        decoded = self.translator.decode_reading(data)
         if decoded is None:
             self.stats.malformed_payloads += 1
             return
@@ -95,13 +93,3 @@ class SensorProxy(Proxy):
                 self.endpoint.send_raw(
                     self.member_address,
                     protocol.frame(BusOp.DEVICE_CMD, ack()))
-
-
-class ActuatorProxy(SensorProxy):
-    """Proxy for command-consuming devices (pumps, alarms, displays)."""
-
-    def on_device_data(self, data: bytes) -> None:
-        # Actuators report status rather than readings; translators may
-        # still decode them (e.g. a pump confirming a dose), so reuse the
-        # sensor path.
-        super().on_device_data(data)

@@ -63,8 +63,7 @@ class DeviceTranslator(Protocol):
     #: Device type string this translator understands (e.g. ``"sensor.hr"``).
     device_type: str
 
-    def decode_reading(self, data: bytes,
-                       now: float) -> tuple[str, dict] | None:
+    def decode_reading(self, data: bytes) -> tuple[str, dict] | None:
         """Parse raw device bytes into ``(event_type, attributes)``.
 
         Return None to discard the reading (malformed, or below change
@@ -124,6 +123,10 @@ class Proxy:
         #: Set from the New Member event and refreshed by ``smc.member.state``
         #: events; when positive, batch flushes never exceed it per payload.
         self.capacity = 0
+        #: Why the member is told not to publish: "unsubscribed" (quench
+        #: controller), "backlog" (edge guard), "draining".  Written only
+        #: through :meth:`set_quench`: the proxy owns the quench bit.
+        self.quench_reasons: set[str] = set()
         self._destroyed = False
         self._draining = False
         self._client_subs: dict[int, int] = {}    # client sub id -> bus sub id
@@ -246,11 +249,27 @@ class Proxy:
         channel = self.endpoint.existing_channel(self.member_address)
         return channel.stats if channel is not None else None
 
-    def send_quench(self, quench_on: bool) -> None:
-        """Advise the member to stop/resume publishing (quenching)."""
-        if not self._destroyed:
-            self.endpoint.send_reliable(self.member_address,
-                                        protocol.frame_quench(quench_on))
+    def set_quench(self, reason: str, wanted: bool) -> bool:
+        """State (or withdraw) one reason for the member to stop
+        publishing.  A QUENCH advisory goes out, and True comes back, only
+        when the set of reasons goes empty <-> non-empty."""
+        if self._destroyed:
+            return False
+        was_quenched = bool(self.quench_reasons)
+        if wanted:
+            self.quench_reasons.add(reason)
+        else:
+            self.quench_reasons.discard(reason)
+        if bool(self.quench_reasons) == was_quenched:
+            return False
+        self.endpoint.send_reliable(self.member_address,
+                                    protocol.frame_quench(not was_quenched))
+        return True
+
+    @property
+    def quenched(self) -> bool:
+        """Whether the member is currently advised not to publish."""
+        return bool(self.quench_reasons)
 
     # -- endpoint-facing interface ----------------------------------------
 
@@ -367,7 +386,8 @@ class Proxy:
 
         The drain half of the purge path: withdraw the member's
         subscriptions (so no *new* matches join its outbound queue),
-        withdraw its advertisement, and quench it.  What is already
+        quench it, and withdraw its advertisement (with "draining" stated
+        first, that withdrawal cannot wake it).  What is already
         queued on the channel keeps retransmitting until acknowledged —
         discovery purges the member once the queue is empty, and
         :meth:`destroy` then finds nothing to drop.  Idempotent.
@@ -378,9 +398,9 @@ class Proxy:
         for sub_id in sorted(self.bus.subscriptions_of(self.member_id)):
             self.bus.unsubscribe_member(self.member_id, sub_id)
         self._client_subs.clear()
+        self.set_quench("draining", True)
         if self.bus.quench is not None:
             self.bus.quench.withdraw_advertisement(self.member_id)
-        self.send_quench(True)
 
     @property
     def draining(self) -> bool:
@@ -395,6 +415,7 @@ class Proxy:
         if self._destroyed:
             return
         self._destroyed = True
+        self.quench_reasons.clear()
         self.bus.unsubscribe_local(self._purge_sub)
         self.bus.unsubscribe_local(self._state_sub)
         self.bus.unregister_member(self.member_id)

@@ -13,6 +13,10 @@ using the conservative overlap relation from
 subscription could possibly match anything it advertises (false "overlap"
 positives keep publishers running — safe), and is woken the moment an
 overlapping subscription appears.
+
+The member's proxy owns its quench bit and sends the advisories
+(:meth:`~repro.core.proxy.Proxy.set_quench`); this controller states and
+withdraws one reason, ``"unsubscribed"``, and counts what that caused.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ class QuenchController:
         self.bus = bus
         self.stats = QuenchStats()
         self._advertisements: dict[ServiceId, Filter] = {}
-        self._quenched: dict[ServiceId, bool] = {}
         bus.attach_quench(self)
 
     # -- advertisement lifecycle ------------------------------------------
@@ -65,9 +68,8 @@ class QuenchController:
         membership session unquenched anyway.
         """
         self._advertisements.pop(member, None)
-        was_quenched = self._quenched.pop(member, False)
-        if was_quenched and self.bus.is_member(member):
-            self.bus.proxy_of(member).send_quench(False)
+        if (self.bus.is_member(member) and self.bus.proxy_of(member)
+                .set_quench("unsubscribed", False)):
             self.stats.wake_messages_sent += 1
         self._recount()
 
@@ -78,7 +80,9 @@ class QuenchController:
             self._evaluate(member)
 
     def is_quenched(self, member: ServiceId) -> bool:
-        return self._quenched.get(member, False)
+        """Whether this controller holds ``member`` quenched."""
+        return (self.bus.is_member(member)
+                and "unsubscribed" in self.bus.proxy_of(member).quench_reasons)
 
     # -- internals ---------------------------------------------------------
 
@@ -86,17 +90,16 @@ class QuenchController:
         if not self.bus.is_member(member):
             self.withdraw_advertisement(member)
             return
-        advertisement = self._advertisements[member]
-        interested = self._anyone_interested(advertisement)
-        should_quench = not interested
-        if self._quenched.get(member, False) == should_quench:
+        proxy = self.bus.proxy_of(member)
+        should_quench = not self._anyone_interested(
+            self._advertisements[member])
+        if ("unsubscribed" in proxy.quench_reasons) == should_quench:
             return
-        self._quenched[member] = should_quench
-        self.bus.proxy_of(member).send_quench(should_quench)
-        if should_quench:
-            self.stats.quench_messages_sent += 1
-        else:
-            self.stats.wake_messages_sent += 1
+        if proxy.set_quench("unsubscribed", should_quench):
+            if should_quench:
+                self.stats.quench_messages_sent += 1
+            else:
+                self.stats.wake_messages_sent += 1
         self._recount()
 
     def _anyone_interested(self, advertisement: Filter) -> bool:
@@ -108,4 +111,4 @@ class QuenchController:
 
     def _recount(self) -> None:
         self.stats.currently_quenched = sum(
-            1 for quenched in self._quenched.values() if quenched)
+            map(self.is_quenched, self._advertisements))

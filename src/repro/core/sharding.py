@@ -85,8 +85,8 @@ def shard_index(names: Iterable[str], shard_count: int) -> int:
 
     CRC-32 over the sorted, delimiter-joined names — stable across
     processes, platforms and runs (unlike the interpreter's salted
-    ``hash``), so a subscription routes to the same shard on every node
-    of a federation and in every replay of a seeded simulation.
+    ``hash``), so a subscription routes to the same shard in every
+    worker process and in every replay of a seeded simulation.
     """
     if shard_count == 1:
         return 0
@@ -629,25 +629,6 @@ class ShardedEventBus(EventBus):
     def shard_loads(self) -> list[int]:
         """Subscription fragments per shard (observability/balance)."""
         return self.sharded.shard_loads()
-
-    @property
-    def executor(self) -> PlanExecutor:
-        """The plan executor the match phase runs on (inline by default)."""
-        return self.sharded.executor
-
-    def set_executor(self, executor: PlanExecutor | None) -> None:
-        """Route the match phase through ``executor`` (None = inline).
-
-        The dispatch phase — watermarks, ownership, proxies, quench, the
-        BusStats invariant — never leaves this bus object; only the
-        pure match computation moves.
-        """
-        self.sharded.set_executor(executor)
-
-    def split_class(self, names: Iterable[str], bucket_name: str) -> int:
-        """Re-route a hot class by a value bucket; see
-        :meth:`ShardedMatcher.split_class`."""
-        return self.sharded.split_class(names, bucket_name)
 
     def __repr__(self) -> str:
         return (f"<ShardedEventBus {self.name} shards={self.shard_count} "

@@ -63,10 +63,10 @@ from repro.matching.filters import decode_subscription, encode_subscription
 from repro.matching.plan import decode_plan, write_plan
 from repro.transport import wire
 
-#: Default worker start method.  ``spawn`` inherits no fds and no mutable
-#: parent state — the only fork-safe choice next to live sockets and a
-#: selector loop.  ``fork`` is accepted for latency-sensitive tests.
-DEFAULT_START_METHOD = "spawn"
+#: Worker start method.  ``spawn`` inherits no fds and no mutable parent
+#: state — the only fork-safe choice next to live sockets and a selector
+#: loop.
+START_METHOD = "spawn"
 
 #: How long the host waits for one worker reply before declaring the
 #: worker wedged, killing it and falling back inline for the round.
@@ -322,7 +322,6 @@ class WorkerPoolExecutor:
     """
 
     def __init__(self, matcher, workers: int = 2, *,
-                 start_method: str = DEFAULT_START_METHOD,
                  engine: str | None = None,
                  recv_timeout_s: float | None = DEFAULT_RECV_TIMEOUT_S
                  ) -> None:
@@ -331,7 +330,7 @@ class WorkerPoolExecutor:
         self.workers = workers
         self.stats = WorkerPoolStats()
         self._recv_timeout_s = recv_timeout_s
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context(START_METHOD)
         self._engine_spec = engine
         self._procs: list = [None] * workers
         self._spawned = [False] * workers    # slot ever started a worker?

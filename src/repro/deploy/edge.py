@@ -16,9 +16,10 @@ edge, before they can distort the core:
   (:meth:`~repro.transport.reliability.ReliableChannel.shed_backlog`), so
   one stalled PDA cannot hold the cell's memory hostage.
 
-The guard is quench-aware in both directions: it never duplicates an
-advisory the bus's own :class:`~repro.core.quench.QuenchController`
-already issued, and it wakes only members it quenched itself.
+The guard states one reason, ``"backlog"``, to the member's proxy, which
+owns the quench bit (:meth:`~repro.core.proxy.Proxy.set_quench`): a member
+already muted for another reason is sent no second advisory, and is not
+woken by the guard's wake.
 """
 
 from __future__ import annotations
@@ -108,7 +109,6 @@ class BackpressureGuard:
         self.wake_backlog = wake_backlog
         self.shed_backlog = shed_backlog
         self.stats = stats if stats is not None else EdgeStats()
-        self._edge_quenched: set[ServiceId] = set()
         self._capacity_of: Callable[[ServiceId], int] | None = None
 
     def set_capacity_source(self, capacity_of: Callable[[ServiceId], int]) -> None:
@@ -136,44 +136,24 @@ class BackpressureGuard:
     def sweep(self) -> None:
         """One backpressure round over every member channel."""
         self.stats.sweeps += 1
-        members = set(self.bus.members())
-        # Members purged since the last sweep took their channels (and any
-        # edge quench) with them.
-        self._edge_quenched &= members
-        for member in members:
+        for member in self.bus.members():
             proxy = self.bus.proxy_of(member)
             channel = self.endpoint.existing_channel(proxy.member_address)
             backlog = channel.unacked_count() if channel is not None else 0
             quench_at, wake_at, shed_at = self._bounds_for(member)
             if backlog >= quench_at:
-                self._quench(member, proxy)
+                if proxy.set_quench("backlog", True):
+                    self.stats.quench_advisories += 1
             elif backlog <= wake_at:
-                self._wake(member, proxy)
+                if proxy.set_quench("backlog", False):
+                    self.stats.wake_advisories += 1
             if channel is not None and backlog > shed_at:
                 # Trim the untransmitted tail; in-flight packets stay (the
                 # send window bounds them already).
                 self.stats.payloads_shed += channel.shed_backlog(shed_at)
 
     def edge_quenched(self) -> set[ServiceId]:
-        """Members currently quenched by the edge (not by the bus)."""
-        return set(self._edge_quenched)
-
-    def _quench(self, member: ServiceId, proxy) -> None:
-        if member in self._edge_quenched:
-            return
-        if (self.bus.quench is not None
-                and self.bus.quench.is_quenched(member)):
-            return          # the bus already told it to stop
-        proxy.send_quench(True)
-        self._edge_quenched.add(member)
-        self.stats.quench_advisories += 1
-
-    def _wake(self, member: ServiceId, proxy) -> None:
-        if member not in self._edge_quenched:
-            return
-        self._edge_quenched.discard(member)
-        if (self.bus.quench is not None
-                and self.bus.quench.is_quenched(member)):
-            return          # the bus still wants it quiet; don't wake
-        proxy.send_quench(False)
-        self.stats.wake_advisories += 1
+        """Members the edge currently holds quenched (whatever the bus
+        says about them); a purged member took its proxy's with it."""
+        return {member for member in self.bus.members()
+                if "backlog" in self.bus.proxy_of(member).quench_reasons}

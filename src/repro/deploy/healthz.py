@@ -50,12 +50,17 @@ snapshot` produces)::
                       coalescing factor), turn_high_water the largest
                       single turn
     channels          aggregate ChannelStats over every member channel
+                      (sent, delivered, retransmissions, fast_retransmits,
+                      duplicates, out_of_order, reorder_drops, acks_sent,
+                      backlog_shed; rtt_samples, srtt and rttvar of the
+                      slowest path)
     transport         UDP socket counters
     discovery         DiscoveryStats (admissions, purges, degradations,
                       drains, drains_completed, drain_timeouts, ...)
     edge              EdgeStats (capacity_rejections, quench/wake
                       advisories, payloads_shed, sweeps)
-    edge_quenched     member ids currently quenched by the edge guard
+    edge_quenched     member ids the edge guard holds quenched for
+                      backlog (a member's proxy may hold other reasons)
     shard_loads       (sharded bus only) subscriptions per shard
     shard_events      (sharded bus only) events matched per shard
     workers           (worker pool only) WorkerPoolExecutor.stats_dict():
@@ -71,7 +76,10 @@ snapshot` produces)::
                                         satisfied-value memo counters as
                                         of its last reply (batch lookups
                                         happen there, not on the host)
-    autonomic         (autonomic cell only) ticks, actuations, audit tail
+    autonomic         (autonomic cell only) ticks, actuations (entries
+                      in the audit log), audit_tail (its newest
+                      server.AUDIT_TAIL, each time / controller / target /
+                      action / detail)
 """
 
 from __future__ import annotations
@@ -84,6 +92,9 @@ from typing import Callable
 from repro.errors import TransportError
 
 SnapshotFn = Callable[[], dict]
+
+#: How long one response may block the run loop on a slow probe.
+SEND_TIMEOUT_S = 1.0
 
 _RESPONSE_TEMPLATE = (
     "HTTP/1.0 200 OK\r\n"
@@ -98,9 +109,8 @@ class HealthzEndpoint:
     """Serves JSON snapshots over loopback TCP; a scheduler pollable."""
 
     def __init__(self, snapshot: SnapshotFn, host: str = "127.0.0.1",
-                 port: int = 0, *, send_timeout_s: float = 1.0) -> None:
+                 port: int = 0) -> None:
         self._snapshot = snapshot
-        self._send_timeout_s = send_timeout_s
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         try:
@@ -145,7 +155,7 @@ class HealthzEndpoint:
         try:
             body = json.dumps(self._snapshot()).encode("utf-8")
             header = _RESPONSE_TEMPLATE.format(length=len(body))
-            conn.settimeout(self._send_timeout_s)
+            conn.settimeout(SEND_TIMEOUT_S)
             conn.sendall(header.encode("ascii") + body)
             self.requests_served += 1
         except OSError:

@@ -40,8 +40,8 @@ from dataclasses import asdict, dataclass, field
 
 from repro.core.bootstrap import format_address
 from repro.core.events import Event
-from repro.core.sharding import ShardedEventBus
-from repro.core.workers import DEFAULT_START_METHOD, WorkerPoolExecutor
+from repro.core.sharding import ShardedMatcher
+from repro.core.workers import WorkerPoolExecutor
 from repro.deploy.edge import BackpressureGuard, CapacityAuthenticator, EdgeStats
 from repro.deploy.healthz import HealthzEndpoint
 from repro.discovery.auth import Authenticator
@@ -50,6 +50,10 @@ from repro.matching.filters import Filter
 from repro.sim.kernel import RealtimeScheduler
 from repro.smc.cell import CellConfig, SelfManagedCell
 from repro.transport.udp import DEFAULT_DISCOVERY_PORT, UdpTransport
+
+
+#: Autonomic audit entries included in a snapshot.
+AUDIT_TAIL = 20
 
 
 @dataclass(frozen=True)
@@ -74,11 +78,6 @@ class ServerConfig:
     #: Healthz surface (port 0 = OS-chosen); None disables it.
     healthz_host: str | None = "127.0.0.1"
     healthz_port: int = 0
-    #: Autonomic audit entries included in a snapshot.
-    audit_tail: int = 20
-    #: Keep the broadcast-domain stand-in synced to membership, so
-    #: devices on broadcast-free networks still receive beacons.
-    directed_beacons: bool = True
     #: Addresses beaconed even before any member joins (bootstrap seeds).
     broadcast_peers: list[tuple[str, int]] = field(default_factory=list)
     #: Match-worker processes (0 = inline matching on the core thread).
@@ -86,17 +85,11 @@ class ServerConfig:
     #: in :meth:`CellServer.start`, respawned by the guard sweep when a
     #: worker dies, and drained in :meth:`CellServer.stop`.
     workers: int = 0
-    #: Worker start method; ``spawn`` is the fork-safe default (workers
-    #: inherit none of the server's sockets or pollables).
-    worker_start_method: str = DEFAULT_START_METHOD
 
     def __post_init__(self) -> None:
         if self.guard_period_s <= 0:
             raise ConfigurationError(
                 f"guard_period_s must be > 0, got {self.guard_period_s}")
-        if self.audit_tail < 0:
-            raise ConfigurationError(
-                f"audit_tail must be >= 0, got {self.audit_tail}")
         if self.workers < 0:
             raise ConfigurationError(
                 f"workers must be >= 0, got {self.workers}")
@@ -115,7 +108,7 @@ class CellServer:
             bind_host=config.bind_host, bind_port=config.bind_port,
             discovery_port=config.discovery_port,
             listen_for_broadcast=config.listen_for_broadcast,
-            directed_only=config.directed_beacons)
+            directed_only=True)
         if config.broadcast_peers:
             self.transport.set_broadcast_peers(config.broadcast_peers)
 
@@ -149,20 +142,21 @@ class CellServer:
                                            host=config.healthz_host,
                                            port=config.healthz_port)
 
-        if config.directed_beacons:
-            self.cell.bus.subscribe_local(
-                Filter.for_type_prefix("smc.member"),
-                self._on_membership_change)
+        # Directed beacons: the broadcast-domain stand-in follows the
+        # membership, so devices on broadcast-free networks hear beacons.
+        self.cell.bus.subscribe_local(
+            Filter.for_type_prefix("smc.member"),
+            self._on_membership_change)
 
         #: Match-worker pool; built in :meth:`start` so worker processes
         #: are spawned only once the deployment is actually live.
         self.worker_pool: WorkerPoolExecutor | None = None
         if config.workers:
-            if not isinstance(self.cell.bus, ShardedEventBus):
+            if not isinstance(self.cell.bus.engine, ShardedMatcher):
                 raise ConfigurationError(
                     "match workers require a sharded bus — set "
                     f"cell.shards > 1 (got workers={config.workers})")
-            if self.cell.bus.sharded.engine_spec is None:
+            if self.cell.bus.engine.engine_spec is None:
                 raise ConfigurationError(
                     "match workers need a named engine to build replicas")
 
@@ -184,9 +178,8 @@ class CellServer:
             self.scheduler.register_pollable(self.healthz)
         self.cell.start()
         if self.config.workers:
-            self.worker_pool = WorkerPoolExecutor(
-                self.cell.bus.sharded, self.config.workers,
-                start_method=self.config.worker_start_method)
+            self.worker_pool = WorkerPoolExecutor(self.cell.bus.engine,
+                                                  self.config.workers)
         self._guard_timer = self.scheduler.every(self.config.guard_period_s,
                                                  self._sweep)
 
@@ -237,10 +230,6 @@ class CellServer:
         # drops its turn end: flush while deliveries can still be sent.
         self.cell.bus.flush_turn()
         self.transport.close()
-
-    @property
-    def started(self) -> bool:
-        return self._started
 
     @property
     def address(self) -> tuple[str, int]:
@@ -303,13 +292,14 @@ class CellServer:
             "edge_quenched": sorted(int(m)
                                     for m in self.guard.edge_quenched()),
         }
-        if isinstance(self.cell.bus, ShardedEventBus):
-            snapshot["shard_loads"] = self.cell.bus.shard_loads()
-            snapshot["shard_events"] = self.cell.bus.sharded.shard_events()
+        engine = self.cell.bus.engine
+        if isinstance(engine, ShardedMatcher):
+            snapshot["shard_loads"] = engine.shard_loads()
+            snapshot["shard_events"] = engine.shard_events()
         if self.worker_pool is not None:
             snapshot["workers"] = self.worker_pool.stats_dict()
         if self.cell.autonomic is not None:
-            tail = list(self.cell.autonomic.audit)[-self.config.audit_tail:]
+            tail = list(self.cell.autonomic.audit)[-AUDIT_TAIL:]
             snapshot["autonomic"] = {
                 "ticks": self.cell.autonomic.ticks,
                 "actuations": len(self.cell.autonomic.audit),

@@ -18,7 +18,6 @@ from __future__ import annotations
 import struct
 
 from repro.core.events import COMMAND_TYPE_PREFIX, Event
-from repro.errors import CodecError
 from repro.matching.filters import Filter
 
 SET_THRESHOLD_OP = "set_threshold"
@@ -108,7 +107,7 @@ class HeartRateProtocol(_BaseProtocol):
         return self._frame(_OP_READING,
                            struct.pack("!HB", tenths, 1 if alarm else 0))
 
-    def decode_reading(self, data: bytes, now: float) -> tuple[str, dict] | None:
+    def decode_reading(self, data: bytes) -> tuple[str, dict] | None:
         body = self._open(data, _OP_READING)
         if body is None or len(body) != 3:
             return None
@@ -159,7 +158,7 @@ class BloodPressureProtocol(_BaseProtocol):
             "!HH", max(0, min(0xFFFF, round(systolic))),
             max(0, min(0xFFFF, round(diastolic)))))
 
-    def decode_reading(self, data: bytes, now: float) -> tuple[str, dict] | None:
+    def decode_reading(self, data: bytes) -> tuple[str, dict] | None:
         body = self._open(data, _OP_READING)
         if body is None or len(body) != 4:
             return None
@@ -199,7 +198,7 @@ class SpO2Protocol(_BaseProtocol):
             "!BH", max(0, min(100, round(percent))),
             max(0, min(0xFFFF, round(pulse * 10)))))
 
-    def decode_reading(self, data: bytes, now: float) -> tuple[str, dict] | None:
+    def decode_reading(self, data: bytes) -> tuple[str, dict] | None:
         body = self._open(data, _OP_READING)
         if body is None or len(body) != 3:
             return None
@@ -228,7 +227,7 @@ class TemperatureProtocol(_BaseProtocol):
         centi = max(0, min(0xFFFF, round(celsius * 100)))
         return self._frame(_OP_READING, struct.pack("!H", centi))
 
-    def decode_reading(self, data: bytes, now: float) -> tuple[str, dict] | None:
+    def decode_reading(self, data: bytes) -> tuple[str, dict] | None:
         body = self._open(data, _OP_READING)
         if body is None or len(body) != 2:
             return None
@@ -280,7 +279,7 @@ class PumpProtocol(_BaseProtocol):
             "!HH", round(delivered_ml * 100),
             max(0, min(0xFFFF, round(reservoir_ml * 100)))))
 
-    def decode_reading(self, data: bytes, now: float) -> tuple[str, dict] | None:
+    def decode_reading(self, data: bytes) -> tuple[str, dict] | None:
         body = self._open(data, _OP_STATUS)
         if body is None or len(body) != 4:
             return None
@@ -321,7 +320,7 @@ class NotifyProtocol(_BaseProtocol):
         except UnicodeDecodeError:
             return None
 
-    def decode_reading(self, data: bytes, now: float) -> tuple[str, dict] | None:
+    def decode_reading(self, data: bytes) -> tuple[str, dict] | None:
         return None
 
     def command_filters(self) -> list[Filter]:
@@ -342,10 +341,3 @@ def standard_translators(patient: str) -> list[_BaseProtocol]:
         PumpProtocol(patient, listen_targets=["pump"]),
         NotifyProtocol(patient, listen_targets=["nurse"]),
     ]
-
-
-def ensure_frame(data: bytes) -> bytes:
-    """Validate a sealed frame, raising CodecError on corruption (tests)."""
-    if unseal(data) is None:
-        raise CodecError(f"corrupt device frame: {data!r}")
-    return data

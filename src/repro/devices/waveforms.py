@@ -72,9 +72,6 @@ class VitalSignsGenerator:
         self.diastolic_baseline = diastolic_baseline
         self.episodes = list(episodes or [])
 
-    def add_episode(self, episode: Episode) -> None:
-        self.episodes.append(episode)
-
     def sample(self, now: float) -> VitalsSample:
         """The patient's vitals at simulated time ``now``."""
         # Slow respiratory/physiological oscillations plus sensor noise.

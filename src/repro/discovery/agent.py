@@ -48,6 +48,14 @@ if TYPE_CHECKING:
     from repro.core.client import BusClient
 
 
+#: Cap on the exponential announce-retry backoff.
+ANNOUNCE_BACKOFF_CAP_S = 8.0
+#: Base delay a REJECTED agent waits before trying again; doubles per
+#: consecutive rejection (with jitter) up to the cap.
+REJECTION_BACKOFF_S = 30.0
+REJECTION_BACKOFF_CAP_S = 120.0
+
+
 class AgentState(enum.Enum):
     SEARCHING = "searching"
     ANNOUNCING = "announcing"
@@ -69,15 +77,8 @@ class AgentConfig:
     #: Declare the cell out of range after this much beacon silence.
     beacon_timeout_s: float = 3.5
     #: Base re-announce delay while waiting for a JOIN_ACK; doubles per
-    #: unanswered announce (with jitter) up to ``announce_backoff_cap_s``.
+    #: unanswered announce (with jitter) up to ``ANNOUNCE_BACKOFF_CAP_S``.
     announce_retry_s: float = 1.0
-    #: Cap on the exponential announce-retry backoff.
-    announce_backoff_cap_s: float = 8.0
-    #: Base delay a REJECTED agent waits before trying again; doubles per
-    #: consecutive rejection (with jitter) up to ``rejection_backoff_cap_s``.
-    rejection_backoff_s: float = 30.0
-    #: Cap on the exponential rejection backoff.
-    rejection_backoff_cap_s: float = 120.0
     #: Declared inbound event capacity (0 = undeclared), carried on
     #: announces and heartbeats for the cell's backpressure controllers.
     capacity: int = 0
@@ -85,9 +86,7 @@ class AgentConfig:
     def __post_init__(self) -> None:
         if not self.name or not self.device_type:
             raise ConfigurationError("agent needs a name and a device_type")
-        for field_name in ("beacon_timeout_s", "announce_retry_s",
-                           "announce_backoff_cap_s", "rejection_backoff_s",
-                           "rejection_backoff_cap_s"):
+        for field_name in ("beacon_timeout_s", "announce_retry_s"):
             if getattr(self, field_name) <= 0:
                 raise ConfigurationError(f"{field_name} must be > 0")
         if self.capacity < 0:
@@ -312,9 +311,8 @@ class DiscoveryAgent:
         self._rejection_streak += 1
         self._cancel_announce()
         self._rejection_timer = self.scheduler.call_later(
-            self._backoff(self.config.rejection_backoff_s,
-                          self._rejection_streak - 1,
-                          self.config.rejection_backoff_cap_s),
+            self._backoff(REJECTION_BACKOFF_S, self._rejection_streak - 1,
+                          REJECTION_BACKOFF_CAP_S),
             self._retry_after_rejection)
         if self.on_rejected is not None:
             self.on_rejected(nak.reason)
@@ -348,8 +346,7 @@ class DiscoveryAgent:
     def _schedule_announce_retry(self) -> None:
         self._announce_timer = self.scheduler.call_later(
             self._backoff(self.config.announce_retry_s,
-                          self._announce_attempts,
-                          self.config.announce_backoff_cap_s),
+                          self._announce_attempts, ANNOUNCE_BACKOFF_CAP_S),
             self._announce_retry)
 
     def _announce_retry(self) -> None:

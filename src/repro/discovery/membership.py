@@ -82,12 +82,6 @@ class MembershipTable:
                 record.lifecycle.value, 0) + 1
         return counts
 
-    def by_name(self, name: str) -> MemberRecord | None:
-        for record in self._records.values():
-            if record.name == name:
-                return record
-        return None
-
     def __contains__(self, member_id: ServiceId) -> bool:
         return member_id in self._records
 

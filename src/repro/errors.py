@@ -94,6 +94,3 @@ class AuthorisationDenied(PolicyError):
 class SimulationError(ReproError):
     """Raised by the simulation kernel (e.g. scheduling in the past)."""
 
-
-class FederationError(ReproError):
-    """Raised when SMC peering/composition fails."""

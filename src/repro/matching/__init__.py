@@ -21,7 +21,6 @@ from repro.matching.covering import (
     constraints_contradict,
     filter_covers,
     filters_overlap,
-    subscription_covers,
 )
 from repro.matching.engine import MatchingEngine, make_engine
 from repro.matching.filters import Constraint, Filter, Op, Subscription
@@ -42,5 +41,4 @@ __all__ = [
     "constraints_contradict",
     "filter_covers",
     "filters_overlap",
-    "subscription_covers",
 ]

@@ -3,10 +3,9 @@
 *Covering* is Siena's central relation: filter ``f`` covers filter ``g``
 when every event matching ``g`` also matches ``f``.  The Siena matcher uses
 it to organise subscriptions into a partial order so whole subtrees can be
-skipped during matching; SMC federation uses it to aggregate the
-subscription set forwarded to a peer cell; quenching uses the companion
-*overlap* relation to decide whether any subscriber could possibly be
-interested in what a publisher advertises.
+skipped during matching; quenching uses the companion *overlap* relation
+to decide whether any subscriber could possibly be interested in what a
+publisher advertises.
 
 The implementations here are **sound but conservative**:
 
@@ -26,7 +25,7 @@ check both soundness directions against brute-force evaluation.
 
 from __future__ import annotations
 
-from repro.matching.filters import Constraint, Filter, Kind, Op, Subscription
+from repro.matching.filters import Constraint, Filter, Op
 
 _ORDER_OPS = frozenset({Op.LT, Op.LE, Op.GT, Op.GE})
 
@@ -113,18 +112,6 @@ def filter_covers(general: Filter, specific: Filter) -> bool:
     )
 
 
-def subscription_covers(general: Subscription, specific: Subscription) -> bool:
-    """True when every event matching ``specific`` matches ``general``.
-
-    A disjunction of filters covers another when every specific filter is
-    covered by some general filter.
-    """
-    return all(
-        any(filter_covers(g, s) for g in general.filters)
-        for s in specific.filters
-    )
-
-
 def constraints_contradict(a: Constraint, b: Constraint) -> bool:
     """True when no single value can satisfy both constraints.
 
@@ -177,9 +164,3 @@ def filters_overlap(a: Filter, b: Filter) -> bool:
             if constraints_contradict(ca, cb):
                 return False
     return True
-
-
-def subscriptions_overlap(a: Subscription, b: Subscription) -> bool:
-    """Could some event match both subscriptions?  Conservative like
-    :func:`filters_overlap`."""
-    return any(filters_overlap(fa, fb) for fa in a.filters for fb in b.filters)

@@ -13,9 +13,7 @@ Making the plan explicit is what lets the same match phase run anywhere:
   — the default, and the fallback when a worker dies;
 * :class:`repro.core.workers.WorkerPoolExecutor` TLV-encodes plans and
   ships them to worker *processes*, which is what finally takes the match
-  phase past one CPython core;
-* a future federation executor could ship the same plans to another host
-  entirely — the plan is a value, not a closure.
+  phase past one CPython core — the plan is a value, not a closure.
 
 A plan is both picklable (plain ints, lists and attribute dicts) and
 TLV-serialisable (:func:`write_plan` / :func:`decode_plan`, scatter-gather
@@ -103,9 +101,6 @@ class InlineExecutor:
         engines = self._host.shard_engines()
         return [engines[plan.shard]._match_ids_batch(plan.projections)
                 for plan in plans]
-
-    def close(self) -> None:
-        """Nothing to release; present so executors share a lifecycle."""
 
 
 # -- wire codec --------------------------------------------------------------

@@ -63,12 +63,10 @@ class PolicyDeployer:
         self._type_counts: dict[str, int] = {}
         self._members: dict[ServiceId, _MemberInfo] = {}
         self._publisher = bus.local_publisher("policy-deployer")
-        self._subs = [
-            bus.subscribe_local(Filter.where(NEW_MEMBER_TYPE),
-                                self._on_new_member),
-            bus.subscribe_local(Filter.where(PURGE_MEMBER_TYPE),
-                                self._on_purge_member),
-        ]
+        bus.subscribe_local(Filter.where(NEW_MEMBER_TYPE),
+                            self._on_new_member)
+        bus.subscribe_local(Filter.where(PURGE_MEMBER_TYPE),
+                            self._on_purge_member)
 
     # -- registration ----------------------------------------------------
 
@@ -147,8 +145,3 @@ class PolicyDeployer:
             for policy in self._shared.get(info.device_type, []):
                 self.engine.disable(policy.name)
         self.stats.retractions += 1
-
-    def close(self) -> None:
-        for sub_id in self._subs:
-            self.bus.unsubscribe_local(sub_id)
-        self._subs.clear()

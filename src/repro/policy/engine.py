@@ -111,11 +111,6 @@ class PolicyEngine:
                 f"authorisation {policy.name!r} already loaded")
         self._authorisations[policy.name] = policy
 
-    def remove_authorisation(self, name: str) -> None:
-        if name not in self._authorisations:
-            raise PolicyError(f"no authorisation named {name!r}")
-        del self._authorisations[name]
-
     def is_authorised(self, subject: str, target: str, operation: str) -> bool:
         """Negative overrides positive; otherwise the engine default."""
         applicable = [p for p in self._authorisations.values()

@@ -207,10 +207,6 @@ class PeriodicTimer:
         self._cancelled = True
         self._timer.cancel()
 
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
 
 class Pollable(Protocol):
     """A file-descriptor source the realtime scheduler polls for reads."""

@@ -210,12 +210,6 @@ class SimNetwork:
         else:
             self._blocked.discard(key)
 
-    def set_position_fn(self, name: str, position_fn: PositionFn) -> None:
-        self._node(name).position_fn = position_fn
-
-    def node_names(self) -> list[str]:
-        return sorted(self._nodes)
-
     def host_of(self, name: str) -> SimHost:
         return self._node(name).host
 

@@ -5,20 +5,11 @@ paper's Figure 1 shows on the SMC core: the event bus (with a pluggable
 matching engine), the proxy bootstrap, the discovery service and the
 policy service, all sharing one transport endpoint on the core node
 (typically the patient's PDA).
-
-:mod:`repro.smc.federation` adds the peer-to-peer composition of cells the
-paper inherits from its companion work on SMC federation (reference [2]):
-a cell can import selected event streams from a peer cell by joining it as
-an ordinary member, with covering-based subscription aggregation and loop
-suppression.
 """
 
 from repro.smc.cell import CellConfig, SelfManagedCell
-from repro.smc.federation import FederationLink, aggregate_filters
 
 __all__ = [
     "SelfManagedCell",
     "CellConfig",
-    "FederationLink",
-    "aggregate_filters",
 ]

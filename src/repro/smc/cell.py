@@ -22,9 +22,8 @@ from repro.autonomic.manager import (
 )
 from repro.core.bootstrap import ProxyBootstrap
 from repro.core.bus import EventBus, LocalPublisher
-from repro.core.sharding import ShardedEventBus
-from repro.core.correlate import EventCorrelator
 from repro.core.quench import QuenchController
+from repro.core.sharding import ShardedMatcher
 from repro.devices.protocols import standard_translators
 from repro.discovery.auth import Authenticator
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
@@ -113,15 +112,10 @@ class SelfManagedCell:
                     "a sharded cell builds one engine per shard — configure "
                     "the engine by name via CellConfig.engine, not an "
                     "engine instance")
-            self.bus = ShardedEventBus(scheduler, config.shards,
-                                       config.engine,
-                                       name=f"bus.{config.cell_name}")
-            engine = self.bus.engine
-        else:
-            if engine is None:
-                engine = make_engine(config.engine)
-            self.bus = EventBus(scheduler, engine,
-                                name=f"bus.{config.cell_name}")
+            engine = ShardedMatcher(config.shards, config.engine)
+        elif engine is None:
+            engine = make_engine(config.engine)
+        self.bus = EventBus(scheduler, engine, name=f"bus.{config.cell_name}")
         self.engine = engine
         self._wire_cost_meter(transport, engine)
 
@@ -141,8 +135,6 @@ class SelfManagedCell:
         self.policy = PolicyEngine(self.bus,
                                    default_authorise=config.default_authorise)
         self.deployer = PolicyDeployer(self.policy, self.bus)
-        #: Window-based event correlation (composite events for policies).
-        self.correlator = EventCorrelator(self.bus, scheduler)
 
         #: The autonomic control plane, ticking with the cell when
         #: configured (CellConfig.autonomic).
@@ -188,10 +180,6 @@ class SelfManagedCell:
             self.discovery.stop()
             if self.autonomic is not None:
                 self.autonomic.stop()
-
-    @property
-    def started(self) -> bool:
-        return self._started
 
     # -- conveniences ---------------------------------------------------------
 

@@ -43,23 +43,21 @@ class PacketEndpoint:
 
     def __init__(self, transport: Transport, scheduler: Scheduler,
                  *, window: int = DEFAULT_WINDOW, rto_initial: float = 0.05,
-                 rto_max: float = 2.0, max_retries: int | None = None) -> None:
+                 rto_max: float = 2.0) -> None:
         self.transport = transport
         self.scheduler = scheduler
         self._window = window
         self._rto_initial = rto_initial
         self._rto_max = rto_max
-        self._max_retries = max_retries
         self._channels: dict[Address, ReliableChannel] = {}
         self._peer_addresses: dict[ServiceId, Address] = {}
         # Reverse of _peer_addresses, kept for *every* address a peer has
         # used since it was last forgotten — a roamed peer owns several
-        # entries at once.  Gives O(1) give-up attribution, and teardown
-        # of a roamed peer's whole channel set derives from it.
+        # entries at once.  Teardown of a roamed peer's whole channel
+        # set derives from it.
         self._address_peers: dict[Address, ServiceId] = {}
         self._control_handler: ControlHandler | None = None
         self._payload_handler: PayloadHandler | None = None
-        self._give_up_handler: Callable[[ServiceId | None, bytes], None] | None = None
         self.decode_errors = 0
         transport.set_receiver(self._on_datagram)
 
@@ -92,11 +90,6 @@ class PacketEndpoint:
     def set_payload_handler(self, handler: PayloadHandler | None) -> None:
         """Register the ordered-payload upcall: ``handler(peer_id, bytes)``."""
         self._payload_handler = handler
-
-    def set_give_up_handler(
-            self, handler: Callable[[ServiceId | None, bytes], None] | None) -> None:
-        """Register the callback for payloads abandoned after max retries."""
-        self._give_up_handler = handler
 
     # -- sending --------------------------------------------------------------
 
@@ -155,10 +148,6 @@ class PacketEndpoint:
                 del self._peer_addresses[previous_owner]
         self._peer_addresses[peer] = address
         self._address_peers[address] = peer
-
-    def channel_for(self, peer: ServiceId) -> ReliableChannel:
-        """The reliable channel to ``peer`` (created if absent)."""
-        return self._channel(self.address_of(peer))
 
     def channel_to(self, address: Address) -> ReliableChannel:
         """The reliable channel to ``address`` (created if absent)."""
@@ -298,24 +287,13 @@ class PacketEndpoint:
             channel = ReliableChannel(
                 self.transport, self.scheduler, address,
                 self._on_channel_deliver, window=self._window,
-                rto_initial=self._rto_initial, rto_max=self._rto_max,
-                max_retries=self._max_retries,
-                on_give_up=lambda payload, a=address: self._on_give_up(a, payload))
+                rto_initial=self._rto_initial, rto_max=self._rto_max)
             self._channels[address] = channel
         return channel
 
     def _on_channel_deliver(self, peer: ServiceId, payload: bytes) -> None:
         if self._payload_handler is not None:
             self._payload_handler(peer, payload)
-
-    def _on_give_up(self, address: Address, payload: bytes) -> None:
-        if self._give_up_handler is None:
-            return
-        # The reverse map remembers roamed-away addresses too, so a
-        # payload abandoned on a superseded channel is still attributed
-        # to its peer (the old linear scan over current addresses missed
-        # those, and cost O(peers) per abandoned payload).
-        self._give_up_handler(self._address_peers.get(address), payload)
 
     def _on_datagram(self, src: Address, datagram: bytes) -> None:
         try:

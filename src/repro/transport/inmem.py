@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.errors import AddressError, ConfigurationError
-from repro.ids import ServiceId, service_id_from_name
+from repro.ids import service_id_from_name
 from repro.sim.kernel import Scheduler
 from repro.transport.base import Transport
 
@@ -94,8 +94,3 @@ class InMemoryTransport(Transport):
 
     def _broadcast_datagram(self, payload: bytes) -> None:
         self._hub._route_broadcast(self.local_address, payload)
-
-
-def make_service_id(name: str) -> ServiceId:
-    """Convenience re-export so tests can predict in-memory ids."""
-    return service_id_from_name(name)

@@ -69,7 +69,7 @@ window, so a full window of out-of-order arrivals is never dropped; if an
 over-windowed peer still overruns it, drops are counted in
 :attr:`ChannelStats.reorder_drops` and recovered by the peer's RTO.
 
-By default the channel retries forever: the paper queues events for
+The channel retries until it is closed: the paper queues events for
 unavailable members "which have not yet been declared to have left the
 SMC"; abandoning the queue is the proxy's job, on a Purge Member event,
 via :meth:`ReliableChannel.close`.
@@ -108,6 +108,10 @@ DEFAULT_WINDOW = 32
 #: Duplicate cumulative acks that trigger a fast retransmit.
 FAST_RETRANSMIT_DUPS = 3
 
+#: Out-of-order arrivals a receiver buffers, or its window if that is
+#: larger.
+REORDER_BUFFER = 64
+
 
 def serial_lt(a: int, b: int) -> bool:
     """RFC-1982 serial ``a < b`` in the 32-bit sequence space.
@@ -141,7 +145,6 @@ class ChannelStats:
     out_of_order: int = 0
     reorder_drops: int = 0
     acks_sent: int = 0
-    give_ups: int = 0
     #: Untransmitted payloads dropped by edge backpressure
     #: (:meth:`ReliableChannel.shed_backlog`).
     backlog_shed: int = 0
@@ -161,7 +164,6 @@ class _InFlight:
     rto: float           # private backoff, doubled on each timeout resend
     deadline: float      # absolute time of the next retransmission
     sent_at: float = 0.0  # first-transmission instant (RTT sampling)
-    retries: int = 0     # timeout retransmissions so far
     sacked: bool = False  # receiver holds it; never retransmit
     resent: bool = False  # ever retransmitted; Karn: never RTT-sample it
 
@@ -172,10 +174,7 @@ class ReliableChannel:
     def __init__(self, transport: Transport, scheduler: Scheduler,
                  peer_address: Address, deliver: DeliverCallback,
                  *, window: int = DEFAULT_WINDOW, rto_initial: float = 0.05,
-                 rto_max: float = 2.0, max_retries: int | None = None,
-                 reorder_buffer: int = 64,
-                 on_give_up: Callable[[bytes], None] | None = None,
-                 initial_seq: int = 1) -> None:
+                 rto_max: float = 2.0, initial_seq: int = 1) -> None:
         if window < 1:
             raise ConfigurationError(f"window must be >= 1, got {window}")
         if rto_initial <= 0 or rto_max < rto_initial:
@@ -191,12 +190,10 @@ class ReliableChannel:
         self._window = window
         self._rto_initial = rto_initial
         self._rto_max = rto_max
-        self._max_retries = max_retries
         # A window of out-of-order arrivals must always fit, or a sender
         # outrunning the buffer would retransmit into the same full buffer
         # forever (the silent-drop stall the stop-and-wait code had latent).
-        self._reorder_limit = max(reorder_buffer, window)
-        self._on_give_up = on_give_up
+        self._reorder_limit = max(REORDER_BUFFER, window)
 
         # Send side.  ``initial_seq`` exists for wraparound tests and
         # session-resumption experiments; both ends must agree on it.
@@ -232,10 +229,6 @@ class ReliableChannel:
     def peer_id(self) -> ServiceId | None:
         """The peer's service id, learned from its first packet."""
         return self._peer_id
-
-    @property
-    def window(self) -> int:
-        return self._window
 
     @property
     def rto_initial(self) -> float:
@@ -427,28 +420,12 @@ class ReliableChannel:
         for seq, entry in list(self._in_flight.items()):
             if entry.sacked or entry.deadline > now + 1e-12:
                 continue
-            entry.retries += 1
-            if self._max_retries is not None and entry.retries > self._max_retries:
-                # Skipping one message would permanently stall the peer's
-                # in-order delivery, so exhausting retries means the peer is
-                # unreachable: surrender every queued payload and close.
-                self._give_up()
-                return
             entry.rto = min(entry.rto * 2.0, self._rto_max)
             entry.deadline = now + entry.rto
             entry.resent = True
             self._transmit(seq, entry.payload)
             self.stats.retransmissions += 1
         self._ensure_timer()
-
-    def _give_up(self) -> None:
-        undelivered = [entry.payload for entry in self._in_flight.values()]
-        undelivered.extend(self._pending)
-        self.stats.give_ups += len(undelivered)
-        self.close()
-        if self._on_give_up is not None:
-            for payload in undelivered:
-                self._on_give_up(payload)
 
     def _process_ack(self, ack: int, sack: tuple[tuple[int, int], ...],
                      *, pure_ack: bool) -> None:

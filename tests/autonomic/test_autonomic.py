@@ -1,4 +1,4 @@
-"""The control plane in isolation: sensors, controllers, the manager.
+"""The control plane in isolation: controllers and the manager.
 
 End-to-end behaviour (all loops live over a full core under churn) is
 pinned by the autonomic soak parametrisation and the bench gates; these
@@ -6,20 +6,20 @@ tests pin each piece's contract — what it observes, when it actuates,
 and what it writes to the audit log.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.autonomic import (
     AutonomicConfig,
     AutonomicManager,
     FlushController,
-    MetricRegistry,
-    RollingWindow,
     RttController,
     ShardRebalancer,
     build_bus_manager,
 )
 from repro.core.bus import EventBus
-from repro.core.sharding import ShardedEventBus, ShardedMatcher, shard_index
+from repro.core.sharding import ShardedEventBus, ShardedMatcher
 from repro.errors import ConfigurationError
 from repro.ids import service_id_from_name
 from repro.matching.filters import Constraint, Filter, Op, Subscription
@@ -44,35 +44,6 @@ def make_channel_pair(sim, delay_s, *, rto_initial=0.05, window=32):
     ta.set_receiver(lambda src, d: sender.handle_packet(Packet.decode(d)))
     tb.set_receiver(lambda src, d: receiver.handle_packet(Packet.decode(d)))
     return sender, receiver, delivered, hub
-
-
-class TestTelemetry:
-    def test_rolling_window_reductions(self):
-        window = RollingWindow(capacity=3)
-        assert window.last is None and window.mean() is None
-        assert window.delta() == 0.0
-        for t, v in ((0.0, 10.0), (1.0, 20.0), (2.0, 30.0), (3.0, 40.0)):
-            window.append(t, v)
-        assert len(window) == 3                      # capacity-bounded
-        assert window.last == 40.0
-        assert window.mean() == 30.0
-        assert window.delta() == 20.0                # 40 - 20
-        assert window.rate() == pytest.approx(10.0)  # 20 over 2 s
-
-    def test_registry_samples_and_skips_unavailable(self):
-        registry = MetricRegistry(window=8)
-        value = {"v": 1}
-        registry.add("alpha", lambda: value["v"])
-        registry.add("missing", lambda: None)
-        snapshot = registry.sample(now=0.0)
-        assert snapshot == {"alpha": 1.0}
-        value["v"] = 5
-        registry.sample(now=1.0)
-        assert registry.latest("alpha") == 5.0
-        assert registry.window("alpha").delta() == 4.0
-        assert len(registry.window("missing")) == 0
-        with pytest.raises(ConfigurationError):
-            registry.add("alpha", lambda: 0)
 
 
 class TestRttController:
@@ -133,18 +104,16 @@ class _FakeTarget:
         self.flush_limit = None
         self.stats = ChannelStats()
         self.quench = False
+        self.endpoint = SimpleNamespace(window=32)    # starts at 4096
 
     def transport_stats(self):
         return self.stats
 
 
 class TestFlushController:
-    def make(self, target, **kwargs):
-        kwargs.setdefault("min_sent", 4)
+    def make(self, target):
         return FlushController(lambda: [target], quenched=lambda t: t.quench,
-                               label=lambda t: "member", min_bytes=1024,
-                               max_bytes=32768,
-                               default_limit=lambda t: 4096, **kwargs)
+                               label=lambda t: "member")
 
     def test_grows_on_clean_traffic_and_caps(self):
         target = _FakeTarget()
@@ -232,50 +201,18 @@ class TestShardRebalancer:
         assert rebalancer.tick(0.0) == []
         assert not matcher.splits()
 
-    def test_event_sense_levels_match_work(self):
-        """``sense="events"`` splits on actual per-shard match traffic —
-        the per-worker load view when a WorkerPoolExecutor is attached,
-        making split_class the pool's load-levelling actuator."""
-        matcher = build_skewed_matcher()
-        rebalancer = ShardRebalancer(matcher, hot_ratio=2.0,
-                                     min_fragments=8, sense="events")
-        batch = [{"ward": f"w-{index % 16}", "hr": 60 + index % 40}
-                 for index in range(48)]
-        # First tick only observes (a delta needs two samples), even on a
-        # skewed table — events, not fragments, drive this sense.
-        assert rebalancer.tick(0.0) == []
-        matcher.match_batch_ids(batch)
-        (act,) = rebalancer.tick(1.0)
-        assert act.action == "split_class"
-        assert act.detail["sense"] == "events"
-        # The same traffic now spreads its match work across shards.
-        before = matcher.shard_events()
-        matcher.match_batch_ids(batch)
-        deltas = [now - then
-                  for now, then in zip(matcher.shard_events(), before)]
-        assert sum(1 for delta in deltas if delta) > 1
-        assert rebalancer.tick(2.0) == []          # settles once split
-
-    def test_sense_validated(self):
-        with pytest.raises(ConfigurationError):
-            ShardRebalancer(ShardedMatcher(4), sense="vibes")
-
 
 class TestManager:
-    def test_tick_records_audit_and_samples(self):
+    def test_tick_records_audit(self):
         sim = Simulator()
         matcher = build_skewed_matcher()
-        registry = MetricRegistry()
-        registry.add("probe", lambda: 7)
         manager = AutonomicManager(
-            sim, registry,
-            [ShardRebalancer(matcher, hot_ratio=2.0, min_fragments=8)])
+            sim, [ShardRebalancer(matcher, hot_ratio=2.0, min_fragments=8)])
         fresh = manager.tick()
         assert [a.action for a in fresh] == ["split_class"]
         assert list(manager.audit) == fresh
         assert manager.actuations("rebalance") == fresh
         assert manager.actuations("rtt") == []
-        assert registry.latest("probe") == 7.0
         assert manager.ticks == 1
 
     def test_periodic_start_stop(self):
@@ -290,17 +227,16 @@ class TestManager:
         sim.run(5.0)
         assert manager.ticks == 5                  # timer cancelled
 
-    def test_audit_is_bounded(self):
+    def test_audit_is_bounded(self, monkeypatch):
+        monkeypatch.setattr("repro.autonomic.manager.AUDIT_LIMIT", 1)
         sim = Simulator()
-        matcher = build_skewed_matcher()
-        manager = AutonomicManager(
-            sim, None,
-            [ShardRebalancer(matcher, hot_ratio=2.0, min_fragments=8)],
-            config=AutonomicConfig(audit_limit=1))
-        manager.tick()
+        manager = AutonomicManager(sim, [
+            ShardRebalancer(matcher, hot_ratio=2.0, min_fragments=8)
+            for matcher in (build_skewed_matcher(), build_skewed_matcher())])
+        assert len(manager.tick()) == 2
         assert len(manager.audit) == 1
 
-    def test_build_bus_manager_respects_flags(self):
+    def test_build_bus_manager_picks_controllers_by_bus(self):
         sim = Simulator()
         hub = InMemoryHub(sim)
         from repro.transport.endpoint import PacketEndpoint
@@ -310,10 +246,8 @@ class TestManager:
         manager = build_bus_manager(sim, sharded, endpoint)
         assert {c.name for c in manager.controllers} == {
             "rtt", "flush", "rebalance"}
-        assert "shard.load.0" in manager.registry.names()
 
         single = EventBus(sim)
         manager = build_bus_manager(
-            sim, single, PacketEndpoint(hub.create("c2"), sim),
-            config=AutonomicConfig(flush=False))
-        assert {c.name for c in manager.controllers} == {"rtt"}
+            sim, single, PacketEndpoint(hub.create("c2"), sim))
+        assert {c.name for c in manager.controllers} == {"rtt", "flush"}

@@ -6,15 +6,11 @@ from hypothesis import strategies as st
 
 from repro.errors import BusError, CodecError
 from repro.core.events import (
-    NEW_MEMBER_TYPE,
-    PURGE_MEMBER_TYPE,
     Event,
     decode_event,
     encode_event,
-    new_member_event,
-    purge_member_event,
 )
-from repro.ids import ServiceId, service_id_from_name
+from repro.ids import service_id_from_name
 
 SENDER = service_id_from_name("sensor-1")
 
@@ -223,21 +219,3 @@ class TestConstruction:
         assert positional == keyword
         with pytest.raises(TypeError):
             Event("health.hr", {"hr": 1}, SENDER, 7)
-
-
-class TestManagementEvents:
-    def test_new_member_event(self):
-        member = ServiceId(0xABCDEF)
-        event = new_member_event(SENDER, 1, 0.0, member=member, name="hr-1",
-                                 device_type="sensor.hr", address="node-9")
-        assert event.type == NEW_MEMBER_TYPE
-        assert event.get("member") == int(member)
-        assert event.get("device_type") == "sensor.hr"
-        assert event.get("address") == "node-9"
-
-    def test_purge_member_event(self):
-        member = ServiceId(0xABCDEF)
-        event = purge_member_event(SENDER, 2, 0.0, member=member,
-                                   name="hr-1", reason="timeout")
-        assert event.type == PURGE_MEMBER_TYPE
-        assert event.get("reason") == "timeout"

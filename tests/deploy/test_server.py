@@ -7,11 +7,16 @@ sub-second timers they stay fast and collision-free.
 """
 
 import time
+from dataclasses import asdict
 
 import pytest
 
+from repro.autonomic import AutonomicConfig
+from repro.core import protocol
 from repro.core.bus import EventBus
+from repro.core.protocol import BusOp
 from repro.core.proxies import ServiceProxy
+from repro.core.quench import QuenchController
 from repro.deploy import (
     BackpressureGuard,
     CapacityAuthenticator,
@@ -141,6 +146,88 @@ class TestBackpressureGuard:
         assert guard.edge_quenched() == set()
 
 
+class TestQuenchOwnership:
+    """A member's quench bit has one owner, its proxy: the guard, the
+    quench controller and a drain each state a reason, and the member is
+    advised only when the set of reasons goes empty <-> non-empty."""
+
+    def _stack(self, sim, hub, endpoints):
+        core = endpoints("core", window=2)
+        dev = endpoints("dev")
+        advised = []
+
+        def on_payload(_peer, data):
+            op, body = protocol.unframe(data)
+            if op == BusOp.QUENCH:
+                advised.append(protocol.parse_quench(body))
+
+        dev.set_payload_handler(on_payload)
+        bus = EventBus(sim)
+        core.learn_peer(dev.service_id, "dev")
+        proxy = ServiceProxy(bus, core, dev.service_id, "dev", "dev",
+                             "service")
+        guard = BackpressureGuard(bus, core, quench_backlog=4,
+                                  wake_backlog=2, shed_backlog=64)
+        return core, bus, proxy, guard, advised
+
+    def _strand(self, hub, core, count=6):
+        hub.drop_filter = lambda src, dest, data: False
+        for index in range(count):
+            core.send_reliable("dev", protocol.frame(BusOp.DEVICE_CMD,
+                                                     bytes([index])))
+
+    def _flush(self, sim, hub):
+        hub.drop_filter = None
+        sim.run_until_idle(max_time=sim.now() + 60.0)
+
+    def test_drain_of_an_edge_quenched_member_sends_one_on_no_off(
+            self, sim, hub, endpoints):
+        core, bus, proxy, guard, advised = self._stack(sim, hub, endpoints)
+        self._strand(hub, core)
+        guard.sweep()
+        assert guard.edge_quenched() == {proxy.member_id}
+        proxy.begin_drain()
+        self._flush(sim, hub)
+        guard.sweep()                     # backlog gone; still draining
+        self._flush(sim, hub)
+        assert advised == [True]
+        assert guard.edge_quenched() == set() and proxy.quenched
+        assert guard.stats.quench_advisories == 1
+        assert guard.stats.wake_advisories == 0
+
+    def test_elvin_wake_under_a_backlog_quench_sends_no_off(
+            self, sim, hub, endpoints):
+        core, bus, proxy, guard, advised = self._stack(sim, hub, endpoints)
+        controller = QuenchController(bus)
+        controller.register_advertisement(proxy.member_id, Filter.where("t"))
+        self._strand(hub, core)
+        guard.sweep()
+        assert proxy.quench_reasons == {"unsubscribed", "backlog"}
+        assert guard.stats.quench_advisories == 0     # already told
+        bus.subscribe_local(Filter.where("t"), lambda event: None)
+        assert not controller.is_quenched(proxy.member_id)
+        assert controller.stats.wake_messages_sent == 0
+        assert guard.edge_quenched() == {proxy.member_id}
+        self._flush(sim, hub)
+        assert advised == [True]
+        guard.sweep()                     # both reasons cleared: one off
+        self._flush(sim, hub)
+        assert advised == [True, False]
+        assert guard.stats.wake_advisories == 1
+        assert not proxy.quenched
+
+    def test_purge_clears_the_reasons(self, sim, hub, endpoints):
+        core, bus, proxy, guard, advised = self._stack(sim, hub, endpoints)
+        self._strand(hub, core)
+        guard.sweep()
+        proxy.begin_drain()
+        assert proxy.quench_reasons == {"backlog", "draining"}
+        proxy.destroy()
+        assert proxy.quench_reasons == set() and not proxy.quenched
+        assert not proxy.set_quench("backlog", True)  # nobody to advise
+        assert guard.edge_quenched() == set()
+
+
 @pytest.fixture
 def server():
     config = ServerConfig(
@@ -172,7 +259,7 @@ class TestCellServer:
         with pytest.raises(ConfigurationError):
             ServerConfig(cell=CellConfig(cell_name="x"), guard_period_s=0.0)
         with pytest.raises(ConfigurationError):
-            ServerConfig(cell=CellConfig(cell_name="x"), audit_tail=-1)
+            ServerConfig(cell=CellConfig(cell_name="x"), workers=-1)
 
     def test_snapshot_shape(self, server):
         snapshot = server.snapshot()
@@ -282,6 +369,32 @@ class TestCellServer:
             assert len(snapshot["shard_loads"]) == 4
             assert sum(snapshot["shard_loads"]) >= 1
             assert len(snapshot["shard_events"]) == 4
+        finally:
+            cell_server.close()
+
+    def test_autonomic_section_is_ticks_actuations_and_audit_tail(self):
+        config = ServerConfig(
+            cell=CellConfig(cell_name="tuned-ward", shards=4,
+                            autonomic=AutonomicConfig()),
+            discovery_port=0)
+        cell_server = CellServer(config)
+        try:
+            for index in range(32):       # one hot class: the rebalancer acts
+                cell_server.cell.subscribe(
+                    Filter.where("vitals", ward=f"w-{index % 8}",
+                                 hr=(">", 40 + index)), lambda event: None)
+            manager = cell_server.cell.autonomic
+            fresh = manager.tick()
+            manager.tick()
+            section = cell_server.snapshot()["autonomic"]
+            assert section == {
+                "ticks": 2, "actuations": len(fresh),
+                "audit_tail": [asdict(actuation) for actuation in fresh]}
+            assert [entry["action"] for entry in section["audit_tail"]] \
+                == ["split_class"]
+            assert set(section["audit_tail"][0]) == {
+                "time", "controller", "target", "action", "detail"}
+            assert not hasattr(manager, "registry")
         finally:
             cell_server.close()
 

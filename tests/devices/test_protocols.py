@@ -47,7 +47,7 @@ class TestHeartRate:
     def test_reading_roundtrip(self):
         proto = HeartRateProtocol("p-1")
         event_type, attrs = proto.decode_reading(
-            proto.encode_reading(121.5, alarm=True), now=0.0)
+            proto.encode_reading(121.5, alarm=True))
         assert event_type == "health.hr"
         assert attrs == {"hr": 121.5, "alarm": True, "patient": "p-1"}
 
@@ -55,12 +55,12 @@ class TestHeartRate:
         proto = HeartRateProtocol("p-1")
         frame = bytearray(proto.encode_reading(80.0))
         frame[-2] ^= 0x10
-        assert proto.decode_reading(bytes(frame), 0.0) is None
+        assert proto.decode_reading(bytes(frame)) is None
 
     def test_wrong_magic_rejected(self):
         hr = HeartRateProtocol("p-1")
         temp = TemperatureProtocol("p-1")
-        assert hr.decode_reading(temp.encode_reading(37.0), 0.0) is None
+        assert hr.decode_reading(temp.encode_reading(37.0)) is None
 
     def test_threshold_command_roundtrip(self):
         proto = HeartRateProtocol("p-1")
@@ -94,24 +94,24 @@ class TestHeartRate:
     @given(st.floats(min_value=0, max_value=250))
     def test_reading_precision_property(self, bpm):
         proto = HeartRateProtocol("p")
-        _, attrs = proto.decode_reading(proto.encode_reading(bpm), 0.0)
+        _, attrs = proto.decode_reading(proto.encode_reading(bpm))
         assert attrs["hr"] == pytest.approx(bpm, abs=0.06)
 
 
 class TestOtherSensors:
     def test_bp_roundtrip(self):
         proto = BloodPressureProtocol("p-1")
-        _, attrs = proto.decode_reading(proto.encode_reading(118.4, 76.6), 0.0)
+        _, attrs = proto.decode_reading(proto.encode_reading(118.4, 76.6))
         assert attrs["systolic"] == 118 and attrs["diastolic"] == 77
 
     def test_spo2_roundtrip(self):
         proto = SpO2Protocol("p-1")
-        _, attrs = proto.decode_reading(proto.encode_reading(97.2, 71.4), 0.0)
+        _, attrs = proto.decode_reading(proto.encode_reading(97.2, 71.4))
         assert attrs["spo2"] == 97 and attrs["pulse"] == 71.4
 
     def test_temperature_roundtrip(self):
         proto = TemperatureProtocol("p-1")
-        _, attrs = proto.decode_reading(proto.encode_reading(38.75), 0.0)
+        _, attrs = proto.decode_reading(proto.encode_reading(38.75))
         assert attrs["celsius"] == 38.75
 
     def test_temperature_ack_frames(self):
@@ -137,7 +137,7 @@ class TestPump:
 
     def test_status_roundtrip(self):
         proto = PumpProtocol("p-1")
-        _, attrs = proto.decode_reading(proto.encode_status(1.25, 88.5), 0.0)
+        _, attrs = proto.decode_reading(proto.encode_status(1.25, 88.5))
         assert attrs["delivered_ml"] == 1.25
         assert attrs["reservoir_ml"] == 88.5
 
@@ -159,7 +159,7 @@ class TestNotify:
 
     def test_display_has_no_readings(self):
         proto = NotifyProtocol("")
-        assert proto.decode_reading(b"whatever", 0.0) is None
+        assert proto.decode_reading(b"whatever") is None
 
 
 class TestStandardSet:

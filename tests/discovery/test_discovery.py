@@ -11,7 +11,12 @@ from repro.core.events import (
     NEW_MEMBER_TYPE,
     PURGE_MEMBER_TYPE,
 )
-from repro.discovery.agent import AgentConfig, AgentState, DiscoveryAgent
+from repro.discovery.agent import (
+    REJECTION_BACKOFF_S,
+    AgentConfig,
+    AgentState,
+    DiscoveryAgent,
+)
 from repro.discovery.auth import (
     AllowAllAuthenticator,
     CompositeAuthenticator,
@@ -183,13 +188,12 @@ class TestAuthentication:
     def test_rejected_agent_retries_after_backoff(self, sim, endpoints):
         auth = SharedSecretAuthenticator(b"k")
         service, _ = make_service(sim, endpoints("core"), authenticator=auth)
-        agent = make_agent(sim, endpoints("dev"), credentials=b"bad",
-                           rejection_backoff_s=2.0)
+        agent = make_agent(sim, endpoints("dev"), credentials=b"bad")
         service.start()
         agent.start()
         sim.run(1.5)
         assert agent.state == AgentState.REJECTED
-        sim.run(5.0)
+        sim.run(1.5 + 1.5 * REJECTION_BACKOFF_S + 5.0)   # jitter < 1.5x
         # Back to trying (and being rejected again).
         assert agent.stats.rejections >= 2
 
@@ -294,7 +298,7 @@ class TestMembershipTable:
                               address="x", admitted_at=0.0, last_heard=0.0)
         table.admit(record)
         assert 1 in table
-        assert table.by_name("a") is record
+        assert table.get(1) is record
         removed = table.remove(1)
         assert removed.lifecycle is LifecycleState.GONE
         assert 1 not in table
@@ -317,7 +321,7 @@ class TestMembershipTable:
         service.start()
         agent.start()
         sim.run(2.0)
-        record = service.table.by_name("dev")
+        (record,) = service.table.members()
         hub.drop_filter = lambda src, dest, data: False
         sim.run(4.0)                                # past silent_after_s
         assert record.lifecycle is LifecycleState.DEGRADED

@@ -18,7 +18,12 @@ from repro.core.events import (
     NEW_MEMBER_TYPE,
     PURGE_MEMBER_TYPE,
 )
-from repro.discovery.agent import AgentConfig, AgentState, DiscoveryAgent
+from repro.discovery.agent import (
+    REJECTION_BACKOFF_S,
+    AgentConfig,
+    AgentState,
+    DiscoveryAgent,
+)
 from repro.discovery.lifecycle import (
     LifecycleState,
     advance,
@@ -230,8 +235,7 @@ class TestJitteredBackoff:
     def test_unanswered_announces_spread_out(self, sim, endpoints):
         """With no cell answering, retries decelerate instead of drumming
         at a fixed period."""
-        agent = make_agent(sim, endpoints("dev"), announce_retry_s=0.5,
-                           announce_backoff_cap_s=4.0)
+        agent = make_agent(sim, endpoints("dev"), announce_retry_s=0.5)
         endpoints("core")              # address exists, nobody answers
         agent.announce_to("core")
         sim.run(4.0)
@@ -249,18 +253,17 @@ class TestJitteredBackoff:
 
         service, _ = make_service(sim, endpoints("core"),
                                   authenticator=DenyAll())
-        agent = make_agent(sim, endpoints("dev"), rejection_backoff_s=1.0,
-                           rejection_backoff_cap_s=4.0)
+        agent = make_agent(sim, endpoints("dev"))
         service.start()
         agent.start()
-        sim.run(12.0)
+        sim.run(12.0 * REJECTION_BACKOFF_S)
         assert agent.stats.rejections >= 2
         assert agent.state in (AgentState.REJECTED, AgentState.ANNOUNCING,
                                AgentState.SEARCHING)
 
     def test_config_validates_backoff_fields(self):
         with pytest.raises(ConfigurationError):
-            AgentConfig(name="d", device_type="s", announce_backoff_cap_s=0)
+            AgentConfig(name="d", device_type="s", announce_retry_s=0)
         with pytest.raises(ConfigurationError):
             AgentConfig(name="d", device_type="s", capacity=-1)
 

@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from repro.autonomic import AutonomicConfig
+from repro.autonomic import AutonomicConfig, FlushController, ShardRebalancer
 from repro.core import protocol
 from repro.core.events import Event, encode_event
 from repro.core.protocol import BusOp
@@ -93,12 +93,18 @@ def assert_per_sender_fifo(inbox):
         last[event.sender] = event.seqno
 
 
-#: Aggressive thresholds so every controller actually actuates within the
-#: soak's small table and burst sizes: the point is semantics under live
-#: actuation, not production tuning.
-SOAK_AUTONOMIC = AutonomicConfig(
-    flush_min_sent=1, flush_min_bytes=512,
-    rebalance_hot_ratio=1.2, rebalance_min_fragments=2)
+SOAK_AUTONOMIC = AutonomicConfig()
+
+
+def make_controllers_eager(kit, monkeypatch):
+    """Aggressive thresholds so every controller actually actuates within
+    the soak's small table and burst sizes: the point is semantics under
+    live actuation, not production tuning."""
+    monkeypatch.setattr(FlushController, "MIN_SENT", 1)
+    monkeypatch.setattr(FlushController, "MIN_BYTES", 512)
+    controllers = kit.autonomic.controllers
+    controllers[[c.name for c in controllers].index("rebalance")] = \
+        ShardRebalancer(kit.bus.sharded, hot_ratio=1.2, min_fragments=2)
 
 
 @pytest.mark.parametrize("seed,shards,autonomic", [
@@ -106,11 +112,14 @@ SOAK_AUTONOMIC = AutonomicConfig(
     (7, 2, None), (2026, 8, None),      # sharded cores: semantics fixed
     (11, 8, SOAK_AUTONOMIC),            # all three loops actuating live
 ])
-def test_soak_churn_exactly_once_fifo_and_counters(seed, shards, autonomic):
+def test_soak_churn_exactly_once_fifo_and_counters(seed, shards, autonomic,
+                                                   monkeypatch):
     rng = random.Random(seed)
     sim = Simulator()
     hub = InMemoryHub(sim)
     kit = CoreKit(sim, hub, shards=shards, autonomic=autonomic)
+    if autonomic is not None:
+        make_controllers_eager(kit, monkeypatch)
 
     publishers = [kit.client(f"pub-{i}") for i in range(PUBLISHERS)]
     pub_member = {p.service_id: True for p in publishers}

@@ -12,19 +12,14 @@ direction that must never be wrong:
 import pytest
 from hypothesis import given, settings
 
-from repro.ids import service_id_from_name
 from repro.matching.covering import (
     constraint_covers,
     constraints_contradict,
     filter_covers,
     filters_overlap,
-    subscription_covers,
-    subscriptions_overlap,
 )
-from repro.matching.filters import Constraint, Filter, Op, Subscription
+from repro.matching.filters import Constraint, Filter, Op
 from tests.matching.strategies import attribute_maps, filters
-
-SID = service_id_from_name("s")
 
 
 def c(name, op, value=None):
@@ -85,13 +80,6 @@ class TestFilterCovers:
         assert filter_covers(broad, narrow)
         assert not filter_covers(narrow, broad)
 
-    def test_subscription_covering(self):
-        broad = Subscription(1, SID, [Filter([c("x", Op.GT, 0)])])
-        narrow = Subscription(2, SID, [Filter([c("x", Op.GT, 5)]),
-                                       Filter([c("x", Op.EQ, 9)])])
-        assert subscription_covers(broad, narrow)
-        assert not subscription_covers(narrow, broad)
-
     @settings(max_examples=300)
     @given(filters(), filters(), attribute_maps())
     def test_covering_is_sound(self, general, specific, attrs):
@@ -150,13 +138,6 @@ class TestOverlap:
 
     def test_empty_filter_overlaps_everything(self):
         assert filters_overlap(Filter(), Filter.where("t", x=1))
-
-    def test_subscription_overlap(self):
-        a = Subscription(1, SID, [Filter.where("x"), Filter.where("y")])
-        b = Subscription(2, SID, [Filter.where("y")])
-        d = Subscription(3, SID, [Filter.where("z")])
-        assert subscriptions_overlap(a, b)
-        assert not subscriptions_overlap(b, d)
 
     @settings(max_examples=300)
     @given(filters(), filters(), attribute_maps())

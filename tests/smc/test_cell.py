@@ -2,9 +2,12 @@
 
 import pytest
 
+from repro.core.events import NEW_MEMBER_TYPE
+from repro.core.proxies import SensorProxy
 from repro.devices.actuators import ManualSensor, NurseDisplay
 from repro.devices.protocols import HeartRateProtocol
 from repro.errors import ConfigurationError
+from repro.ids import ServiceId
 from repro.matching.filters import Filter
 from repro.matching.siena import SienaTranslationBackend
 from repro.sim.hosts import PDA_PROFILE, SENSOR_PROFILE, SimHost
@@ -48,7 +51,6 @@ class TestAssembly:
     def test_start_stop(self, make_cell):
         cell = make_cell()
         cell.start()
-        assert cell.started
         assert cell.discovery.running
         cell.stop()
         assert not cell.discovery.running
@@ -68,10 +70,17 @@ class TestAssembly:
         assert cell.engine._meter is cell.transport.host
         assert cell.bus.meter is cell.transport.host
 
-    def test_standard_translators_registered(self, make_cell):
+    def test_standard_translators_registered(self, make_cell, sim):
         cell = make_cell()
-        assert "sensor.hr" in cell.bootstrap.known_device_types()
-        assert "actuator.pump" in cell.bootstrap.known_device_types()
+        discovery = cell.publisher("discovery")
+        for member, device_type in ((101, "sensor.hr"), (102, "actuator.pump")):
+            discovery.publish(NEW_MEMBER_TYPE, {
+                "member": member, "name": device_type,
+                "device_type": device_type, "address": f"node-{member}"})
+        sim.run_until_idle()
+        for member in (101, 102):
+            assert isinstance(cell.bus.proxy_of(ServiceId(member)),
+                              SensorProxy)
 
     def test_quench_optional(self, make_cell):
         assert make_cell().quench is None

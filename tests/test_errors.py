@@ -31,7 +31,7 @@ class TestHierarchy:
 
     def test_one_catch_all_is_enough(self):
         with pytest.raises(errors.ReproError):
-            raise errors.FederationError("x")
+            raise errors.DiscoveryError("x")
         with pytest.raises(errors.ReproError):
             raise errors.SimulationError("x")
 

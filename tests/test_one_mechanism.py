@@ -11,12 +11,23 @@ mechanism reappears next to the one this tree keeps:
   ``resubscribe_all``, the same function holds the only
   ``reset_channel_to`` call;
 * a member has one state enum — :class:`LifecycleState`.
+
+... and when something nothing runs reappears:
+
+* every option (a defaulted ``*Config`` field or public-constructor
+  parameter) is passed by keyword somewhere in ``src/``, ``benchmarks/``
+  or ``examples/``, or is on :data:`UNSET_OPTIONS` with its reason;
+* no parameter is accepted by every implementation of a method and read
+  by none (the shape ``tick(now, registry)`` had);
+* the reliable channel has one way to abandon a queue (``close``), and
+  the three subsystems deleted as unexercised stay deleted.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "repro"
 
 
 def modules():
@@ -94,3 +105,124 @@ def test_lifecycle_state_is_the_only_member_state_enum():
                    and set(ast.unparse(stmt.annotation).replace("|", " ")
                            .split()) & all_enums]
     assert enum_fields == ["lifecycle"]
+
+
+# -- nothing in the cell that nothing runs ------------------------------------
+
+#: Options no caller in src/, benchmarks/ or examples/ sets, kept anyway.
+UNSET_OPTIONS = {
+    # Deployment addresses (the simplicity guide keeps those configurable).
+    ("ServerConfig", "healthz_port"): "deployment address",
+    ("ServerConfig", "broadcast_peers"): "deployment addresses",
+    # The seam the RFC-1982 wrap tests start a channel near 2^32 through.
+    ("ReliableChannel", "initial_seq"): "wraparound test seam",
+    # Parameters of the device and testbed *models*: the scenarios in
+    # tests/ vary them, the examples run the defaults.
+    ("DrugPump", "reservoir_ml"): "device model",
+    ("DrugPump", "max_hourly_ml"): "device model",
+    ("DrugPump", "status_period_s"): "device model",
+    ("PumpProtocol", "max_dose_ml"): "device model",
+    ("ECGMonitor", "samples_per_burst"): "device model",
+    ("VitalSignsGenerator", "rng"): "patient model",
+    ("VitalSignsGenerator", "hr_baseline"): "patient model",
+    ("VitalSignsGenerator", "spo2_baseline"): "patient model",
+    ("VitalSignsGenerator", "temp_baseline"): "patient model",
+    ("VitalSignsGenerator", "systolic_baseline"): "patient model",
+    ("VitalSignsGenerator", "diastolic_baseline"): "patient model",
+    ("Simulator", "start_time"): "testbed model",
+    ("SimNetwork", "rng"): "testbed model",
+    ("StaticPosition", "y"): "testbed model",
+    ("WalkAway", "home"): "testbed model",
+    ("WalkAway", "walk_s"): "testbed model",
+    # Passed positionally everywhere: not options, the measure's blind spot.
+    ("PolicyParseError", "line"): "passed positionally",
+    ("PolicyParseError", "column"): "passed positionally",
+    ("Constraint", "value"): "passed positionally",
+    ("Filter", "constraints"): "passed positionally",
+    ("PolicyEngine", "executor"): "passed positionally",
+}
+
+
+def options():
+    """``(class, name)`` of every defaulted field of a ``*Config`` class
+    and every defaulted ``__init__`` parameter of a public class."""
+    found = set()
+    for _rel, tree in modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for stmt in cls.body:
+                if (cls.name.endswith("Config")
+                        and isinstance(stmt, ast.AnnAssign)
+                        and stmt.value is not None):
+                    found.add((cls.name, stmt.target.id))
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
+                    args = stmt.args
+                    positional = args.posonlyargs + args.args
+                    defaulted = positional[len(positional) - len(args.defaults):]
+                    defaulted += [arg for arg, default in
+                                  zip(args.kwonlyargs, args.kw_defaults)
+                                  if default is not None]
+                    found.update((cls.name, arg.arg) for arg in defaulted)
+    return found
+
+
+def test_every_option_has_a_caller_that_sets_it():
+    passed = {keyword.arg
+              for top in ("src", "benchmarks", "examples")
+              for path in (ROOT / top).rglob("*.py")
+              for node in ast.walk(ast.parse(path.read_text()))
+              if isinstance(node, ast.Call) for keyword in node.keywords}
+    unset = {option for option in options() if option[1] not in passed}
+    assert sorted(unset - set(UNSET_OPTIONS)) == [], (
+        "options no caller sets: make each a constant, or list it in "
+        "UNSET_OPTIONS with the reason it stays")
+    assert sorted(set(UNSET_OPTIONS) - unset) == [], "stale allow-list entries"
+    assert len(UNSET_OPTIONS) <= 25
+
+
+def is_stub(function):
+    """A Protocol / abstract body: docstring, ``...``, ``pass`` or a bare
+    ``raise NotImplementedError``."""
+    return all(isinstance(stmt, ast.Pass)
+               or (isinstance(stmt, ast.Expr)
+                   and isinstance(stmt.value, ast.Constant))
+               or (isinstance(stmt, ast.Raise)
+                   and "NotImplementedError" in ast.unparse(stmt))
+               for stmt in function.body)
+
+
+def test_no_parameter_every_implementation_accepts_and_none_reads():
+    methods = {}
+    for rel, tree in modules():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.FunctionDef) and not is_stub(stmt):
+                        methods.setdefault(stmt.name, []).append(
+                            (f"{rel}:{cls.name}", stmt))
+    write_only = []
+    for name, implementations in methods.items():
+        if len(implementations) < 2 or name.startswith("__"):
+            continue
+        shared = set.intersection(*(
+            {arg.arg for arg in function.args.args + function.args.kwonlyargs}
+            for _owner, function in implementations)) - {"self"}
+        read = {node.id for _owner, function in implementations
+                for node in ast.walk(function) if isinstance(node, ast.Name)}
+        write_only += [(name, param, [owner for owner, _ in implementations])
+                       for param in sorted(shared - read)
+                       if not param.startswith("_")]
+    assert write_only == []
+
+
+def test_a_channel_is_abandoned_by_close_and_deleted_subsystems_stay_deleted():
+    for rel in ("transport/reliability.py", "transport/endpoint.py"):
+        names = {getattr(node, field, None)
+                 for node in ast.walk(ast.parse((SRC / rel).read_text()))
+                 for field in ("id", "attr", "arg", "name")}
+        assert not [name for name in names if isinstance(name, str)
+                    and ("max_retries" in name or "give_up" in name)], rel
+    for rel in ("core/correlate.py", "smc/federation.py",
+                "autonomic/telemetry.py"):
+        assert not (SRC / rel).exists(), rel

@@ -143,16 +143,6 @@ class TestChannels:
         a = endpoints("a")
         assert a.reset_channel_to("nowhere") == 0
 
-    def test_give_up_handler(self, sim, hub, endpoints):
-        endpoints("b")
-        abandoned = []
-        a_give = endpoints("a2", max_retries=2)
-        a_give.set_give_up_handler(lambda peer, data: abandoned.append(data))
-        hub.drop_filter = lambda src, dest, data: False
-        a_give.send_reliable("b", b"lost")
-        sim.run(30.0)
-        assert abandoned == [b"lost"]
-
     def test_sequential_payloads_in_order(self, sim, endpoints):
         a, b = endpoints("a"), endpoints("b")
         got = []
@@ -224,21 +214,6 @@ class TestRoamingPeers:
         assert core.existing_channel("dev") is None
         assert core.existing_channel("dev-roamed") is None
 
-    def test_give_up_on_roamed_away_address_still_names_the_peer(
-            self, sim, hub, endpoints):
-        endpoints("dev")
-        hub.create("dev-roamed")
-        abandoned = []
-        core = endpoints("core2", max_retries=2)
-        core.set_give_up_handler(lambda peer, data: abandoned.append(peer))
-        hub.drop_filter = lambda src, dest, data: False
-        core.learn_peer(service_id_from_name("dev"), "dev")
-        core.send_reliable("dev", b"doomed")
-        core.learn_peer(service_id_from_name("dev"), "dev-roamed")  # roam
-        sim.run(30.0)
-        # Old behaviour scanned only current addresses and reported None.
-        assert abandoned == [service_id_from_name("dev")]
-
     def test_forget_peer_clears_all_roamed_state(self, sim, hub, endpoints):
         core, dev_id = self._stranded(sim, hub, endpoints)
         core.learn_peer(dev_id, "dev-roamed")
@@ -248,7 +223,7 @@ class TestRoamingPeers:
         assert core.channel_addresses(dev_id) == set()
         assert core.existing_channel("dev") is None
         assert core.existing_channel("dev-roamed") is None
-        # A later give-up-style lookup finds nothing stale.
+        # Nothing stale is left behind in the reverse map.
         assert core._address_peers == {}
 
     def test_address_handover_resets_old_peers_channel(

@@ -1,4 +1,4 @@
-"""The reliable channel: ordering, dedup, retransmission, give-up.
+"""The reliable channel: ordering, dedup, retransmission until closed.
 
 These are the paper's Section II-C guarantees at the hop level, tested
 against a hub that can drop and reorder traffic on demand, plus the
@@ -17,6 +17,7 @@ from repro.sim.hosts import LAPTOP_PROFILE, SimHost
 from repro.sim.kernel import Simulator
 from repro.sim.radio import LinkProfile, SimNetwork
 from repro.sim.rng import RngRegistry
+from repro.transport import reliability
 from repro.transport.inmem import InMemoryHub
 from repro.transport.packets import Packet, PacketType
 from repro.transport.reliability import (
@@ -28,21 +29,17 @@ from repro.transport.reliability import (
 from repro.transport.simnet import SimTransport
 
 
-def make_pair(sim, hub, *, window=1, max_retries=None, on_give_up=None,
-              rto_initial=0.05, initial_seq=1, reorder_buffer=64):
+def make_pair(sim, hub, *, window=1, rto_initial=0.05, initial_seq=1):
     """Two endpoints with channels wired to each other through raw packets."""
     ta, tb = hub.create("a"), hub.create("b")
     delivered_a, delivered_b = [], []
     rto_max = max(2.0, 2.0 * rto_initial)
     chan_a = ReliableChannel(ta, sim, "b", lambda s, p: delivered_a.append(p),
-                             window=window, max_retries=max_retries,
-                             on_give_up=on_give_up, rto_initial=rto_initial,
-                             rto_max=rto_max, initial_seq=initial_seq,
-                             reorder_buffer=reorder_buffer)
+                             window=window, rto_initial=rto_initial,
+                             rto_max=rto_max, initial_seq=initial_seq)
     chan_b = ReliableChannel(tb, sim, "a", lambda s, p: delivered_b.append(p),
                              window=window, rto_initial=rto_initial,
-                             rto_max=rto_max, initial_seq=initial_seq,
-                             reorder_buffer=reorder_buffer)
+                             rto_max=rto_max, initial_seq=initial_seq)
     ta.set_receiver(lambda src, data: chan_a.handle_packet(Packet.decode(data)))
     tb.set_receiver(lambda src, data: chan_b.handle_packet(Packet.decode(data)))
     return chan_a, chan_b, delivered_a, delivered_b
@@ -203,20 +200,10 @@ class TestWindowing:
         assert chan_b.stats.out_of_order > 0
 
 
-class TestGiveUp:
-    def test_gives_up_after_max_retries_and_closes(self, sim, hub):
-        abandoned = []
-        chan_a, _, _, _ = make_pair(sim, hub, max_retries=3,
-                                    on_give_up=abandoned.append)
-        hub.drop_filter = lambda src, dest, data: False
-        chan_a.send(b"doomed-1")
-        chan_a.send(b"doomed-2")
-        sim.run(30.0)
-        assert abandoned == [b"doomed-1", b"doomed-2"]
-        assert chan_a.closed
-        assert chan_a.stats.give_ups == 2
-
-    def test_no_give_up_by_default(self, sim, hub):
+class TestRetriesUntilClosed:
+    def test_retries_until_closed(self, sim, hub):
+        # Abandoning a dead peer's queue is the proxy's job (purge ->
+        # close); the channel itself never gives up.
         chan_a, _, _, delivered_b = make_pair(sim, hub)
         hub.drop_filter = lambda src, dest, data: False
         chan_a.send(b"eternal")
@@ -226,6 +213,14 @@ class TestGiveUp:
         hub.drop_filter = None
         sim.run(40.0)
         assert delivered_b == [b"eternal"]
+        hub.drop_filter = lambda src, dest, data: False
+        chan_a.send(b"purged")
+        sim.run(50.0)
+        chan_a.close()
+        resent = chan_a.stats.retransmissions
+        sim.run(90.0)
+        assert chan_a.stats.retransmissions == resent
+        assert chan_a.unacked_count() == 0
 
 
 class TestRetransmitStarvation:
@@ -352,11 +347,11 @@ class TestSelectiveAcks:
         assert any((3, 5) == r for ranges in acks_with_sack for r in ranges)
         assert real_filter[0] == 1
 
-    def test_reorder_buffer_sized_from_window(self, sim, hub):
+    def test_reorder_buffer_sized_from_window(self, sim, hub, monkeypatch):
         # A window of out-of-order arrivals always fits, even when the
-        # configured buffer is smaller than the window.
+        # buffer constant is smaller than the window.
+        monkeypatch.setattr(reliability, "REORDER_BUFFER", 2)
         chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8,
-                                                   reorder_buffer=2,
                                                    rto_initial=5.0)
         drop_data_seq_once(hub, 1)
         messages = [bytes([i]) for i in range(8)]
@@ -366,18 +361,19 @@ class TestSelectiveAcks:
         assert delivered_b == messages
         assert chan_b.stats.reorder_drops == 0        # max(window, buffer)
 
-    def test_reorder_overrun_counted_and_recovered(self, sim, hub):
+    def test_reorder_overrun_counted_and_recovered(self, sim, hub,
+                                                   monkeypatch):
         # A sender windowed past the receiver's buffer: drops are counted
         # in ChannelStats (not silent) and the stream still completes via
         # retransmission once the buffer drains.
+        monkeypatch.setattr(reliability, "REORDER_BUFFER", 2)
         ta, tb = hub.create("a"), hub.create("b")
         delivered_b = []
         chan_a = ReliableChannel(ta, sim, "b", lambda s, p: None,
                                  window=8, rto_initial=0.05)
         chan_b = ReliableChannel(tb, sim, "a",
                                  lambda s, p: delivered_b.append(p),
-                                 window=1, reorder_buffer=2,
-                                 rto_initial=0.05)
+                                 window=1, rto_initial=0.05)
         ta.set_receiver(
             lambda src, data: chan_a.handle_packet(Packet.decode(data)))
         tb.set_receiver(
