@@ -298,6 +298,14 @@ def test_cold_values_keep_pace_with_warm_ones_at_10k():
     streams must return the brute-force oracle's match sets.  Each
     measured cold run is a slice of readings the engine has not seen;
     best of three on both sides.
+
+    This table has **no alarm-free band**: its thresholds are drawn over
+    each vital's whole range, "above" and "below" alike, so the highest
+    "below" threshold sits over the lowest "above" one and no reading is
+    skipped ahead of the memo (``quiet_readings`` stays 0, asserted) —
+    the gate keeps guarding the bisect-and-slice path; the band's own
+    gate is a count in tier-1 (``TestAlarmFreeBand``,
+    tests/matching/test_forwarding.py).
     """
     rounds, per_round, checked = 3, 500, 60
     engine, oracle = make_engine("forwarding"), BruteForceMatcher()
@@ -323,6 +331,7 @@ def test_cold_values_keep_pace_with_warm_ones_at_10k():
         assert cold_ids[:checked] == oracle.match_batch_ids(
             cold[start:start + checked])
     assert engine.memo_misses >= rounds * per_round * len(VITALS)
+    assert engine.quiet_readings == 0
     assert cold_s <= warm_s / 0.15, (
         f"cold {per_round / cold_s:.0f} ev/s vs memo-warm "
         f"{per_round / warm_s:.0f} ev/s ({warm_s / cold_s:.2f}x, "

@@ -55,6 +55,11 @@ def build_cpu_bound_subscriptions(count: int, seed: int = 7
     half-open constraints of every rule on the event's vital get counted)
     while the narrow band keeps the *match set* sparse and realistic —
     alarms fire rarely, so the work is the counting, not shipping ids.
+
+    The 1 250 windows of a vital tile its whole range, so the table has
+    **no alarm-free band** (the highest ``<`` threshold is above the
+    lowest ``>`` one): no reading is skipped ahead of the memo, and the
+    gates below keep guarding the bisect-and-slice path and the pipe.
     """
     rng = random.Random(seed)
     subscriptions = []

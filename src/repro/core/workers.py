@@ -43,10 +43,10 @@ dead worker's plans fall back to the host's inline engines for that round
 (results stay exact), and the worker is respawned and resynchronised from
 a fresh table snapshot.
 
-Everything crosses the pipe as TLV wire bytes — plans via
-:func:`~repro.matching.plan.write_plan`, subscription fragments via the
-stock filter codec — never as pickled objects, the same rule the network
-path follows.
+Everything crosses the pipe as explicit wire bytes — plans as packed
+columns via :func:`~repro.matching.plan.write_plan`, subscription
+fragments via the stock filter codec — never as pickled objects, the same
+rule the network path follows.
 """
 
 from __future__ import annotations
@@ -86,10 +86,17 @@ class WorkerError(ReproError):
 #   STOP  := 0x03
 # worker -> parent:
 #   RESULTS := 0x01, varint memo_hits, varint memo_misses,
+#              varint quiet_readings, varint memo_ids_held,
 #              varint n_plans, n_plans x varint n_events,
 #              u32[sum n_events] k (ids matched by each event, plan order),
 #              u32[sum k] id
 #   FAIL    := 0x02, varint len, utf-8 reason
+#
+# A plan is a table of packed columns (grammar beside
+# :func:`repro.matching.plan.write_plan`): rows grouped by their name
+# tuple, each name once per group, a float or int column as one ``array``
+# image.  A plan the worker cannot decode is answered with FAIL like any
+# other fault in the round.
 #
 # The two u32 blocks are ``array('I')`` images in native byte order (both
 # ends of the pipe are this machine): the worker packs and the host
@@ -97,9 +104,13 @@ class WorkerError(ReproError):
 # cost more than the match of a memo-warm event.  A subscription id that
 # does not fit 32 bits fails the pack in the worker (OverflowError), which
 # is answered with FAIL and so runs inline on the host like any other
-# worker fault.  memo_hits / memo_misses are the replica engines'
-# cumulative satisfied-value memo counters, which the host cannot see
-# otherwise: the lookups happen here.
+# worker fault.  The four counters are the replica engines' (summed over
+# the worker's shards; the first three cumulative, the last a gauge),
+# which the host cannot see otherwise: the lookups happen here.
+# memo_hits / memo_misses count the lookups that reached the
+# satisfied-value memo, quiet_readings those that did not have to (a
+# reading inside its name's alarm-free band), memo_ids_held what the memo
+# weighs against its id budget.
 #
 # delta := kind (0x01 sub / 0x02 unsub), varint epoch, varint shard,
 #          sub:   varint len, encoded Subscription fragment
@@ -122,6 +133,10 @@ _REPLY_FAIL = 2
 _DELTA_SUB = b"\x01"
 _DELTA_UNSUB = b"\x02"
 _U32 = array("I").itemsize
+#: The replica-engine counters a RESULTS reply carries, in wire order;
+#: ``stats_dict()`` lists each per worker under the same name.
+_REPLICA_COUNTERS = ("memo_hits", "memo_misses", "quiet_readings",
+                     "memo_ids_held")
 
 
 def _encode_delta(kind: str, shard: int, epoch: int, payload) -> bytes:
@@ -229,12 +244,11 @@ def _encode_results(per_plan, engines) -> bytes:
     """One RESULTS reply: ``per_plan[p][e]`` is the id collection matched
     by event ``e`` of plan ``p``; ``engines`` is the collection of the
     worker's replicas."""
-    out = [wire.encode_varint(_REPLY_RESULTS),
-           wire.encode_varint(sum(getattr(engine, "memo_hits", 0)
-                                  for engine in engines)),
-           wire.encode_varint(sum(getattr(engine, "memo_misses", 0)
-                                  for engine in engines)),
-           wire.encode_varint(len(per_plan))]
+    out = [wire.encode_varint(_REPLY_RESULTS)]
+    out += [wire.encode_varint(sum(getattr(engine, counter, 0)
+                                   for engine in engines))
+            for counter in _REPLICA_COUNTERS]
+    out.append(wire.encode_varint(len(per_plan)))
     out += [wire.encode_varint(len(id_sets)) for id_sets in per_plan]
     events = list(chain.from_iterable(per_plan))
     out.append(array("I", map(len, events)).tobytes())
@@ -242,9 +256,10 @@ def _encode_results(per_plan, engines) -> bytes:
     return b"".join(out)
 
 
-def _parse_results(msg: bytes) -> tuple[list[list[list[int]]], int, int]:
-    """Parse a RESULTS reply into (per-plan, per-event id lists; the
-    replicas' cumulative memo hits; their memo misses).
+def _parse_results(msg: bytes) -> tuple[list[list[list[int]]], int, int,
+                                        int, int]:
+    """Parse a RESULTS reply into (per-plan, per-event id lists; then the
+    replicas' counters, in :data:`_REPLICA_COUNTERS` order).
 
     Whatever the bytes, the outcome is this or a :class:`WorkerError` —
     the pool treats that as one more worker fault and runs the round
@@ -258,8 +273,10 @@ def _parse_results(msg: bytes) -> tuple[list[list[list[int]]], int, int]:
                 "utf-8", "replace"))
         if op != _REPLY_RESULTS:
             raise WorkerError(f"unknown reply opcode {op}")
-        memo_hits, pos = wire.decode_varint(msg, pos)
-        memo_misses, pos = wire.decode_varint(msg, pos)
+        counters = []
+        for _ in _REPLICA_COUNTERS:
+            counter, pos = wire.decode_varint(msg, pos)
+            counters.append(counter)
         plan_count, pos = wire.decode_varint(msg, pos)
         event_counts = []
         for _ in range(plan_count):
@@ -286,7 +303,7 @@ def _parse_results(msg: bytes) -> tuple[list[list[list[int]]], int, int]:
             at += id_count
         event += event_count
         per_plan.append(events)
-    return per_plan, memo_hits, memo_misses
+    return per_plan, *counters
 
 
 # -- the pool ----------------------------------------------------------------
@@ -338,10 +355,10 @@ class WorkerPoolExecutor:
         self._pending: list[list[bytes]] = [[] for _ in range(workers)]
         self._synced_epoch = [0] * workers
         self._worker_events = [0] * workers
-        # Each worker's replica-engine memo counters, as of its last reply
-        # (cumulative since that worker's last RESET or respawn).
-        self._worker_memo_hits = [0] * workers
-        self._worker_memo_misses = [0] * workers
+        # Each worker's replica-engine counters (_REPLICA_COUNTERS), as of
+        # its last reply; the cumulative ones count from that worker's
+        # last RESET or respawn.
+        self._worker_counters = [(0,) * len(_REPLICA_COUNTERS)] * workers
         self._matcher = None
         self._closed = False
         self.bind(matcher)
@@ -549,9 +566,8 @@ class WorkerPoolExecutor:
                 f"after {self._recv_timeout_s}s")
         msg = conn.recv_bytes()
         self.stats.ipc_bytes_in += len(msg)
-        per_plan, hits, misses = _parse_results(msg)
-        self._worker_memo_hits[worker] = hits
-        self._worker_memo_misses[worker] = misses
+        per_plan, *counters = _parse_results(msg)
+        self._worker_counters[worker] = counters
         return per_plan
 
     def _run_inline(self, plans, positions: list[int], results: list) -> None:
@@ -587,8 +603,8 @@ class WorkerPoolExecutor:
             "epoch_lag": [max(0, matcher_epoch - synced)
                           for synced in self._synced_epoch],
             "worker_events": list(self._worker_events),
-            "memo_hits": list(self._worker_memo_hits),
-            "memo_misses": list(self._worker_memo_misses),
+            **dict(zip(_REPLICA_COUNTERS,
+                       map(list, zip(*self._worker_counters)))),
         }
 
     def close(self) -> None:

@@ -75,7 +75,16 @@ snapshot` produces)::
         memo_hits, memo_misses          per worker: its replica engines'
                                         satisfied-value memo counters as
                                         of its last reply (batch lookups
-                                        happen there, not on the host)
+                                        happen there, not on the host):
+                                        lookups that reached the memo
+        quiet_readings                  per worker: readings that needed
+                                        no lookup — strictly inside their
+                                        name's alarm-free band (between
+                                        its highest "below" and lowest
+                                        "above" threshold)
+        memo_ids_held                   per worker: ids its replicas'
+                                        memos hold now (each attribute
+                                        name's share is capped at 2**16)
     autonomic         (autonomic cell only) ticks, actuations (entries
                       in the audit log), audit_tail (its newest
                       server.AUDIT_TAIL, each time / controller / target /

@@ -15,7 +15,12 @@ constraint-first rather than filter-first:
    thresholds are bucketed per (operator, kind, *group*) — the filter's
    name class, or "single-constraint filter" — so a bucket's
    bisect-and-slice is already one group's satisfied set, with no
-   per-filter step (see :class:`_AttrIndex`);
+   per-filter step (see :class:`_AttrIndex`).  Ahead of all of it sits
+   the name's *alarm-free band*: the open interval between its highest
+   "below" threshold and its lowest "above" threshold.  A vital reading
+   that trips no alarm lies strictly inside it, satisfies nothing, and
+   costs two comparisons — no lookup, no memo entry
+   (:meth:`ForwardingMatcher._band`);
 2. increment a per-filter counter for each satisfied constraint;
 3. a filter whose counter reaches its constraint count is matched, and its
    subscription is selected.
@@ -87,11 +92,14 @@ _CUTS = {Op.LT: (bisect_right, False), Op.LE: (bisect_left, False),
 class _AttrIndex:
     """All constraints that name one attribute."""
 
-    __slots__ = ("eq", "ne", "exists", "order", "strings")
+    __slots__ = ("eq", "number_eqs", "ne", "exists", "order", "strings",
+                 "band", "held")
 
     def __init__(self) -> None:
         # (kind, value) -> fids with an equality constraint on that value.
         self.eq: dict[tuple[Kind, Value], list[int]] = {}
+        # How many of them are on a number (they void the band).
+        self.number_eqs = 0
         # (kind, value, fid) triples for NE constraints.
         self.ne: list[tuple[Kind, Value, int]] = []
         self.exists: list[int] = []
@@ -106,6 +114,10 @@ class _AttrIndex:
         self.order: dict[tuple[Op, Kind, int], _Thresholds] = {}
         # (op, operand, fid) for PREFIX/SUFFIX/CONTAINS, scanned linearly.
         self.strings: list[tuple[Op, Value, int]] = []
+        # The alarm-free band (ForwardingMatcher._band); None while stale.
+        self.band: tuple[Value, Value] | None = None
+        # Ids the name's memo partition holds, over all its entries.
+        self.held = 0
 
     def empty(self) -> bool:
         return not (self.eq or self.ne or self.exists or self.order
@@ -113,6 +125,8 @@ class _AttrIndex:
 
 
 _ORDER_OPS = frozenset({Op.LT, Op.LE, Op.GT, Op.GE})
+#: The ordering operators a value *below* the threshold satisfies.
+_BELOW_OPS = frozenset({Op.LT, Op.LE})
 #: Ordering-bucket groups that are not a class id (class ids are >= 0).
 _SINGLE = -1
 _REPEATED = -2
@@ -146,15 +160,26 @@ def name_class(filt) -> frozenset[str]:
     """
     return frozenset(constraint.name for constraint in filt)
 
-#: Cap on one attribute name's partition of the satisfied-value memo; a
-#: full partition resets alone.  High-cardinality streams (timestamps,
-#: float readings) would otherwise grow it for the process lifetime, and
-#: a registration change scans the partitions of the names it constrains,
-#: so the cap is also the worst case of one constraint's invalidation.
+#: Caps on one attribute name's partition of the satisfied-value memo: the
+#: entries it holds, and the ids those entries hold (matched subscription
+#: ids of single-constraint filters plus every class set's fids).  A
+#: partition that would exceed either resets alone.  High-cardinality
+#: streams (timestamps, float readings) would otherwise grow it for the
+#: process lifetime.  The entry cap bounds the invalidation scan: a
+#: registration change scans the partitions of the names it constrains.
 #: Measured on a full partition: 0.3 ms to scan it, 0.9 ms to scan and
 #: drop all of it, 8 ms when each dropped entry names ~500 filters (the
-#: time is then their deallocation).
+#: time is then their deallocation).  The id budget bounds the memory:
+#: readings inside the alarm-free band never reach the memo, so every
+#: entry a continuous stream stores is an alarm-tail one, and 4 096 of
+#: those over a 10 000-rule table are hundreds of megabytes.
 _MEMO_NAME_MAX = 4096
+_MEMO_IDS_MAX = 1 << 16
+
+_INF = float("inf")
+#: The band of a name whose EXISTS, NE or number-EQ constraints a reading
+#: between the ordering thresholds can still satisfy: nothing lies inside.
+_NO_BAND = (_INF, -_INF)
 
 #: The exact value classes of each kind.  Only these are memoised, so an
 #: EQ constraint's entries are found by key instead of by scan.
@@ -167,6 +192,12 @@ _MEMO_CLASSES = frozenset(
 #: _satisfied_entry`): ``(single_subs, ((class id, fids), ...))``.
 _Entry = tuple[tuple[int, ...], tuple[tuple[int, frozenset[int]], ...]]
 _NOTHING: _Entry = ((), ())
+
+
+def _ids_held(entry: _Entry) -> int:
+    """What ``entry`` costs its partition's id budget (_MEMO_IDS_MAX)."""
+    singles, class_sets = entry
+    return len(singles) + sum([len(fids) for _, fids in class_sets])
 
 
 class ForwardingMatcher(MatchingEngine):
@@ -208,11 +239,19 @@ class ForwardingMatcher(MatchingEngine):
         # entries it can affect.
         self._satisfied_memo: dict[str, dict[tuple, _Entry]] = {}
         self.constraints_indexed = 0
+        # Lookups that reached the memo, and the readings that did not
+        # have to: those strictly inside their name's alarm-free band.
         self.memo_hits = 0
         self.memo_misses = 0
+        self.quiet_readings = 0
 
     def set_meter(self, meter: CostMeter) -> None:
         self._meter = meter
+
+    @property
+    def memo_ids_held(self) -> int:
+        """Ids held by the memo, all partitions together."""
+        return sum(index.held for index in self._attr_indexes.values())
 
     # -- registration ----------------------------------------------------
 
@@ -260,6 +299,7 @@ class ForwardingMatcher(MatchingEngine):
         elif op == Op.EQ:
             key = (constraint.kind, constraint.value)
             index.eq.setdefault(key, []).append(fid)
+            index.number_eqs += constraint.kind is Kind.NUMBER
         elif op == Op.NE:
             index.ne.append((constraint.kind, constraint.value, fid))
         elif op in _ORDER_OPS:
@@ -319,6 +359,7 @@ class ForwardingMatcher(MatchingEngine):
             bucket.remove(fid)
             if not bucket:
                 del index.eq[key]
+            index.number_eqs -= constraint.kind is Kind.NUMBER
         elif op == Op.NE:
             index.ne.remove((constraint.kind, constraint.value, fid))
         elif op in _ORDER_OPS:
@@ -336,28 +377,60 @@ class ForwardingMatcher(MatchingEngine):
             self._forget(constraint)
 
     def _forget(self, constraint) -> None:
-        """Drop the memo entries that adding or removing ``constraint``
-        can change: those of its name whose value satisfies it.
+        """Drop what adding or removing ``constraint`` can change: its
+        name's band, and the memo entries of that name whose value
+        satisfies it.
 
         An entry names a filter only if its value satisfies every
         constraint the filter puts on that name, so this is a superset of
         the entries naming the filter — none survives to see its fid
         recycled — and no entry of another name is touched.
         """
+        index = self._attr_indexes[constraint.name]
+        index.band = None
         partition = self._satisfied_memo[constraint.name]
         if not partition:
             return
         op, operand = constraint.op, constraint.value
         if op == Op.EXISTS:
             partition.clear()
+            index.held = 0
         elif op == Op.EQ:
             for cls in _KIND_CLASSES[constraint.kind]:
-                partition.pop((cls, operand), None)
+                index.held -= _ids_held(
+                    partition.pop((cls, operand), _NOTHING))
         else:
             classes, test = _KIND_CLASSES[constraint.kind], _TESTS[op]
             for key in [key for key in partition
                         if key[0] in classes and test(key[1], operand)]:
-                del partition[key]
+                index.held -= _ids_held(partition.pop(key))
+
+    def _band(self, index: _AttrIndex) -> tuple[Value, Value]:
+        """Recompute ``index``'s alarm-free band from its buckets' ends.
+
+        An exact ``int`` or ``float`` strictly inside ``(highest LT/LE
+        threshold, lowest GT/GE threshold)`` satisfies no ordering
+        constraint on a number, and a number satisfies no constraint on
+        another kind; EXISTS, NE and EQ on a number are the ones it
+        still can, so a name that carries any has no band.  NaN lies
+        inside nothing, and an empty interval (a range filter's) holds
+        nothing.  One step per bucket, on the first match after a
+        registration change on the name.
+        """
+        if index.exists or index.ne or index.number_eqs:
+            band = _NO_BAND
+        else:
+            low, high = -_INF, _INF
+            for (op, kind, _), thresholds in index.order.items():
+                if kind is not Kind.NUMBER:
+                    continue
+                if op in _BELOW_OPS:
+                    low = max(low, thresholds.values[-1])
+                else:
+                    high = min(high, thresholds.values[0])
+            band = (low, high)
+        index.band = band
+        return band
 
     # -- matching ------------------------------------------------------------
 
@@ -372,32 +445,52 @@ class ForwardingMatcher(MatchingEngine):
         per-class sets of fully-satisfied-on-this-attribute fids.  Each
         event then reduces to set unions and per-class set intersections —
         all C-speed — instead of a per-constraint Python counting loop.
+
+        An exact ``int`` or ``float`` strictly inside its name's
+        alarm-free band (:meth:`_band`) satisfies nothing and is skipped
+        before any of that; a value on the band's edge, NaN, ``bool``,
+        a subclass's or another kind's takes the lookup.
         """
+        indexes = self._attr_indexes
         memo = self._satisfied_memo
         sub_list = self._sub_list
         class_width = self._class_width
         always = self._always
         always_subs = [sub_list[fid] for fid in always] if always else ()
         results: list[set[int]] = []
+        hits = misses = quiet = 0
 
         for attributes in batch:
             matched = set(always_subs)
             gathered: dict[int, list[frozenset[int]]] = {}
             for name, value in attributes.items():
-                partition = memo.get(name)
-                if partition is None:
+                index = indexes.get(name)
+                if index is None:
                     continue            # no constraint names this attribute
-                key = (value.__class__, value)
+                cls = value.__class__
+                if cls is float or cls is int:
+                    band = index.band
+                    if band is None:
+                        band = self._band(index)
+                    if band[0] < value < band[1]:
+                        quiet += 1
+                        continue
+                key = (cls, value)
+                partition = memo[name]
                 entry = partition.get(key)
                 if entry is None:
+                    misses += 1
                     entry = self._satisfied_entry(name, value)
-                    if key[0] in _MEMO_CLASSES:
-                        if len(partition) >= _MEMO_NAME_MAX:
+                    if cls in _MEMO_CLASSES:
+                        weight = _ids_held(entry)
+                        if index.held + weight > _MEMO_IDS_MAX \
+                                or len(partition) >= _MEMO_NAME_MAX:
                             partition.clear()
+                            index.held = 0
                         partition[key] = entry
-                    self.memo_misses += 1
+                        index.held += weight
                 else:
-                    self.memo_hits += 1
+                    hits += 1
                 singles, class_sets = entry
                 matched.update(singles)
                 for cid, fidset in class_sets:
@@ -424,6 +517,9 @@ class ForwardingMatcher(MatchingEngine):
                 for fid in survivors:
                     matched.add(sub_list[fid])
             results.append(matched)
+        self.memo_hits += hits
+        self.memo_misses += misses
+        self.quiet_readings += quiet
         # match_base_s models the *fixed cost of invoking the engine* (the
         # allocation-heavy JVM path of the paper's testbed); one batch
         # invocation pays it once, which is the batch pipeline's whole
@@ -461,8 +557,11 @@ class ForwardingMatcher(MatchingEngine):
 
         singles: tuple[int, ...] = ()
         class_fids: dict[int, set[int]] = {}
+        # A NaN reading is below and above no threshold, and would bisect
+        # to wherever the comparisons it fails happen to leave it.
+        ordered_kind = kind if value == value else None
         for (op, bucket_kind, group), thresholds in index.order.items():
-            if bucket_kind is not kind:
+            if bucket_kind is not ordered_kind:
                 continue
             fids = thresholds.satisfied_by(value, op)
             if not fids:

@@ -5,7 +5,9 @@ The worker pool bets that the match phase can leave the process while
 dispatch cannot.  This suite pins the bet the same way the sharding suite
 does — from below and above:
 
-* **plan codec** — Hypothesis roundtrips MatchPlan through the TLV codec;
+* **plan codec** — Hypothesis roundtrips MatchPlan through the packed
+  column codec, and arbitrary bytes and every mutation of a golden plan
+  decode or raise ``CodecError``, nothing else;
 * **reply codec** — the packed RESULTS reply roundtrips, and arbitrary or
   mutated bytes parse or raise ``WorkerError``, nothing else;
 * **executor level** — `InlineExecutor` ≡ `WorkerPoolExecutor` ≡ the
@@ -34,7 +36,7 @@ from repro.core.sharding import ShardedEventBus, ShardedMatcher
 from repro.core import workers as workers_module
 from repro.core.workers import WorkerError, WorkerPoolExecutor, \
     available_cores
-from repro.errors import ConfigurationError
+from repro.errors import CodecError, ConfigurationError
 from repro.ids import service_id_from_name
 from repro.matching.engine import BruteForceMatcher
 from repro.matching.filters import Constraint, Filter, Op, Subscription
@@ -87,6 +89,105 @@ class TestPlanCodec:
         assert decoded == plan
         assert pos == len(encode_plan(plan))
 
+    def test_roundtrip_of_columns_the_packed_forms_cannot_hold(self):
+        """An ``array`` image holds exact floats or exact ints that fit 64
+        bits; one value outside that sends its whole column value by
+        value, and every value comes back what it was."""
+        nan = float("nan")
+        rows = [
+            {"f": 0.5, "i": 1, "wide": 2 ** 70, "mixed": 1, "who": "p1"},
+            {"f": -0.0, "i": -2 ** 63, "wide": 3, "mixed": 2.5, "who": "p2"},
+            {"f": float("inf"), "i": 2 ** 63 - 1, "wide": -2 ** 70,
+             "mixed": True, "who": ""},
+            {"f": nan, "i": 0, "wide": 2 ** 63, "mixed": b"\x00", "who": "é"},
+            {},                                       # a group of no names
+            {"i": 7},                                 # ragged: its own group
+            {"i": 2.5, "f": 1},                       # same names, other order
+            {"f": 1.5, "i": 9},
+        ]
+        plan = MatchPlan(3, 2 ** 40, list(range(8, 0, -1)), rows)
+        encoded = encode_plan(plan)
+        decoded, pos = decode_plan(b"\xff" + encoded, 1)
+        assert pos == 1 + len(encoded)
+        assert (decoded.shard, decoded.epoch, decoded.indexes) \
+            == (3, 2 ** 40, plan.indexes)
+        # Equal and of the same type, value by value (NaN by its bits).
+        assert repr(decoded.projections) == repr(rows)
+        # An int subclass crosses as the int it equals, as on the network.
+        decoded, _ = decode_plan(encode_plan(MatchPlan(0, 0, [0, 1], [
+            {"op": Op.EQ}, {"op": 5}])))
+        assert decoded.projections == [{"op": int(Op.EQ)}, {"op": 5}]
+        assert [type(row["op"]) for row in decoded.projections] == [int, int]
+
+    def test_a_plan_that_does_not_line_up_is_not_written(self):
+        with pytest.raises(CodecError):
+            encode_plan(MatchPlan(0, 0, [0, 1], [{"a": 1}]))
+        with pytest.raises(CodecError):
+            encode_plan(MatchPlan(0, 0, [2 ** 32], [{"a": 1}]))
+
+    #: One WORK-sized plan with every form in it: two groups, a float, an
+    #: int, a string and a mixed column, a row of no names.
+    GOLDEN = MatchPlan(2, 300, [5, 0, 3, 9, 4], [
+        {"patient": "p-01", "hr": 61.5, "spo2": 97, "note": 1},
+        {"patient": "p-02", "hr": 120.25, "spo2": 88, "note": "x"},
+        {"hr": 1.0},
+        {},
+        {"patient": "p-01", "hr": 0.5, "spo2": 2 ** 40, "note": True}])
+
+    @staticmethod
+    def _decodes_or_raises_codec_error(data) -> None:
+        try:
+            plan, pos = decode_plan(data)
+        except CodecError:
+            return
+        # What decoded is a plan: aligned, every row a dict, and no
+        # bigger than the bytes that carried it.
+        assert pos <= len(data)
+        assert len(plan.indexes) == len(plan.projections) <= len(data)
+        assert all(type(row) is dict for row in plan.projections)
+
+    def test_every_mutation_of_a_golden_plan_decodes_or_raises_codec_error(
+            self):
+        """Every truncation and every single-byte substitution: the
+        outcome is a plan or ``CodecError`` — never ``IndexError``,
+        ``struct.error``, ``ValueError`` or ``UnicodeDecodeError``."""
+        golden = encode_plan(self.GOLDEN)
+        assert decode_plan(golden) == (self.GOLDEN, len(golden))
+        for cut in range(len(golden)):
+            with pytest.raises(CodecError):
+                decode_plan(golden[:cut])
+        mutable = bytearray(golden)
+        for at, original in enumerate(golden):
+            for byte in range(256):
+                if byte != original:
+                    mutable[at] = byte
+                    self._decodes_or_raises_codec_error(bytes(mutable))
+            mutable[at] = original
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.binary(max_size=96))
+    def test_arbitrary_bytes_decode_or_raise_codec_error(self, data):
+        self._decodes_or_raises_codec_error(data)
+
+    @pytest.mark.parametrize("claim", [
+        b"\x00\x00" + b"\xff" * 8 + b"\x7f",           # 2**62 rows
+        b"\x00\x00\x00" + b"\xff" * 8 + b"\x7f",       # 2**62 groups
+        b"\x00\x00\x00\x01" + b"\xff" * 8 + b"\x7f",   # 2**62 names
+        b"\x00\x00\x00\x01\x00" + b"\xff" * 8 + b"\x7f",     # 2**62 members
+        b"\x00\x00\x01" + b"\x00" * 4 + b"\x01\x01\x01a\x01"
+        + b"\x00" * 4 + b"\x01",                        # a column cut short
+        b"\x00\x00\x01" + b"\x00" * 4 + b"\x01\x00\x01"
+        + b"\x01\x00\x00\x00",                          # row 1 of 1
+        b"\x00\x00\x02" + b"\x00" * 8 + b"\x02"
+        + b"\x00\x01" + b"\x00" * 4 + b"\x00\x01" + b"\x00" * 4,  # row 0 twice
+    ])
+    def test_counts_are_checked_before_they_size_anything(self, claim):
+        """A count the buffer cannot back is an error at once, not an
+        allocation; a row outside the plan or in two groups is an error,
+        not a lost or doubled event."""
+        with pytest.raises(CodecError):
+            decode_plan(claim)
+
     def test_inline_executor_is_the_host_path(self):
         matcher = ShardedMatcher(4, "forwarding")
         assert isinstance(matcher.executor, InlineExecutor)
@@ -101,29 +202,28 @@ plan_results = st.lists(st.lists(
 
 
 class _Memo:
-    def __init__(self, hits, misses):
+    def __init__(self, hits, misses, quiet=0, held=0):
         self.memo_hits, self.memo_misses = hits, misses
+        self.quiet_readings, self.memo_ids_held = quiet, held
 
 
 class TestReplyCodec:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(plan_results, max_size=4),
-           st.lists(st.tuples(st.integers(0, 2 ** 40), st.integers(0, 2 ** 40)),
-                    max_size=3))
+           st.lists(st.tuples(*[st.integers(0, 2 ** 40)] * 4), max_size=3))
     def test_roundtrip(self, per_plan, counters):
-        engines = [_Memo(hits, misses) for hits, misses in counters]
+        engines = [_Memo(*engine_counters) for engine_counters in counters]
         reply = workers_module._encode_results(per_plan, engines)
-        assert workers_module._parse_results(reply) == (
-            per_plan, sum(hits for hits, _ in counters),
-            sum(misses for _, misses in counters))
+        totals = [sum(column) for column in zip(*counters)] or [0] * 4
+        assert workers_module._parse_results(reply) == (per_plan, *totals)
 
     def test_sets_and_engines_without_a_memo(self):
         reply = workers_module._encode_results(
             [[{7}, (), {0, 2 ** 32 - 1}], []], [object()])
-        per_plan, hits, misses = workers_module._parse_results(reply)
+        per_plan, *counters = workers_module._parse_results(reply)
         assert [[sorted(ids) for ids in plan] for plan in per_plan] \
             == [[[7], [], [0, 2 ** 32 - 1]], []]
-        assert (hits, misses) == (0, 0)
+        assert counters == [0, 0, 0, 0]
 
     def test_an_id_past_32_bits_does_not_pack(self):
         with pytest.raises(OverflowError):
@@ -137,10 +237,14 @@ class TestReplyCodec:
     @pytest.mark.parametrize("reply", [
         b"", b"\x01", b"\x01\x02\x03", b"\x07\x00",
         b"\x01" + b"\xff" * 12,                 # an over-long varint
-        b"\x01\x00\x00\x01\x02\x01\x00\x00",     # counts block cut short
-        b"\x01\x00\x00\x01\x01\x01\x00\x00\x00",   # one id counted, none sent
-        b"\x01\x00\x00\x01\x01\x00\x00\x00\x00\x09",  # ragged id block
-        b"\x01\x00\x00\x01" + b"\xff" * 9 + b"\x01",   # 2**63 events claimed
+        b"\x01\x00\x00\x01\x02\x01\x00\x00",     # one plan, no events, ragged ids
+        b"\x01\x00\x00\x01\x01\x01\x00\x00\x00",   # the same, two bytes of them
+        b"\x01\x00\x00\x01\x01\x00\x00\x00\x00\x09",  # no plan, an id nobody counted
+        b"\x01\x00\x00\x01" + b"\xff" * 9 + b"\x01",   # ends inside its counters
+        b"\x01\x00\x00\x00\x00\x01\x02\x01\x00\x00",   # counts block cut short
+        b"\x01\x00\x00\x00\x00\x01\x01\x01\x00\x00\x00",   # one id counted, none sent
+        b"\x01\x00\x00\x00\x00\x01\x01\x00\x00\x00\x00\x09",  # ragged id block
+        b"\x01\x00\x00\x00\x00\x01" + b"\xff" * 9 + b"\x01",  # 2**63 events claimed
     ])
     def test_malformed_replies_raise_worker_error(self, reply):
         with pytest.raises(WorkerError):
@@ -150,7 +254,7 @@ class TestReplyCodec:
     @given(st.binary(max_size=64))
     def test_arbitrary_bytes_parse_or_raise_worker_error(self, reply):
         try:
-            per_plan, hits, misses = workers_module._parse_results(reply)
+            per_plan, *_ = workers_module._parse_results(reply)
         except WorkerError:
             return
         # What parsed accounts for every byte's worth of ids it carried.
@@ -172,7 +276,7 @@ class TestReplyCodec:
         else:
             golden[at:at] = data.draw(st.binary(min_size=1, max_size=5))
         try:
-            parsed, _, _ = workers_module._parse_results(bytes(golden))
+            parsed, *_ = workers_module._parse_results(bytes(golden))
         except WorkerError:
             return
         assert all(0 <= sub_id < 2 ** 32
@@ -439,6 +543,49 @@ class TestWorkerFailure:
             assert pool.worker_pids() != offender
             assert pool.stats.respawns == 1
 
+    @pytest.mark.parametrize("mangle", [
+        lambda work: work[:-1],                     # the last column cut short
+        lambda work: work[:len(work) // 2],
+        # No such column form (ahead of the 20 x f64 image).
+        lambda work: work[:-161] + b"\x07" + work[-160:],
+    ])
+    def test_corrupted_plan_is_answered_fail_and_runs_inline(self, mangle):
+        """The other direction: a WORK message whose plans arrive damaged
+        is decoded to a ``CodecError`` in the worker, which says so and
+        lives; the host runs the round on its own engines, exactly."""
+        replies = []
+
+        class Corrupting:
+            def __init__(self, conn):
+                self._conn = conn
+
+            def send_bytes(self, msg):
+                self._conn.send_bytes(mangle(msg))
+
+            def recv_bytes(self):
+                replies.append(self._conn.recv_bytes())
+                return replies[-1]
+
+            def __getattr__(self, name):
+                return getattr(self._conn, name)
+
+        matcher, pool = self._bound_pool(workers=1, shards=1)
+        stream = [{"hr": i + 0.5} for i in range(20)]
+        with pool:
+            expected = matcher.match_batch_ids(stream)
+            assert pool.stats.inline_fallbacks == 0
+            victim, = pool._procs
+            pool._conns[0] = Corrupting(pool._conns[0])
+            assert matcher.match_batch_ids(stream) == expected
+            assert pool.stats.inline_fallbacks == 1
+            with pytest.raises(WorkerError, match="CodecError"):
+                workers_module._parse_results(replies[0])
+            # The worker answered rather than died; the host replaces it
+            # all the same, as after any round it cannot trust.
+            assert victim.exitcode is None or victim.exitcode < 0
+            assert matcher.match_batch_ids(stream) == expected
+            assert (pool.stats.inline_fallbacks, pool.stats.respawns) == (1, 1)
+
     def test_id_past_32_bits_falls_back_inline(self):
         """The reply packs ids as u32: a replica holding a wider id fails
         the pack, says so, and the host answers the round itself."""
@@ -497,18 +644,23 @@ class TestWorkerFailure:
     def test_stats_shape(self):
         matcher, pool = self._bound_pool(workers=2)
         with pool:
-            matcher.match_batch_ids([{"hr": 5}] * 3)
+            matcher.match_batch_ids([{"hr": 5}] * 3 + [{"hr": -1}])
             stats = pool.stats_dict()
             for key in ("workers", "alive", "pids", "executes", "plans",
                         "respawns", "inline_fallbacks", "ipc_bytes_out",
                         "ipc_bytes_in", "queue_depth", "epoch_lag",
-                        "worker_events", "memo_hits", "memo_misses"):
+                        "worker_events", "memo_hits", "memo_misses",
+                        "quiet_readings", "memo_ids_held"):
                 assert key in stats, key
             # Three equal events: the lookups (and their hits) happened in
             # the owning worker's replica, and its reply said so.
             assert sum(stats["memo_misses"]) == 1
             assert sum(stats["memo_hits"]) == 2
             assert len(stats["memo_hits"]) == 2
+            # hr = -1 is below every "above" threshold: no lookup.  The
+            # one entry held names the five rules hr = 5 satisfies.
+            assert sum(stats["quiet_readings"]) == 1
+            assert sum(stats["memo_ids_held"]) == 5
             assert all(engine.memo_misses == 0
                        for engine in matcher.shard_engines())
             assert stats["workers"] == 2

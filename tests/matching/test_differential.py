@@ -11,6 +11,8 @@ registration churn (which must invalidate exactly the affected part of
 the forwarding engine's memo).
 """
 
+import enum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from repro.core.sharding import ShardedMatcher
 from repro.ids import service_id_from_name
 from repro.matching.engine import BruteForceMatcher, make_engine
 from repro.matching.filters import Constraint, Filter, Op, Subscription
+from repro.matching import forwarding
 from repro.matching.forwarding import ForwardingMatcher
 from tests.matching.strategies import attribute_maps, filters
 
@@ -308,16 +311,28 @@ def assert_engine_empty(engine) -> None:
 
 class TestGroupedOrderingBuckets:
     @staticmethod
-    def check(engine, oracle, stream) -> None:
+    def check(engine, oracle, stream) -> int:
         """``match_batch_ids`` ≡ oracle, cold and then warm, and ``match``
-        per event says the same."""
+        per event says the same; every lookup is accounted for.  Returns
+        how many of the cold pass's were a miss or a quiet reading."""
+        def counters():
+            return (engine.memo_hits, engine.memo_misses,
+                    engine.quiet_readings)
+
         expected = oracle.match_batch_ids(stream)
+        constrained = sum(name in engine._attr_indexes
+                          for attrs in stream for name in attrs)
+        before = counters()
         assert engine.match_batch_ids(stream) == expected
+        cold = counters()
+        # A hit, a miss, or a reading inside its name's band: nothing else.
+        assert sum(cold) - sum(before) == constrained
         # Again: every lookup is now a memo hit and must say the same.
-        misses = engine.memo_misses
         assert [_ids(engine.match(attrs)) for attrs in stream] == expected
         assert engine.match_batch_ids(stream) == expected
-        assert engine.memo_misses == misses
+        assert engine.memo_misses == cold[1]
+        assert sum(counters()) - sum(cold) == 2 * constrained
+        return sum(cold[1:]) - sum(before[1:])
 
     @settings(max_examples=300, deadline=None)
     @given(grouped_tables, grouped_tables, reading_streams(),
@@ -326,11 +341,11 @@ class TestGroupedOrderingBuckets:
             self, table, late_table, stream, late_stream, data):
         engine, oracle = ForwardingMatcher(), BruteForceMatcher()
         _subscribe_all([oracle, engine], table)
-        misses = engine.memo_misses
-        self.check(engine, oracle, stream)
+        first_time = self.check(engine, oracle, stream)
         if "x" in engine._attr_indexes:
-            # Never-repeating readings: each was a miss the first time.
-            assert engine.memo_misses - misses >= len(stream)
+            # Never-repeating readings: the first time, each was a miss
+            # or needed no lookup.
+            assert first_time >= len(stream)
 
         # Churn: the freed fids are recycled by filters of other groups.
         to_remove = data.draw(st.sets(st.integers(1, len(table))))
@@ -362,3 +377,141 @@ class TestGroupedOrderingBuckets:
             sharded.unsubscribe(index + 1)
         for engine in sharded.shard_engines():
             assert_engine_empty(engine)
+
+
+# -- the alarm-free band ---------------------------------------------------------
+#
+# A reading strictly between a name's highest "below" threshold and its
+# lowest "above" threshold is skipped before the memo.  What can go wrong
+# is the interval: an edge counted as inside, a threshold of the wrong
+# kind or op folded in, a constraint the skip cannot see (EXISTS, NE, EQ
+# on a number), a stale band after a registration change.  So this domain
+# puts every one of those on the *same* name ``v``, draws readings from
+# the thresholds themselves and their neighbours, and interleaves matches
+# with churn that narrows, widens, voids and restores the band.
+
+class Level(enum.IntEnum):
+    LOW = 10
+    MID = 25
+    HIGH = 40
+
+
+INF = float("inf")
+BAND_THRESHOLDS = (10, 10.0, 20, 20.5, 30, 30.0, 40.5, "g", "m")
+BAND_READINGS = (
+    *BAND_THRESHOLDS,                                   # exactly on an edge
+    9, 9.5, 15, 15.5, 20.25, 25, 25.0, 35.5, 41,        # between them
+    NAN, INF, -INF, True, False, Level.LOW, Level.MID, Level.HIGH,
+    2 ** 70, -2 ** 70, "a", "h", "z")
+
+def _v_orderings(ops, thresholds):
+    return st.builds(Constraint, st.just("v"), st.sampled_from(ops),
+                     st.sampled_from(thresholds))
+
+
+# Mostly alarms below a low threshold or above a high one, so that a band
+# usually exists; now and then any op against any threshold, which can
+# cross the others and leave it empty.
+_v_ordering = st.one_of(
+    _v_orderings((Op.LT, Op.LE), (10, 10.0, 20, 20.5, "g")),
+    _v_orderings((Op.GT, Op.GE), (30, 30.0, 40.5, "m")),
+    _v_orderings((Op.LT, Op.LE), (10, 10.0, 20, 20.5, "g")),
+    _v_orderings((Op.GT, Op.GE), (30, 30.0, 40.5, "m")),
+    _v_orderings((Op.LT, Op.LE, Op.GT, Op.GE), BAND_THRESHOLDS))
+_v_voider = st.one_of(
+    st.just(Constraint("v", Op.EXISTS)),
+    _v_orderings((Op.NE,), (25, "m")),
+    _v_orderings((Op.EQ,), (25, 25.0, True, "m")),
+    st.just(Constraint("v", Op.PREFIX, "m")))
+
+band_filters = st.one_of(
+    st.builds(lambda c: Filter([c]), _v_ordering),
+    st.builds(lambda c: Filter([c]), _v_ordering),       # twice as likely
+    st.builds(lambda c, d: Filter([c, d]), _v_ordering, _who),
+    st.builds(lambda c, d: Filter([c, d]), _v_ordering, _v_ordering),
+    st.builds(lambda c: Filter([c]), _v_voider),
+    st.builds(lambda c, d: Filter([c, d]), _v_voider, _who))
+
+band_events = st.fixed_dictionaries(
+    # Half the readings where the band usually is, half anywhere at all.
+    {"v": st.one_of(st.sampled_from((20.75, 22, 25, 25.0, 29.5)),
+                    st.sampled_from(BAND_READINGS))},
+    optional={"who": st.sampled_from(("p1", "p2", "p3"))})
+
+band_operations = st.lists(st.one_of(
+    st.tuples(st.just("sub"), st.lists(band_filters, min_size=1, max_size=2)),
+    st.tuples(st.just("sub"), st.lists(band_filters, min_size=1, max_size=2)),
+    st.tuples(st.just("unsub"), st.integers(0, 40)),
+    st.tuples(st.just("match"), st.lists(band_events, min_size=2,
+                                         max_size=10))),
+    min_size=4, max_size=30)
+
+
+class _BandChecked:
+    """What ``run_sequence`` drives for the band domain: the engine, with
+    every batch matched cold, then warm, then event by event, and the
+    band and the id count checked against a recomputation each time."""
+
+    def __init__(self, engine: ForwardingMatcher) -> None:
+        self.engine = engine
+        self.subscribe = engine.subscribe
+        self.unsubscribe = engine.unsubscribe
+
+    def match_batch_ids(self, events):
+        engine = self.engine
+        cold = engine.match_batch_ids(events)
+        assert engine.match_batch_ids(events) == cold
+        assert [_ids(engine.match(attrs)) for attrs in events] == cold
+        for name, index in engine._attr_indexes.items():
+            assert index.held == sum(
+                forwarding._ids_held(entry)
+                for entry in engine._satisfied_memo[name].values())
+            band = index.band
+            assert band is None or band == engine._band(index)
+        return cold
+
+
+class TestAlarmFreeBand:
+    @settings(max_examples=400, deadline=None)
+    @given(band_operations)
+    def test_forwarding_agrees_with_oracle_on_and_around_the_band(
+            self, operations):
+        engine = ForwardingMatcher()
+        run_sequence(_BandChecked(engine), operations)
+        for subscription in list(engine.subscriptions()):
+            engine.unsubscribe(subscription.sub_id)
+        assert_engine_empty(engine)
+
+    @settings(max_examples=100, deadline=None)
+    @given(band_operations, st.sampled_from((2, 4)))
+    def test_sharded_engines_inherit_it(self, operations, shards):
+        run_sequence(ShardedMatcher(shards, "forwarding"), operations)
+
+    def test_the_domain_reaches_the_band(self):
+        """The property has teeth: an engine whose band swallows its
+        edges, or ignores a voiding constraint, fails sequences drawn
+        from this domain."""
+        class EdgesInside(ForwardingMatcher):
+            def _band(self, index):
+                low, high = super()._band(index)
+                index.band = (low - 0.25, high + 0.25)
+                return index.band
+
+        class IgnoresExists(ForwardingMatcher):
+            def _band(self, index):
+                exists, index.exists = index.exists, []
+                try:
+                    return super()._band(index)
+                finally:
+                    index.exists = exists
+
+        table = ("sub", [Filter([Constraint("v", Op.LE, 10)]),
+                         Filter([Constraint("v", Op.GE, 30.0)])])
+        on_the_edges = [table, ("match", [{"v": 10}, {"v": 30}, {"v": 20}])]
+        voided = [table, ("sub", [Filter([Constraint("v", Op.EXISTS)])]),
+                  ("match", [{"v": 20}])]
+        for broken, operations in ((EdgesInside, on_the_edges),
+                                   (IgnoresExists, voided)):
+            run_sequence(ForwardingMatcher(), operations)
+            with pytest.raises(AssertionError):
+                run_sequence(broken(), operations)

@@ -261,8 +261,19 @@ class TestGroupedBuckets:
         matcher.subscribe(sub(1, Filter([Constraint("x", Op.GT, 100)])))
         matcher.subscribe(sub(2, Filter([Constraint("x", Op.LT, 0),
                                          Constraint("y", Op.EXISTS)])))
+        # Strictly inside the band (0, 100): no lookup, no entry at all.
         ids_batch(matcher, *({"x": 0.5 + step} for step in range(50)))
-        assert memo_sizes(matcher) == {"x": 50, "y": 0}
+        assert memo_sizes(matcher) == {"x": 0, "y": 0}
+        assert (matcher.quiet_readings, matcher.memo_misses) == (50, 0)
+        # On its edges and outside its kind a value is looked up and
+        # memoised, and those that satisfy nothing share one entry.
+        nothing = (0, 0.0, 100, 100.0, True, "a string", b"bytes",
+                   float("nan"))
+        assert ids_batch(matcher, *({"x": x} for x in nothing)) \
+            == [[]] * len(nothing)
+        assert memo_sizes(matcher) == {"x": len(nothing), "y": 0}
+        assert (matcher.quiet_readings, matcher.memo_misses) \
+            == (50, len(nothing))
         assert {id(entry) for entry in matcher._satisfied_memo["x"].values()} \
             == {id(forwarding._NOTHING)}
         assert matcher._satisfied_entry("x", "a string") is forwarding._NOTHING
@@ -304,15 +315,20 @@ class TestTargetedInvalidation:
     def test_change_on_hr_leaves_a_warm_patient_entry_a_hit(self):
         matcher = self.ward()
         events = [{"patient": "p1", "hr": hr} for hr in (40, 80, 120, 160)]
+        def counters():
+            return (matcher.memo_misses, matcher.memo_hits,
+                    matcher.quiet_readings)
+
         ids_batch(matcher, *events)
-        assert (matcher.memo_misses, matcher.memo_hits) == (5, 3)
+        # hr=80 lies inside the band (50, 100) and is never looked up.
+        assert counters() == (4, 3, 1)
         matcher.subscribe(sub(3, Filter([Constraint("hr", Op.GT, 150)])))
         assert ids_batch(matcher, *events) == [[2], [], [1], [1, 3]]
-        # Only hr=160 satisfies the new constraint: one miss, seven hits.
-        assert (matcher.memo_misses, matcher.memo_hits) == (6, 10)
+        # Only hr=160 satisfies the new constraint: one miss, six hits.
+        assert counters() == (5, 9, 2)
         matcher.unsubscribe(3)
         assert ids_batch(matcher, *events) == [[2], [], [1], [1]]
-        assert (matcher.memo_misses, matcher.memo_hits) == (7, 17)
+        assert counters() == (6, 15, 3)
 
     def test_equal_hash_values_of_different_kinds(self):
         matcher = ForwardingMatcher()
@@ -394,6 +410,205 @@ class TestTargetedInvalidation:
         matcher.subscribe(sub(101, Filter([Constraint("ts", Op.EQ, 975.0)])))
         assert examined == [40, 20]              # EQ: by key, no scan
         assert memo_sizes(matcher) == {"ts": 19, "patient": 7}
+
+
+def assert_held_is_exact(matcher):
+    """Each name's id count is what its partition's entries really hold."""
+    for name, index in matcher._attr_indexes.items():
+        assert index.held == sum(
+            forwarding._ids_held(entry)
+            for entry in matcher._satisfied_memo[name].values()), name
+
+
+class TestAlarmFreeBand:
+    """A reading strictly between a name's highest "below" threshold and
+    its lowest "above" threshold satisfies nothing and takes no lookup."""
+
+    def ward(self):
+        matcher = ForwardingMatcher()
+        for sub_id in range(200):
+            vital = ("hr", "temp")[sub_id % 2]
+            op, threshold = ((Op.LT, 10.0 + sub_id / 40)        # 10 .. 15
+                             if sub_id % 4 < 2 else
+                             (Op.GT, 85.0 + sub_id / 40))       # 85 .. 90
+            constraints = [Constraint(vital, op, threshold)]
+            if sub_id % 8:
+                constraints.append(Constraint("patient", Op.EQ,
+                                              f"p{sub_id % 5}"))
+            matcher.subscribe(sub(sub_id, Filter(constraints)))
+        return matcher
+
+    def band(self, matcher, name):
+        ids_batch(matcher, {name: 0.0})      # a match recomputes a stale band
+        return matcher._attr_indexes[name].band
+
+    def test_count_gate_quiet_readings_touch_nothing(self, monkeypatch):
+        """The gate the wall-clock benches cannot be: N quiet readings
+        cause no bisect, no ``_satisfied_entry`` call and no memo entry —
+        and the same counters move for readings in the alarm tails."""
+        calls = {"bisect": 0, "entry": 0}
+
+        def counting(bisect):
+            def counted(values, value):
+                calls["bisect"] += 1
+                return bisect(values, value)
+            return counted
+
+        monkeypatch.setattr(forwarding, "_CUTS", {
+            op: (counting(bisect), below)
+            for op, (bisect, below) in forwarding._CUTS.items()})
+        satisfied_entry = ForwardingMatcher._satisfied_entry
+
+        def counted_entry(self, name, value):
+            calls["entry"] += 1
+            return satisfied_entry(self, name, value)
+
+        monkeypatch.setattr(ForwardingMatcher, "_satisfied_entry",
+                            counted_entry)
+        matcher = self.ward()
+        rng = random.Random(5)
+        quiet = [{"patient": "p1", "hr": rng.uniform(15.5, 84.5),
+                  "temp": rng.randrange(16, 85)} for _ in range(1000)]
+        assert ids_batch(matcher, *quiet) == [[]] * len(quiet)
+        assert calls == {"bisect": 0, "entry": 1}           # ("patient", p1)
+        assert memo_sizes(matcher) == {"hr": 0, "temp": 0, "patient": 1}
+        assert (matcher.quiet_readings, matcher.memo_misses,
+                matcher.memo_hits) == (2000, 1, 999)
+        # 200 rules, 7 of 8 with a patient, a fifth of those p1's.
+        assert matcher.memo_ids_held == 35
+        # The tails take the lookup: the gate counts what it says.
+        tails = [{"patient": "p1", "hr": rng.uniform(0.0, 9.5),
+                  "temp": rng.uniform(90.5, 99.0)} for _ in range(10)]
+        assert all(ids_batch(matcher, *tails))
+        assert calls["entry"] == 21 and calls["bisect"] >= 20
+        assert memo_sizes(matcher) == {"hr": 10, "temp": 10, "patient": 1}
+        assert matcher.quiet_readings == 2000
+        assert_held_is_exact(matcher)
+
+    def test_only_an_exact_number_strictly_inside_is_quiet(self):
+        matcher = ForwardingMatcher()
+        matcher.subscribe(sub(1, Filter([Constraint("x", Op.LE, 10)])))
+        matcher.subscribe(sub(2, Filter([Constraint("x", Op.GE, 20.0)])))
+        matcher.subscribe(sub(3, Filter([Constraint("x", Op.LT, 5)])))
+        matcher.subscribe(sub(4, Filter([Constraint("x", Op.GT, 30.5)])))
+        matcher.subscribe(sub(5, Filter([Constraint("x", Op.GT, "m")])))
+        assert self.band(matcher, "x") == (10, 20.0)
+        quiet_before = matcher.quiet_readings
+        inside = (11, 10.5, 19.999, 15, 2 ** 70 / 2 ** 66)
+        assert ids_batch(matcher, *({"x": x} for x in inside)) \
+            == [[]] * len(inside)
+        assert matcher.quiet_readings - quiet_before == len(inside)
+        # Edges, NaN, infinities, bool, an int subclass, another kind: all
+        # take the lookup, whatever they then satisfy.
+        lookups = ((10, [1]), (10.0, [1]), (20, [2]), (20.0, [2]),
+                   (float("nan"), []), (float("inf"), [2, 4]),
+                   (float("-inf"), [1, 3]), (True, []), (Op.EQ, [1, 3]),
+                   (2 ** 70, [2, 4]), (-2 ** 70, [1, 3]), ("z", [5]),
+                   ("a", []))
+        quiet_before = matcher.quiet_readings
+        for x, expected in lookups:
+            assert ids_batch(matcher, {"x": x}) == [expected], x
+            assert match_ids(matcher, {"x": x}) == expected, x
+        assert matcher.quiet_readings == quiet_before
+
+    def test_churn_narrows_widens_voids_and_restores(self):
+        matcher = ForwardingMatcher()
+        matcher.subscribe(sub(1, Filter([Constraint("v", Op.LT, 10)])))
+        matcher.subscribe(sub(2, Filter([Constraint("v", Op.GT, 40),
+                                         Constraint("who", Op.EQ, "p1")])))
+        events = [{"v": 25, "who": "p1"}, {"v": 12.5, "who": "p1"}]
+
+        def quiet_of(expected):
+            before = matcher.quiet_readings
+            assert ids_batch(matcher, *events) == expected      # cold
+            assert ids_batch(matcher, *events) == expected      # warm
+            assert [match_ids(matcher, e) for e in events] == expected
+            assert_held_is_exact(matcher)
+            return (matcher.quiet_readings - before) // 3
+
+        assert quiet_of([[], []]) == 2
+        assert matcher._attr_indexes["v"].band == (10, 40)
+        matcher.subscribe(sub(3, Filter([Constraint("v", Op.GE, 20)])))
+        assert matcher._attr_indexes["v"].band is None          # stale
+        assert quiet_of([[3], []]) == 1                         # narrowed
+        assert matcher._attr_indexes["v"].band == (10, 20)
+        matcher.unsubscribe(3)
+        assert quiet_of([[], []]) == 2                          # widened
+        voiders = (Constraint("v", Op.EXISTS), Constraint("v", Op.NE, 12.5),
+                   Constraint("v", Op.EQ, 25))
+        for voider, expected in zip(voiders, ([[4], [4]], [[4], []],
+                                              [[4], []])):
+            matcher.subscribe(sub(4, Filter([voider])))
+            assert quiet_of(expected) == 0                      # voided
+            assert matcher._attr_indexes["v"].band \
+                == forwarding._NO_BAND
+            matcher.unsubscribe(4)
+            assert quiet_of([[], []]) == 2                      # restored
+            assert matcher._attr_indexes["v"].band == (10, 40)
+        # Constraints a number cannot satisfy leave the band alone.
+        matcher.subscribe(sub(5, Filter([Constraint("v", Op.EQ, "high")])))
+        matcher.subscribe(sub(6, Filter([Constraint("v", Op.LT, "m")])))
+        matcher.subscribe(sub(7, Filter([Constraint("v", Op.PREFIX, "h")])))
+        assert quiet_of([[], []]) == 2
+        # A range's two thresholds cross: the interval between is empty.
+        matcher.subscribe(sub(8, Filter([Constraint("v", Op.GT, 11),
+                                         Constraint("v", Op.LT, 30)])))
+        assert quiet_of([[8], [8]]) == 0
+        assert matcher._attr_indexes["v"].band == (30, 11)
+        for sub_id in (1, 2, 5, 6, 7, 8):
+            matcher.unsubscribe(sub_id)
+        assert slot_sizes(matcher) == (0, 0, 0, 0, 0, 0, {})
+
+    def test_partition_over_its_id_budget_resets_alone(self, monkeypatch):
+        monkeypatch.setattr(forwarding, "_MEMO_IDS_MAX", 30)
+        matcher = ForwardingMatcher()
+        for sub_id in range(10):
+            matcher.subscribe(sub(sub_id, Filter(
+                [Constraint("hr", Op.GT, 100 + sub_id),
+                 Constraint("patient", Op.EQ, "p1")])))
+        ids_batch(matcher, *({"patient": "p1", "hr": 110.5 + step}
+                             for step in range(3)))
+        assert memo_sizes(matcher) == {"hr": 3, "patient": 1}
+        assert matcher._attr_indexes["hr"].held == 30
+        ids_batch(matcher, {"patient": "p1", "hr": 101.5})     # 2 more ids
+        assert memo_sizes(matcher) == {"hr": 1, "patient": 1}
+        assert matcher._attr_indexes["hr"].held == 2
+        assert matcher.memo_ids_held == 12
+        assert_held_is_exact(matcher)
+
+    def test_alarm_tail_stream_stays_inside_the_id_budget(self, monkeypatch):
+        """Never-repeating floats out in the alarm tail — every entry a
+        heavy one — across churn: no partition ever holds more ids than
+        the budget, the count is exact, and the answers are the
+        oracle's."""
+        from repro.matching.engine import BruteForceMatcher
+        budget = 2000
+        monkeypatch.setattr(forwarding, "_MEMO_IDS_MAX", budget)
+        rng = random.Random(3)
+        matcher, oracle = ForwardingMatcher(), BruteForceMatcher()
+        for sub_id in range(400):
+            constraints = [Constraint("x", Op.GT, 50 + rng.random() * 10)]
+            if sub_id % 2:
+                constraints.append(Constraint("y", Op.LT, rng.random() * 10))
+            for engine in (matcher, oracle):
+                engine.subscribe(sub(sub_id, Filter(constraints)))
+        peak = 0
+        for round_ in range(40):
+            batch = [{"x": 60 + rng.random(), "y": rng.random() * 12}
+                     for _ in range(25)]
+            assert matcher.match_batch_ids(batch) \
+                == oracle.match_batch_ids(batch)
+            assert_held_is_exact(matcher)
+            held = [index.held for index in matcher._attr_indexes.values()]
+            assert max(held) <= budget
+            peak = max(peak, *held)
+            churned = sub(1000 + round_, Filter(
+                [Constraint("x", Op.GT, 55.0), Constraint("y", Op.LT, 5.0)]))
+            for engine in (matcher, oracle):
+                engine.subscribe(churned)
+                if round_ % 2:
+                    engine.unsubscribe(1000 + round_)
+        assert peak > budget // 2                # the budget really binds
 
 
 class TestChurn:
