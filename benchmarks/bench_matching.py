@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.bus import EventBus
 from repro.core.events import Event
-from repro.core.sharding import ShardedEventBus
+from repro.core.sharding import ShardedMatcher
 from repro.ids import service_id_from_name
 from repro.matching.engine import BruteForceMatcher, make_engine
 from repro.matching.filters import Constraint, Filter, Op, Subscription
@@ -192,7 +192,7 @@ def _run_sharded_bus_workload(shards: int, sub_count: int, batches: int,
     if shards == 1:
         bus = EventBus(sim, make_engine("forwarding"))
     else:
-        bus = ShardedEventBus(sim, shards)
+        bus = EventBus(sim, ShardedMatcher(shards))
     for subscription in build_vitals_subscriptions(sub_count):
         bus.subscribe_local(subscription.filters, lambda event: None)
 

@@ -19,7 +19,8 @@ Run:  PYTHONPATH=src python examples/autonomic_ward.py
 import random
 
 from repro.autonomic import AutonomicManager, ShardRebalancer
-from repro.core.sharding import ShardedEventBus
+from repro.core.bus import EventBus
+from repro.core.sharding import ShardedMatcher
 from repro.matching.filters import Constraint, Filter, Op
 from repro.sim.kernel import Simulator
 
@@ -36,19 +37,19 @@ def alert_rule(rng: random.Random) -> Filter:
 def main() -> None:
     rng = random.Random(2006)
     sim = Simulator()
-    bus = ShardedEventBus(sim, shard_count=8)
+    matcher = ShardedMatcher(shard_count=8)
+    bus = EventBus(sim, matcher)
     alarms: list = []
     for _ in range(2000):
         bus.subscribe_local([alert_rule(rng)], alarms.append)
 
     print("ward of 2000 alert rules, one attribute class:")
-    print(f"  shard loads (static CRC routing): {bus.shard_loads()}")
+    print(f"  shard loads (static CRC routing): {matcher.shard_loads()}")
 
-    # The control plane: just the rebalancer here — RTT and flush
-    # control need network hops, see CellConfig.autonomic for the full
-    # cell wiring.
+    # The control plane: just the rebalancer here — RTT control needs
+    # network hops, see CellConfig.autonomic for the full cell wiring.
     manager = AutonomicManager(
-        sim, [ShardRebalancer(bus.sharded, hot_ratio=2.0, min_fragments=64)])
+        sim, [ShardRebalancer(matcher, hot_ratio=2.0, min_fragments=64)])
 
     monitor = bus.local_publisher("vitals-pack")
 
@@ -69,7 +70,7 @@ def main() -> None:
         print(f"  actuation: {actuation.action} {actuation.target} "
               f"(bucket={actuation.detail['bucket_name']!r}, "
               f"moved {actuation.detail['moved']} fragments)")
-    print(f"  shard loads after the split:      {bus.shard_loads()}")
+    print(f"  shard loads after the split:      {matcher.shard_loads()}")
 
     # Traffic continues, semantics unchanged — and churn now cold-starts
     # one bucket shard instead of the whole ward.

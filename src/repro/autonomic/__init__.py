@@ -2,16 +2,15 @@
 
 The paper's motivating claim is that the event service *supports
 autonomic management*; this package is that management loop, closed over
-the service's own mechanisms — RTT-adaptive retransmission timeouts,
-loss/quench-adaptive batch flush sizing, and live shard rebalancing of
-hot name classes.  See :mod:`repro.autonomic.manager` for the loop and
-its audit log (the Knowledge) and :mod:`repro.autonomic.controllers` for
-the three controllers, each of which monitors its own targets' counters.
+the service's own mechanisms — RTT-adaptive retransmission timeouts and
+live shard rebalancing of hot name classes.  See
+:mod:`repro.autonomic.manager` for the loop and its audit log (the
+Knowledge) and :mod:`repro.autonomic.controllers` for the two
+controllers, each of which monitors its own targets' counters.
 """
 
 from repro.autonomic.controllers import (
     Actuation,
-    FlushController,
     RttController,
     ShardRebalancer,
 )
@@ -25,7 +24,6 @@ __all__ = [
     "Actuation",
     "AutonomicConfig",
     "AutonomicManager",
-    "FlushController",
     "RttController",
     "ShardRebalancer",
     "build_bus_manager",

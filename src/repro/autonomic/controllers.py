@@ -1,4 +1,4 @@
-"""The control plane's Analyze/Plan/Execute: three feedback controllers.
+"""The control plane's Analyze/Plan/Execute: two feedback controllers.
 
 Each controller closes one of the loops the paper's autonomic-management
 claims call for, over a mechanism earlier PRs built fast but left
@@ -12,20 +12,16 @@ statically tuned:
   controller decides, actuating
   :meth:`~repro.transport.reliability.ReliableChannel.set_rto`.
 
-* :class:`FlushController` — batch flush sizing was a fixed function of
-  the channel window.  This controller grows flushes on clean links
-  (fewer packets, fewer per-payload costs) and shrinks them under
-  measured loss (smaller retransmission units) or quenching
-  (back-pressure), actuating the ``flush_limit`` override on
-  :class:`~repro.core.client.BusClient` and
-  :class:`~repro.core.proxy.Proxy`.
-
 * :class:`ShardRebalancer` — shard routing is static CRC-32 over name
   classes, so a hot class (a ward where every alert rule constrains the
   same vitals attributes) pins one shard.  This controller watches
   per-shard loads, picks the dominant class and a value-bucket key from
   its equality-constraint diversity, and actuates
   :meth:`~repro.core.sharding.ShardedMatcher.split_class`.
+
+How much a member is sent at once is not a loop: the member's proxy sizes
+each payload from its hop's window and the member's declared capacity
+(:meth:`~repro.core.proxy.Proxy.deliver_batch`).
 
 Every decision a controller takes is returned as an :class:`Actuation`
 record; the manager appends them to its audit log, so a cell's autonomic
@@ -39,13 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Protocol
 
-from repro.core import protocol
 from repro.errors import ConfigurationError
 
 if TYPE_CHECKING:                                      # pragma: no cover
     from repro.core.sharding import ShardedMatcher
-    from repro.transport.endpoint import PacketEndpoint
-    from repro.transport.reliability import ChannelStats, ReliableChannel
+    from repro.transport.reliability import ReliableChannel
 
 
 @dataclass(frozen=True)
@@ -148,91 +142,6 @@ class RttController:
                  "srtt_s": round(stats.srtt, 6),
                  "rttvar_s": round(stats.rttvar, 6),
                  "samples": stats.rtt_samples}))
-        self._seen = seen
-        return actuations
-
-
-# -- batch flush sizing ------------------------------------------------------
-
-class FlushTarget(Protocol):
-    """What the flush controller needs from a batching sender."""
-
-    flush_limit: int | None
-    #: Its window implies the cap a target without an override starts from.
-    endpoint: "PacketEndpoint"
-
-    def transport_stats(self) -> "ChannelStats | None": ...
-
-
-class FlushController:
-    """Adapt batch flush bytes to measured loss and quench pressure.
-
-    Per target and tick, the delta of ``(sent, retransmissions)`` since
-    the previous tick gives the recent loss rate of that member's hop.
-    Loss above ``HIGH_LOSS`` — or an active quench advisory — halves the
-    flush cap (a lost fragment then costs a small retransmission, and a
-    quenched member's queue stops growing in big units); loss below
-    ``LOW_LOSS`` with real traffic (``MIN_SENT`` packets) doubles it
-    toward ``MAX_BYTES``, amortising per-payload costs on links that have
-    earned the trust.  A target with no override yet starts from the cap
-    its hop's window implies (:func:`~repro.core.protocol.flush_limit`).
-    Targets are re-listed every tick, so proxies created and destroyed by
-    membership churn are picked up and dropped automatically.
-    """
-
-    name = "flush"
-
-    #: Bounds of the flush cap, in bytes.
-    MIN_BYTES = 1024
-    MAX_BYTES = protocol.BATCH_FLUSH_BYTES
-    #: Loss-rate thresholds, judged over at least ``MIN_SENT`` packets.
-    HIGH_LOSS = 0.05
-    LOW_LOSS = 0.01
-    MIN_SENT = 8
-
-    def __init__(self, targets: Callable[[], Iterable[FlushTarget]], *,
-                 quenched: Callable[[FlushTarget], bool] | None = None,
-                 label: Callable[[FlushTarget], str] = lambda t: str(t)
-                 ) -> None:
-        self._targets = targets
-        self._quenched = quenched
-        self._label = label
-        self._seen: dict[int, tuple[int, int]] = {}   # id -> (sent, rtx)
-
-    def tick(self, now: float) -> list[Actuation]:
-        actuations: list[Actuation] = []
-        seen: dict[int, tuple[int, int]] = {}
-        for target in self._targets():
-            stats = target.transport_stats()
-            if stats is None:
-                continue                       # no channel yet (or destroyed)
-            key = id(target)
-            base = self._seen.get(key)
-            seen[key] = (stats.sent, stats.retransmissions)
-            quenched = bool(self._quenched(target)) if self._quenched else False
-            current = (target.flush_limit if target.flush_limit is not None
-                       else protocol.flush_limit(target.endpoint.window))
-            if base is None and not quenched:
-                continue                       # first sight: baseline only
-            d_sent = max(0, stats.sent - base[0]) if base else 0
-            d_rtx = max(0, stats.retransmissions - base[1]) if base else 0
-            loss = d_rtx / d_sent if d_sent else 0.0
-            new = current
-            action = None
-            if quenched or (d_sent >= self.MIN_SENT and loss > self.HIGH_LOSS):
-                new = max(self.MIN_BYTES, current // 2)
-                action = "shrink_flush"
-            elif d_sent >= self.MIN_SENT and loss <= self.LOW_LOSS:
-                new = min(self.MAX_BYTES, current * 2)
-                action = "grow_flush"
-            if action is None or new == current:
-                continue
-            target.flush_limit = new
-            actuations.append(Actuation(
-                now, self.name, self._label(target), action,
-                {"old_bytes": current, "new_bytes": new,
-                 "loss_rate": round(loss, 4), "sent_delta": d_sent,
-                 "quenched": quenched}))
         self._seen = seen
         return actuations
 

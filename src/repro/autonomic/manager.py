@@ -8,8 +8,8 @@ side using that substrate's own mechanisms as actuators.  An
 controllers on the cell's scheduler:
 
 * **monitor** — each controller reads its own targets' live counters
-  (``channel.stats``, a proxy's transport stats, the matcher's class
-  stats); nothing is sampled on its behalf;
+  (``channel.stats``, the matcher's class stats); nothing is sampled on
+  its behalf;
 * **analyze / plan / execute** — each controller decides and actuates;
 * **knowledge** — every actuation is appended to the bounded audit log,
   so operators (and tests) can reconstruct exactly what the cell did to
@@ -20,8 +20,8 @@ does) or be ticked manually (what the deterministic soak tests do, so a
 `run_until_idle` simulation is never kept alive by a control timer).
 
 :func:`build_bus_manager` assembles the standard cell-side plane — RTT
-control over the endpoint's channels, flush control over the member
-proxies, shard rebalancing when the bus is sharded — and is what
+control over the endpoint's channels, shard rebalancing when the bus is
+sharded — and is what
 :class:`repro.smc.cell.SelfManagedCell` instantiates when
 ``CellConfig.autonomic`` is set.
 """
@@ -35,7 +35,6 @@ from typing import TYPE_CHECKING, Sequence
 from repro.autonomic.controllers import (
     Actuation,
     Controller,
-    FlushController,
     RttController,
     ShardRebalancer,
 )
@@ -131,20 +130,12 @@ def build_bus_manager(scheduler: Scheduler, bus: "EventBus",
     """Assemble the standard control plane for one bus core:
 
     * RTT — every live channel of ``endpoint`` (member links);
-    * flush — every member proxy registered on ``bus`` (re-listed each
-      tick, so churn is handled), with the proxy's quench state as
-      back-pressure;
     * rebalance — the bus's :class:`~repro.core.sharding.ShardedMatcher`,
       when it has more than one shard.
     """
     from repro.core.sharding import ShardedMatcher   # avoid import cycle
 
-    controllers: list[Controller] = [
-        RttController(endpoint.live_channels),
-        FlushController(
-            lambda: [bus.proxy_of(member) for member in bus.members()],
-            quenched=lambda proxy: proxy.quenched,
-            label=lambda proxy: proxy.member_name)]
+    controllers: list[Controller] = [RttController(endpoint.live_channels)]
     matcher = bus.engine
     if isinstance(matcher, ShardedMatcher) and matcher.shard_count > 1:
         controllers.append(ShardRebalancer(matcher))

@@ -451,8 +451,9 @@ def run_rebalance_recovery(sub_count: int = 4000, batches: int = 10,
     import time as wallclock
 
     from repro.autonomic import AutonomicManager, ShardRebalancer
+    from repro.core.bus import EventBus
     from repro.core.events import Event
-    from repro.core.sharding import ShardedEventBus
+    from repro.core.sharding import ShardedMatcher
     from repro.ids import service_id_from_name
     from repro.matching.filters import Constraint, Filter, Op, Subscription
 
@@ -473,7 +474,7 @@ def run_rebalance_recovery(sub_count: int = 4000, batches: int = 10,
     def run_once(autonomic: bool):
         rng = random.Random(seed)
         sim = Simulator()
-        bus = ShardedEventBus(sim, shards)
+        bus = EventBus(sim, ShardedMatcher(shards))
         for subscription in build_subs(sub_count, rng):
             bus.subscribe_local(subscription.filters, lambda event: None)
         churn = build_subs(batches, rng, first_id=sub_count + 1)
@@ -488,7 +489,7 @@ def run_rebalance_recovery(sub_count: int = 4000, batches: int = 10,
         manager = None
         if autonomic:
             manager = AutonomicManager(
-                sim, [ShardRebalancer(bus.sharded, hot_ratio=2.0,
+                sim, [ShardRebalancer(bus.engine, hot_ratio=2.0,
                                       min_fragments=64)])
         bus.publish_batch(stamped[:batch_size])        # warm
         sim.run_until_idle()
@@ -513,7 +514,7 @@ def run_rebalance_recovery(sub_count: int = 4000, batches: int = 10,
         outcome = (stats.published, stats.matched, stats.unmatched,
                    stats.delivered_local)
         audit = list(manager.audit) if manager is not None else []
-        return elapsed, outcome, audit, bus.sharded.shard_loads()
+        return elapsed, outcome, audit, bus.engine.shard_loads()
 
     results: dict = {"sub_count": sub_count, "batches": batches,
                      "batch_size": batch_size, "shards": shards}

@@ -117,7 +117,7 @@ def build_paper_testbed(engine: str = "forwarding", seed: int = 0, *,
     link model (e.g. a high-RTT personal-area uplink), keeping hosts and
     bus identical — the window-sweep benchmark uses it to expose
     round-trip serialisation.  ``autonomic`` attaches the MAPE-K control
-    plane to the cell (RTT, flush and rebalance loops per its flags),
+    plane to the cell (the RTT loop; rebalancing too on a sharded bus),
     ticking with the cell — the autonomic benchmarks drive the paper
     testbed with it enabled.
     """

@@ -32,7 +32,7 @@ from repro.core.events import (
 from repro.core.proxies import SensorProxy, ServiceProxy
 from repro.core.proxy import DeviceTranslator, Proxy
 from repro.core.quench import QuenchController
-from repro.core.sharding import ShardedEventBus, ShardedMatcher
+from repro.core.sharding import ShardedMatcher
 
 __all__ = [
     "Event",
@@ -42,7 +42,6 @@ __all__ = [
     "PURGE_MEMBER_TYPE",
     "EventBus",
     "BusStats",
-    "ShardedEventBus",
     "ShardedMatcher",
     "Proxy",
     "DeviceTranslator",

@@ -357,7 +357,7 @@ class EventBus:
         * **match phase** — one :meth:`MatchingEngine.match_batch_ids`
           call.  This phase is a pure function of the subscription table
           and the event stream, which is what lets
-          :class:`~repro.core.sharding.ShardedEventBus` fan it out across
+          :class:`~repro.core.sharding.ShardedMatcher` fan it out across
           shards and merge the per-event id sets;
         * **dispatch phase** — shared regardless of how matching was
           partitioned: watermarks, subscription ownership, proxies and

@@ -74,11 +74,6 @@ class BusClient:
         self.on_quench_change: Callable[[bool], None] | None = None
         #: Invoked with raw DEVICE_CMD bytes (hybrid devices).
         self.on_command: CommandCallback | None = None
-        #: Batch flush cap override in bytes; None derives the cap from
-        #: the channel window as before.  This is the actuator the
-        #: autonomic flush controller drives from measured loss and
-        #: quench feedback.
-        self.flush_limit: int | None = None
 
         self._next_seqno = itertools.count(1)
         self._next_sub_id = itertools.count(1)
@@ -142,10 +137,8 @@ class BusClient:
         # payload exactly once at the boundary.
         frames = [protocol.publish_parts(event) for event in events]
         # Chunk to the hop's window: one big payload on a stop-and-wait
-        # channel, streaming MTU-sized payloads on a pipelined one —
-        # unless the autonomic flush controller has overridden the cap.
-        limit = (self.flush_limit if self.flush_limit is not None
-                 else protocol.flush_limit(self.endpoint.window))
+        # channel, streaming MTU-sized payloads on a pipelined one.
+        limit = protocol.flush_limit(self.endpoint.window)
         for payload in protocol.chunk_frames(frames, limit):
             self.meter.charge_copy(OUTBOUND_COPIES * len(payload))
             self.endpoint.send_reliable(self.bus_address, payload)

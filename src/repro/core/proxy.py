@@ -114,11 +114,6 @@ class Proxy:
         self._member_address = member_address
         self.device_type = device_type
         self.stats = ProxyStats()
-        #: Batch flush cap override in bytes; None derives the cap from
-        #: the member hop's channel window.  Actuated by the autonomic
-        #: flush controller from this hop's measured loss and quench
-        #: state.
-        self.flush_limit: int | None = None
         #: The member's declared inbound event capacity (0 = undeclared).
         #: Set from the New Member event and refreshed by ``smc.member.state``
         #: events; when positive, batch flushes never exceed it per payload.
@@ -217,9 +212,7 @@ class Proxy:
             chunk = protocol.chunk_frames
         if not items:
             return
-        limit = self.flush_limit
-        if limit is None:
-            limit = protocol.flush_limit(self.endpoint.window)
+        limit = protocol.flush_limit(self.endpoint.window)
         # A declared capacity bounds the *events* per payload, on top of
         # the byte limit: a sensor that buffers 4 events must never be
         # handed a 50-event batch it cannot hold.

@@ -17,11 +17,10 @@ along that line:
   match-id sets.  A filter can only match events carrying all of its
   class's names, so each shard sees only the slice of every event it can
   act on (its *projection*);
-* :class:`ShardedEventBus` — an :class:`~repro.core.bus.EventBus` built
-  around a :class:`ShardedMatcher`.  The match phase fans out; the
-  dispatch phase — and therefore the :class:`~repro.core.bus.BusStats`
-  invariant and every delivery guarantee — is the single shared code
-  path of the base class.
+* a sharded bus is ``EventBus(scheduler, ShardedMatcher(n))``.  The
+  match phase fans out; the dispatch phase — and therefore the
+  :class:`~repro.core.bus.BusStats` invariant and every delivery
+  guarantee — is the bus's one shared code path.
 
 Why shard at all?  Not for single-core throughput: a registration change
 costs a forwarding engine the memo entries and index buckets it touches,
@@ -76,8 +75,6 @@ DeltaSink = Callable[[str, int, int, object], None]
 #: diversity of realistic vitals workloads without leaving most shards
 #: empty, and is the configuration the CI scaling gate pins.
 DEFAULT_SHARDS = 8
-
-EngineFactory = Callable[[], MatchingEngine]
 
 
 def shard_index(names: Iterable[str], shard_count: int) -> int:
@@ -179,23 +176,16 @@ class ShardedMatcher(MatchingEngine):
     """
 
     def __init__(self, shard_count: int = DEFAULT_SHARDS,
-                 engine: str | EngineFactory = "forwarding") -> None:
+                 engine: str = "forwarding") -> None:
         super().__init__()
         if shard_count < 1:
             raise ConfigurationError(
                 f"shard_count must be >= 1, got {shard_count}")
-        if isinstance(engine, str):
-            engine_name = engine
-            factory: EngineFactory = lambda: make_engine(engine_name)
-            #: Engine name a worker process can rebuild replicas from;
-            #: None when built from an opaque factory (inline-only).
-            self.engine_spec: str | None = engine_name
-        else:
-            factory = engine
-            self.engine_spec = None
+        #: Engine name every shard (and every worker replica) is built from.
+        self.engine_spec = engine
         self.shard_count = shard_count
         self._shards: tuple[MatchingEngine, ...] = tuple(
-            factory() for _ in range(shard_count))
+            make_engine(engine) for _ in range(shard_count))
         self.name = f"sharded-{shard_count}x{self._shards[0].name}"
         # sub id -> shard indexes holding one of its filter fragments.
         self._routes: dict[int, tuple[int, ...]] = {}
@@ -600,36 +590,16 @@ class ShardedMatcher(MatchingEngine):
 
 
 class ShardedEventBus(EventBus):
-    """An :class:`EventBus` whose subscription table is sharded.
-
-    Only the match phase of :meth:`~repro.core.bus.EventBus.publish_batch`
-    differs from the single bus — it fans out through the composite
-    engine and merges per-event id sets.  Everything observable
-    (deliveries, ordering, :class:`~repro.core.bus.BusStats`, quenching,
-    membership) runs through the base class's shared dispatch phase, which
-    the shard differential suite pins event-for-event against a
-    single-bus oracle.
+    """``EventBus(scheduler, ShardedMatcher(shard_count, engine))``, kept
+    for the performance ledger (``benchmarks/ledger/rules_bus.py``), which
+    reads :attr:`sharded`.  New code builds the bus from the matcher; this
+    class goes once the ledger does too (ROADMAP item 1).
     """
 
-    def __init__(self, scheduler: Scheduler,
-                 shard_count: int = DEFAULT_SHARDS,
-                 engine: str | EngineFactory = "forwarding",
-                 *, name: str = "event-bus") -> None:
-        super().__init__(scheduler, ShardedMatcher(shard_count, engine),
-                         name=name)
+    def __init__(self, scheduler: Scheduler, shard_count: int,
+                 engine: str = "forwarding") -> None:
+        super().__init__(scheduler, ShardedMatcher(shard_count, engine))
 
     @property
     def sharded(self) -> ShardedMatcher:
         return self.engine  # type: ignore[return-value]
-
-    @property
-    def shard_count(self) -> int:
-        return self.sharded.shard_count
-
-    def shard_loads(self) -> list[int]:
-        """Subscription fragments per shard (observability/balance)."""
-        return self.sharded.shard_loads()
-
-    def __repr__(self) -> str:
-        return (f"<ShardedEventBus {self.name} shards={self.shard_count} "
-                f"members={len(self._proxies)} subs={len(self.engine)}>")

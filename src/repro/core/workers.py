@@ -339,7 +339,6 @@ class WorkerPoolExecutor:
     """
 
     def __init__(self, matcher, workers: int = 2, *,
-                 engine: str | None = None,
                  recv_timeout_s: float | None = DEFAULT_RECV_TIMEOUT_S
                  ) -> None:
         if workers < 1:
@@ -348,7 +347,6 @@ class WorkerPoolExecutor:
         self.stats = WorkerPoolStats()
         self._recv_timeout_s = recv_timeout_s
         self._ctx = multiprocessing.get_context(START_METHOD)
-        self._engine_spec = engine
         self._procs: list = [None] * workers
         self._spawned = [False] * workers    # slot ever started a worker?
         self._conns: list = [None] * workers
@@ -369,15 +367,9 @@ class WorkerPoolExecutor:
         """Attach to ``matcher``: executor + delta sink + replica sync."""
         if self._closed:
             raise ConfigurationError("worker pool is closed")
-        spec = self._engine_spec or matcher.engine_spec
-        if spec is None:
-            raise ConfigurationError(
-                "worker replicas need a named engine — build the matcher "
-                "with an engine name, or pass engine= to the pool")
         if self._matcher is not None:
             self._release_matcher()
         self._matcher = matcher
-        self._bound_spec = spec
         matcher.attach_delta_sink(self._on_delta)
         matcher.set_executor(self)
         for w in range(self.workers):
@@ -421,7 +413,7 @@ class WorkerPoolExecutor:
             parent_conn, child_conn = self._ctx.Pipe()
             proc = self._ctx.Process(
                 target=_worker_main,
-                args=(child_conn, self._bound_spec),
+                args=(child_conn, self._matcher.engine_spec),
                 name=f"repro-match-worker-{worker}", daemon=True)
             proc.start()
             child_conn.close()

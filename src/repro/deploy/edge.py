@@ -25,7 +25,6 @@ woken by the guard's wake.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.core.bus import EventBus
 from repro.discovery.auth import Authenticator
@@ -92,6 +91,13 @@ class BackpressureGuard:
     subscriber for the same events — the bounds keep their unit, so they
     read as so many flushes behind, and a declared capacity (which bounds
     events per payload in the proxy) still clamps them.
+
+    A member's declared capacity is read from its proxy
+    (:attr:`~repro.core.proxy.Proxy.capacity`, kept current from the New
+    Member and ``smc.member.state`` events): a member that declared less
+    than the configured bounds gets its quench/shed thresholds clamped
+    down to it, so a 4-event sensor is quenched at 4 queued payloads, not
+    at the cell-wide 64.
     """
 
     def __init__(self, bus: EventBus, endpoint: PacketEndpoint, *,
@@ -109,21 +115,9 @@ class BackpressureGuard:
         self.wake_backlog = wake_backlog
         self.shed_backlog = shed_backlog
         self.stats = stats if stats is not None else EdgeStats()
-        self._capacity_of: Callable[[ServiceId], int] | None = None
 
-    def set_capacity_source(self, capacity_of: Callable[[ServiceId], int]) -> None:
-        """Honour per-member declared capacities (discovery's records).
-
-        A member that declared a capacity smaller than the configured
-        bounds gets its quench/shed thresholds clamped down to it: a
-        4-event sensor is quenched at 4 queued payloads, not at the
-        cell-wide 64.
-        """
-        self._capacity_of = capacity_of
-
-    def _bounds_for(self, member: ServiceId) -> tuple[int, int, int]:
-        """(quench, wake, shed) for one member, honouring its capacity."""
-        capacity = self._capacity_of(member) if self._capacity_of else 0
+    def _bounds_for(self, capacity: int) -> tuple[int, int, int]:
+        """(quench, wake, shed) for a member that declared ``capacity``."""
         if capacity <= 0:
             return self.quench_backlog, self.wake_backlog, self.shed_backlog
         quench = max(1, min(self.quench_backlog, capacity))
@@ -140,7 +134,7 @@ class BackpressureGuard:
             proxy = self.bus.proxy_of(member)
             channel = self.endpoint.existing_channel(proxy.member_address)
             backlog = channel.unacked_count() if channel is not None else 0
-            quench_at, wake_at, shed_at = self._bounds_for(member)
+            quench_at, wake_at, shed_at = self._bounds_for(proxy.capacity)
             if backlog >= quench_at:
                 if proxy.set_quench("backlog", True):
                     self.stats.quench_advisories += 1

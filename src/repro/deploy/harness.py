@@ -38,7 +38,7 @@ class LoopbackDevice(SmartDevice):
 
     def __init__(self, scheduler: RealtimeScheduler, core_address: Address,
                  config: AgentConfig, bind_host: str = "127.0.0.1",
-                 window: int | None = None, batch: int = 0) -> None:
+                 batch: int = 0) -> None:
         if batch < 0:
             raise ValueError(f"batch must be >= 0, got {batch}")
         #: Where to announce: the cell core's unicast address.
@@ -47,9 +47,7 @@ class LoopbackDevice(SmartDevice):
         # at the unicast socket.
         self.transport = UdpTransport(bind_host=bind_host,
                                       listen_for_broadcast=False)
-        endpoint_kwargs = {} if window is None else {"window": window}
-        super().__init__(PacketEndpoint(self.transport, scheduler,
-                                        **endpoint_kwargs),
+        super().__init__(PacketEndpoint(self.transport, scheduler),
                          scheduler, config)
         self._registered = False
         #: Publishes buffered per flush; 0 sends each publish immediately.

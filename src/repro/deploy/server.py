@@ -99,11 +99,9 @@ class CellServer:
     """A SelfManagedCell assembled onto real sockets and the wall clock."""
 
     def __init__(self, config: ServerConfig,
-                 scheduler: RealtimeScheduler | None = None,
                  authenticator: Authenticator | None = None) -> None:
         self.config = config
-        self.scheduler = scheduler if scheduler is not None \
-            else RealtimeScheduler()
+        self.scheduler = RealtimeScheduler()
         self.transport = UdpTransport(
             bind_host=config.bind_host, bind_port=config.bind_port,
             discovery_port=config.discovery_port,
@@ -133,8 +131,6 @@ class CellServer:
             wake_backlog=config.wake_backlog,
             shed_backlog=config.shed_backlog,
             stats=self.edge_stats)
-        # Honour per-member capacity declarations from ANNOUNCE/heartbeats.
-        self.guard.set_capacity_source(self.cell.discovery.capacity_of)
 
         self.healthz: HealthzEndpoint | None = None
         if config.healthz_host is not None:
@@ -156,9 +152,6 @@ class CellServer:
                 raise ConfigurationError(
                     "match workers require a sharded bus — set "
                     f"cell.shards > 1 (got workers={config.workers})")
-            if self.cell.bus.engine.engine_spec is None:
-                raise ConfigurationError(
-                    "match workers need a named engine to build replicas")
 
         self._guard_timer = None
         self._started = False

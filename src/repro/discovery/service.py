@@ -399,8 +399,3 @@ class DiscoveryService:
 
     def is_member(self, member_id: ServiceId) -> bool:
         return member_id in self.table
-
-    def capacity_of(self, member_id: ServiceId) -> int:
-        """Declared inbound capacity of a member (0 = undeclared/unknown)."""
-        record = self.table.get(member_id)
-        return record.capacity if record is not None else 0

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from repro.core.bus import EventBus, LocalPublisher
+from repro.core.bus import EventBus
 from repro.core.events import COMMAND_TYPE_PREFIX
 from repro.errors import PolicyError
 from repro.transport.wire import Value
@@ -33,10 +33,9 @@ class ActionStats:
 class ActionExecutor:
     """Turns resolved actions into command events or local calls."""
 
-    def __init__(self, bus: EventBus, publisher: LocalPublisher | None = None) -> None:
+    def __init__(self, bus: EventBus) -> None:
         self.bus = bus
-        self._publisher = (publisher if publisher is not None
-                           else bus.local_publisher("policy-actions"))
+        self._publisher = bus.local_publisher("policy-actions")
         self._handlers: dict[str, LocalHandler] = {}
         self.stats = ActionStats()
 

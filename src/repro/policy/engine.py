@@ -40,10 +40,10 @@ class EngineStats:
 class PolicyEngine:
     """Hosts and evaluates a cell's policies."""
 
-    def __init__(self, bus: EventBus, executor: ActionExecutor | None = None,
-                 *, default_authorise: bool = True) -> None:
+    def __init__(self, bus: EventBus, *,
+                 default_authorise: bool = True) -> None:
         self.bus = bus
-        self.executor = executor if executor is not None else ActionExecutor(bus)
+        self.executor = ActionExecutor(bus)
         self.default_authorise = default_authorise
         self.roles = RoleTable()
         self.stats = EngineStats()

@@ -8,19 +8,15 @@ instants, so a chaos soak that finds a bug is a reproduction recipe, not
 an anecdote.
 
 The plan itself is backend-agnostic: it schedules callables and keeps an
-audit log.  Two injector backends adapt it to the transports the repo
-actually has:
-
-* :class:`HubFaults` wraps an :class:`~repro.transport.inmem.InMemoryHub`
-  with a composable drop filter — node kill/revive, bidirectional
-  partitions, one-way blocks, and probabilistic delay/duplicate/corrupt
-  mangles per link.  Corrupted copies are re-injected through
-  :meth:`~repro.transport.inmem.InMemoryHub.inject` and die at the
-  packet layer's CRC check, exactly like a real flipped bit.
-* :class:`SimNetworkFaults` drives the radio model
-  (:class:`~repro.sim.radio.SimNetwork`): battery death and
-  administrative link blocks; loss/duplication/latency already live in
-  the medium's :class:`~repro.sim.radio.LinkProfile`.
+audit log.  Its injector backend, :class:`HubFaults`, wraps an
+:class:`~repro.transport.inmem.InMemoryHub` with a composable drop filter —
+node kill/revive, bidirectional partitions, one-way blocks, and
+probabilistic delay/duplicate/corrupt mangles per link.  Corrupted copies
+are re-injected through :meth:`~repro.transport.inmem.InMemoryHub.inject`
+and die at the packet layer's CRC check, exactly like a real flipped bit.
+On the radio model (:class:`~repro.sim.radio.SimNetwork`) loss,
+duplication and latency already live in the medium's
+:class:`~repro.sim.radio.LinkProfile`.
 
 Deployment-mode faults (SIGKILLing a match worker, crashing a
 :class:`~repro.deploy.harness.LoopbackDevice`) are plain callables the
@@ -33,7 +29,6 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.sim.kernel import Scheduler
-from repro.sim.radio import SimNetwork
 from repro.sim.rng import RngRegistry
 from repro.transport.inmem import InMemoryHub
 
@@ -138,31 +133,11 @@ class HubFaults:
         self.hub.drop_filter = self._prior
 
 
-class SimNetworkFaults:
-    """Fault injector over the radio model (:class:`SimNetwork`)."""
-
-    def __init__(self, network: SimNetwork) -> None:
-        self.network = network
-
-    def kill(self, node: str) -> None:
-        self.network.set_node_up(node, False)
-
-    def revive(self, node: str) -> None:
-        self.network.set_node_up(node, True)
-
-    def partition(self, a: str, b: str) -> None:
-        self.network.set_link_blocked(a, b, True)
-
-    def heal(self, a: str, b: str) -> None:
-        self.network.set_link_blocked(a, b, False)
-
-
 class FaultPlan:
     """A deterministic, auditable schedule of fault injections.
 
     Sugar methods take an *injector* (anything with the matching
-    ``kill``/``revive``/``partition``/``heal`` methods — either backend
-    above) so one plan can drive hub tests and radio tests alike;
+    ``kill``/``revive``/``partition``/``heal`` methods: :class:`HubFaults`);
     :meth:`at` schedules arbitrary callables for everything else
     (SIGKILL, device crash, drain kicks).
     """

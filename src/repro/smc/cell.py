@@ -54,8 +54,8 @@ class CellConfig:
     #: (see repro.core.sharding) — dispatch semantics are identical.
     shards: int = 1
     enable_quench: bool = False
-    #: The autonomic control plane (MAPE-K feedback: RTT-adaptive RTOs,
-    #: loss/quench-adaptive flush sizing, hot-class shard rebalancing).
+    #: The autonomic control plane (MAPE-K feedback: RTT-adaptive RTOs
+    #: and hot-class shard rebalancing).
     #: None leaves every mechanism statically tuned, exactly as before;
     #: an AutonomicConfig closes the loops with that tuning.
     autonomic: AutonomicConfig | None = None
@@ -94,8 +94,7 @@ class SelfManagedCell:
 
     def __init__(self, transport: Transport, scheduler: Scheduler,
                  config: CellConfig,
-                 authenticator: Authenticator | None = None,
-                 engine: MatchingEngine | None = None) -> None:
+                 authenticator: Authenticator | None = None) -> None:
         self.config = config
         self.scheduler = scheduler
         self.transport = transport
@@ -106,15 +105,9 @@ class SelfManagedCell:
         if config.shards < 1:
             raise ConfigurationError(
                 f"CellConfig.shards must be >= 1, got {config.shards}")
-        if config.shards > 1:
-            if engine is not None:
-                raise ConfigurationError(
-                    "a sharded cell builds one engine per shard — configure "
-                    "the engine by name via CellConfig.engine, not an "
-                    "engine instance")
-            engine = ShardedMatcher(config.shards, config.engine)
-        elif engine is None:
-            engine = make_engine(config.engine)
+        engine: MatchingEngine = (
+            ShardedMatcher(config.shards, config.engine) if config.shards > 1
+            else make_engine(config.engine))
         self.bus = EventBus(scheduler, engine, name=f"bus.{config.cell_name}")
         self.engine = engine
         self._wire_cost_meter(transport, engine)

@@ -6,27 +6,24 @@ tests pin each piece's contract — what it observes, when it actuates,
 and what it writes to the audit log.
 """
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.autonomic import (
     AutonomicConfig,
     AutonomicManager,
-    FlushController,
     RttController,
     ShardRebalancer,
     build_bus_manager,
 )
 from repro.core.bus import EventBus
-from repro.core.sharding import ShardedEventBus, ShardedMatcher
+from repro.core.sharding import ShardedMatcher
 from repro.errors import ConfigurationError
 from repro.ids import service_id_from_name
 from repro.matching.filters import Constraint, Filter, Op, Subscription
 from repro.sim.kernel import Simulator
 from repro.transport.inmem import InMemoryHub
 from repro.transport.packets import Packet
-from repro.transport.reliability import ChannelStats, ReliableChannel
+from repro.transport.reliability import ReliableChannel
 
 SID = service_id_from_name("autonomic-test")
 
@@ -95,70 +92,6 @@ class TestRttController:
         sim.run_until_idle()
         assert controller.tick(sim.now())          # first: adapts
         assert not controller.tick(sim.now())      # same samples: silent
-
-
-class _FakeTarget:
-    """Duck-typed FlushController target with scriptable stats."""
-
-    def __init__(self):
-        self.flush_limit = None
-        self.stats = ChannelStats()
-        self.quench = False
-        self.endpoint = SimpleNamespace(window=32)    # starts at 4096
-
-    def transport_stats(self):
-        return self.stats
-
-
-class TestFlushController:
-    def make(self, target):
-        return FlushController(lambda: [target], quenched=lambda t: t.quench,
-                               label=lambda t: "member")
-
-    def test_grows_on_clean_traffic_and_caps(self):
-        target = _FakeTarget()
-        controller = self.make(target)
-        controller.tick(0.0)                       # baseline only
-        grown = []
-        for tick in range(1, 6):
-            target.stats.sent += 50                # lossless traffic
-            acts = controller.tick(float(tick))
-            grown.extend(acts)
-        assert target.flush_limit == 32768         # doubled up to the cap
-        assert all(a.action == "grow_flush" for a in grown)
-        assert controller.tick(6.0) == []          # at cap with no traffic
-
-    def test_shrinks_under_loss_and_recovers(self):
-        target = _FakeTarget()
-        controller = self.make(target)
-        controller.tick(0.0)
-        target.stats.sent += 100
-        target.stats.retransmissions += 20         # 20% loss
-        (act,) = controller.tick(1.0)
-        assert act.action == "shrink_flush"
-        assert target.flush_limit == 2048          # 4096 // 2
-        target.stats.sent += 100
-        target.stats.retransmissions += 30
-        controller.tick(2.0)
-        assert target.flush_limit == 1024          # floor
-        target.stats.sent += 100                   # clean again
-        (act,) = controller.tick(3.0)
-        assert act.action == "grow_flush" and target.flush_limit == 2048
-
-    def test_quench_shrinks_without_traffic(self):
-        target = _FakeTarget()
-        controller = self.make(target)
-        target.quench = True
-        (act,) = controller.tick(0.0)
-        assert act.action == "shrink_flush" and act.detail["quenched"]
-        assert target.flush_limit == 2048
-
-    def test_disconnected_target_is_skipped(self):
-        target = _FakeTarget()
-        target.transport_stats = lambda: None
-        controller = self.make(target)
-        assert controller.tick(0.0) == []
-        assert target.flush_limit is None
 
 
 def build_skewed_matcher(count=64, shards=8):
@@ -242,12 +175,11 @@ class TestManager:
         from repro.transport.endpoint import PacketEndpoint
         endpoint = PacketEndpoint(hub.create("core"), sim)
 
-        sharded = ShardedEventBus(sim, 8)
+        sharded = EventBus(sim, ShardedMatcher(8))
         manager = build_bus_manager(sim, sharded, endpoint)
-        assert {c.name for c in manager.controllers} == {
-            "rtt", "flush", "rebalance"}
+        assert {c.name for c in manager.controllers} == {"rtt", "rebalance"}
 
         single = EventBus(sim)
         manager = build_bus_manager(
             sim, single, PacketEndpoint(hub.create("c2"), sim))
-        assert {c.name for c in manager.controllers} == {"rtt", "flush"}
+        assert {c.name for c in manager.controllers} == {"rtt"}

@@ -370,7 +370,7 @@ class TestBatchFrames:
         assert proxy.stats.events_published == 5
 
     def test_deliver_is_deliver_batch_of_one(self, kit, sim, monkeypatch):
-        """One body: whatever the proxy's flush knobs say, ``deliver(e)``
+        """One body: whatever capacity the member declared, ``deliver(e)``
         queues the payload bytes ``deliver_batch([e])`` queues and counts
         the same — a flush of one is a flush."""
         from repro.core.events import Event
@@ -380,8 +380,8 @@ class TestBatchFrames:
         monkeypatch.setattr(
             proxy.endpoint, "send_reliable",
             lambda _address, payload: sent.append(bytes(payload)))
-        for capacity, flush_limit in ((0, None), (1, None), (3, 8)):
-            proxy.capacity, proxy.flush_limit = capacity, flush_limit
+        for capacity in (0, 1, 3):
+            proxy.capacity = capacity
             before = (proxy.stats.events_delivered,
                       proxy.stats.batches_flushed)
             proxy.deliver(event)

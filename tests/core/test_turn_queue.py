@@ -281,17 +281,6 @@ class TestSharedPayloads:
         assert delivered_keys(split) == delivered_keys(whole)
         assert sent[names[2]][0] is whole[0]      # the others still share
 
-    def test_a_flush_limit_of_its_own_is_chunked_for_itself(self, kit, sim,
-                                                            monkeypatch):
-        names, sent = self.fan_out(kit, monkeypatch)
-        kit.bus.proxy_of(service_id_from_name(names[0])).flush_limit = 64
-        kit.bus.local_publisher("svc").publish_batch(
-            [("t", {"n": i, "pad": "x" * 40}) for i in range(4)])
-        assert len(sent[names[1]]) == 1
-        assert len(sent[names[0]]) > 1
-        assert delivered_keys(sent[names[0]]) \
-            == delivered_keys(sent[names[1]])
-
     def test_a_narrower_slice_gets_its_own_payload(self, kit, sim,
                                                    monkeypatch):
         names, sent = self.fan_out(kit, monkeypatch, count=2)

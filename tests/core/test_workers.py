@@ -625,12 +625,6 @@ class TestWorkerFailure:
             matcher.unsubscribe(1)
             assert pool.stats_dict()["queue_depth"] == [0] * pool.workers
 
-    def test_pool_requires_a_named_engine(self):
-        from repro.matching.engine import make_engine
-        opaque = ShardedMatcher(2, lambda: make_engine("forwarding"))
-        with pytest.raises(ConfigurationError):
-            WorkerPoolExecutor(opaque, 2)
-
     def test_worker_count_validated(self):
         with pytest.raises(ConfigurationError):
             WorkerPoolExecutor(ShardedMatcher(2, "forwarding"), 0)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.autonomic import AutonomicConfig
 from repro.core import protocol
+from repro.core.bootstrap import ProxyBootstrap
 from repro.core.bus import EventBus
 from repro.core.protocol import BusOp
 from repro.core.proxies import ServiceProxy
@@ -26,11 +27,13 @@ from repro.deploy import (
     read_healthz,
 )
 from repro.discovery.membership import MembershipTable, MemberRecord
-from repro.discovery.messages import AnnounceBody
+from repro.discovery.messages import AnnounceBody, HeartbeatBody
+from repro.discovery.service import DiscoveryConfig, DiscoveryService
 from repro.errors import ConfigurationError
 from repro.ids import service_id_from_name
 from repro.matching.filters import Filter
 from repro.smc.cell import CellConfig
+from repro.transport.packets import PacketType
 
 
 class TestCapacityAuthenticator:
@@ -131,6 +134,55 @@ class TestBackpressureGuard:
         assert guard.stats.payloads_shed == 3
         assert channel.stats.backlog_shed == 3
         assert channel.unacked_count() == 8            # 2 in flight + 6
+
+    def test_a_declared_capacity_clamps_the_bounds(self, sim, hub, endpoints):
+        """Under the 64/16/256 defaults a member that declared capacity 4
+        is quenched at 4 queued payloads and shed past 16 (4 x capacity);
+        a heartbeat re-declaring 8 moves the bounds once its state event
+        reaches the proxy, one turn after discovery hears it."""
+        core, dev = endpoints("core", window=2), endpoints("dev")
+        dev.set_payload_handler(lambda peer, data: None)
+        bus = EventBus(sim)
+        ProxyBootstrap(bus, core)
+        service = DiscoveryService(bus, core, sim,
+                                   DiscoveryConfig(cell_name="cell"))
+        service.start()
+        guard = BackpressureGuard(bus, core)
+        dev.send_control("core", PacketType.ANNOUNCE,
+                         AnnounceBody("dev", "service", b"", 4).encode())
+        sim.run(sim.now())
+        proxy = bus.proxy_of(dev.service_id)
+
+        def strand(count):
+            for index in range(count):
+                core.send_reliable("dev", bytes([index]))
+
+        hub.drop_filter = lambda src, dest, data: src != "core"
+        strand(3)
+        channel = core.existing_channel("dev")
+        guard.sweep()
+        assert guard.edge_quenched() == set()
+        strand(1)
+        guard.sweep()                     # 4 queued: quenched
+        assert guard.edge_quenched() == {dev.service_id}
+        strand(20)                        # 2 in flight, 23 pending
+        guard.sweep()
+        assert channel.stats.backlog_shed == 7        # down to 16 pending
+
+        dev.send_control("core", PacketType.HEARTBEAT,
+                         HeartbeatBody(8).encode())
+        sim.step()                        # discovery hears the heartbeat
+        assert service.table.get(dev.service_id).capacity == 8
+        assert proxy.capacity == 4
+        strand(2)
+        guard.sweep()                     # still shed past 16
+        assert channel.stats.backlog_shed == 9
+        sim.step()                        # the state event reaches the proxy
+        assert proxy.capacity == 8
+        strand(2)
+        guard.sweep()                     # now shed past 32 only
+        assert channel.stats.backlog_shed == 9
+        assert channel.unacked_count() == 2 + 18
 
     def test_purged_member_forgotten(self, sim, hub, endpoints):
         core, bus, dev_id, proxy, guard = self._stack(

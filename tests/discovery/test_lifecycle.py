@@ -188,7 +188,7 @@ class TestCapacity:
         agent.start()
         sim.run(2.0)
         member = agent.endpoint.service_id
-        assert service.capacity_of(member) == 4
+        assert service.table.get(member).capacity == 4
         assert new_member == [4]
         assert bus.proxy_of(member).capacity == 4
         assert bootstrap.stats.proxies_created == 1
@@ -203,13 +203,9 @@ class TestCapacity:
         agent.config = dataclasses.replace(agent.config, capacity=8)
         sim.run(3.0)     # next heartbeat carries the new figure
         member = agent.endpoint.service_id
-        assert service.capacity_of(member) == 8
+        assert service.table.get(member).capacity == 8
         # A same-state event announced the new figure.
         assert ("healthy", "healthy", "dev", 8, None) in log
-
-    def test_capacity_of_unknown_member_is_zero(self, sim, endpoints):
-        service, _ = make_service(sim, endpoints("core"))
-        assert service.capacity_of(12345) == 0
 
 
 class TestJitteredBackoff:

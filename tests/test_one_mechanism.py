@@ -20,7 +20,10 @@ mechanism reappears next to the one this tree keeps:
 * no parameter is accepted by every implementation of a method and read
   by none (the shape ``tick(now, registry)`` had);
 * the reliable channel has one way to abandon a queue (``close``), and
-  the three subsystems deleted as unexercised stay deleted.
+  the three subsystems deleted as unexercised stay deleted;
+* how much a member is sent at once has one owner, its proxy (the hop's
+  window and the declared capacity), and the hooks deleted for having no
+  caller stay deleted.
 """
 
 import ast
@@ -139,7 +142,6 @@ UNSET_OPTIONS = {
     ("PolicyParseError", "column"): "passed positionally",
     ("Constraint", "value"): "passed positionally",
     ("Filter", "constraints"): "passed positionally",
-    ("PolicyEngine", "executor"): "passed positionally",
 }
 
 
@@ -178,7 +180,7 @@ def test_every_option_has_a_caller_that_sets_it():
         "options no caller sets: make each a constant, or list it in "
         "UNSET_OPTIONS with the reason it stays")
     assert sorted(set(UNSET_OPTIONS) - unset) == [], "stale allow-list entries"
-    assert len(UNSET_OPTIONS) <= 25
+    assert len(UNSET_OPTIONS) <= 23
 
 
 def is_stub(function):
@@ -226,3 +228,31 @@ def test_a_channel_is_abandoned_by_close_and_deleted_subsystems_stay_deleted():
     for rel in ("core/correlate.py", "smc/federation.py",
                 "autonomic/telemetry.py"):
         assert not (SRC / rel).exists(), rel
+
+
+def test_flush_sizing_has_one_owner_and_deleted_hooks_stay_deleted():
+    overrides = []
+    defined = set()
+    for rel, tree in modules():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr == "flush_limit"
+                    and isinstance(node.ctx, ast.Store)):
+                overrides.append((rel, node.lineno))
+            if isinstance(node, ast.ClassDef):
+                defined.add(node.name)
+                overrides += [
+                    (rel, stmt.lineno) for stmt in node.body
+                    if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                    and "flush_limit" in {
+                        target.id for target in
+                        (stmt.targets if isinstance(stmt, ast.Assign)
+                         else [stmt.target])
+                        if isinstance(target, ast.Name)}]
+            elif isinstance(node, ast.Assign):
+                defined.update(target.id for target in node.targets
+                               if isinstance(target, ast.Name))
+    assert overrides == [], (
+        f"a flush_limit attribute at {overrides}: a payload is sized by "
+        f"protocol.flush_limit(window) and the proxy's capacity alone")
+    assert not defined & {"FlushController", "FlushTarget",
+                          "SimNetworkFaults", "EngineFactory"}
