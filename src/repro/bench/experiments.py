@@ -735,7 +735,7 @@ def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
     from repro.core.bootstrap import ProxyBootstrap
     from repro.core.bus import EventBus
     from repro.core.client import BusClient
-    from repro.core.events import PURGE_MEMBER_TYPE
+    from repro.core.events import MEMBER_STATE_TYPE, PURGE_MEMBER_TYPE
     from repro.discovery.agent import AgentConfig, DiscoveryAgent
     from repro.discovery.service import DiscoveryConfig, DiscoveryService
     from repro.sim.faults import HubFaults
@@ -771,15 +771,17 @@ def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
     for heartbeat_s in heartbeat_periods:
         sim = Simulator()
         hub = InMemoryHub(sim)
-        _bus, service = build(sim, hub, heartbeat_s)
+        bus, service = build(sim, hub, heartbeat_s)
+        silences: list[float] = []
+        bus.subscribe_local(Filter.where(MEMBER_STATE_TYPE, state="degraded"),
+                            lambda e: silences.append(e.get("silence_s")))
         ghost = agent(sim, hub, "ghost")
         service.start()
         ghost.start()
         sim.run(4.0 * heartbeat_s + 0.05)       # joined, mid-interval
         HubFaults(hub, rng_seed=seed).kill("ghost")
         sim.run(20.0 * heartbeat_s)
-        latency = (service.degraded_latencies[0]
-                   if service.degraded_latencies else float("nan"))
+        latency = silences[0] if silences else float("nan")
         series.points.append(SeriesPoint(x=heartbeat_s, mean=latency,
                                          minimum=latency, maximum=latency,
                                          n=1))

@@ -8,7 +8,9 @@ proxies ... which will react to New Member events generated by the
 discovery service; these events must carry enough information for the
 proxy-creation process to be able to generate the appropriate proxy type."
 
-:class:`ProxyBootstrap` is that service.  It also owns the data-plane
+:class:`ProxyBootstrap` is that service.  Where the member is comes from
+the endpoint alone, which heard its packets: a New Member event for a peer
+it never heard from is a creation failure.  It also owns the data-plane
 payload router on the SMC core: ordered payloads arriving from a member's
 channel are handed to that member's proxy; traffic from non-members is
 counted and dropped (admission precedes participation).
@@ -17,7 +19,6 @@ counted and dropped (admission precedes participation).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.ids import ServiceId
@@ -29,12 +30,8 @@ from repro.core import protocol
 from repro.core.bus import EventBus
 from repro.core.events import NEW_MEMBER_TYPE, Event
 from repro.core.proxies import SensorProxy, ServiceProxy
-from repro.core.proxy import DeviceTranslator, Proxy
+from repro.core.proxy import DeviceTranslator
 from repro.sim.hosts import INBOUND_COPIES
-
-#: factory(bus, endpoint, member_id, member_name, member_address) -> Proxy
-ProxyFactory = Callable[[EventBus, PacketEndpoint, ServiceId, str, Address],
-                        Proxy]
 
 
 @dataclass
@@ -52,35 +49,21 @@ class ProxyBootstrap:
         self.bus = bus
         self.endpoint = endpoint
         self.stats = BootstrapStats()
-        self._factories: dict[str, ProxyFactory] = {}
+        # device type -> (translator, forward_acks)
+        self._translators: dict[str, tuple[DeviceTranslator, bool]] = {}
         # "The bootstrap mechanism must therefore be initialised on the
         # creation of the event bus": subscribe as soon as we exist.
         bus.subscribe_local(Filter.where(NEW_MEMBER_TYPE), self._on_new_member)
         endpoint.set_payload_handler(self._on_payload)
 
-    # -- registry -----------------------------------------------------------
-
-    def register_factory(self, device_type: str,
-                         factory: ProxyFactory) -> None:
-        """Map a device type string to a proxy factory."""
-        if device_type in self._factories:
-            raise ConfigurationError(
-                f"factory already registered for {device_type!r}")
-        self._factories[device_type] = factory
-
     def register_translator(self, translator: DeviceTranslator,
                             *, forward_acks: bool = False) -> None:
-        """Convenience: register a SensorProxy factory for a translator's
-        device type."""
-
-        def factory(bus: EventBus, endpoint: PacketEndpoint,
-                    member_id: ServiceId, member_name: str,
-                    member_address: Address) -> Proxy:
-            return SensorProxy(bus, endpoint, member_id, member_name,
-                               member_address, translator,
-                               forward_acks=forward_acks)
-
-        self.register_factory(translator.device_type, factory)
+        """Give members of the translator's device type a SensorProxy."""
+        if translator.device_type in self._translators:
+            raise ConfigurationError(
+                f"translator already registered for "
+                f"{translator.device_type!r}")
+        self._translators[translator.device_type] = (translator, forward_acks)
 
     # -- New Member reaction -------------------------------------------------
 
@@ -94,13 +77,19 @@ class ProxyBootstrap:
             # Re-announcement of a live member (e.g. duplicate discovery
             # event); the existing proxy keeps its queue.
             return
+        if not self.endpoint.knows_peer(member):
+            self.stats.creation_failures += 1     # nowhere to reach it
+            return
         name = str(event.get("name", ""))
-        device_type = str(event.get("device_type", ""))
-        address = self._resolve_address(member, event)
-        # A device type nobody registered speaks the bus protocol itself.
-        factory = self._factories.get(device_type, _service_proxy_factory)
+        entry = self._translators.get(str(event.get("device_type", "")))
         try:
-            proxy = factory(self.bus, self.endpoint, member, name, address)
+            if entry is None:     # the member speaks the bus protocol
+                proxy = ServiceProxy(self.bus, self.endpoint, member, name,
+                                     "service")
+            else:
+                translator, forward_acks = entry
+                proxy = SensorProxy(self.bus, self.endpoint, member, name,
+                                    translator, forward_acks=forward_acks)
         except Exception:
             self.stats.creation_failures += 1
             raise
@@ -108,20 +97,6 @@ class ProxyBootstrap:
         if isinstance(capacity, int) and capacity > 0:
             proxy.capacity = capacity
         self.stats.proxies_created += 1
-
-    def _resolve_address(self, member: ServiceId, event: Event) -> Address:
-        """Prefer the transport-learned address; fall back to the event's.
-
-        The discovery service heard the member's packets, so the endpoint
-        normally already knows the real address.  The New Member event
-        carries a textual address as backup.
-        """
-        if self.endpoint.knows_peer(member):
-            return self.endpoint.address_of(member)
-        address_text = str(event.get("address", ""))
-        address = _parse_address(address_text)
-        self.endpoint.learn_peer(member, address)
-        return address
 
     # -- payload routing -----------------------------------------------------
 
@@ -143,27 +118,9 @@ class ProxyBootstrap:
             self.bus.stats.from_unknown_member += publications
 
 
-def _service_proxy_factory(bus: EventBus, endpoint: PacketEndpoint,
-                           member_id: ServiceId, member_name: str,
-                           member_address: Address) -> Proxy:
-    return ServiceProxy(bus, endpoint, member_id, member_name,
-                        member_address, device_type="service")
-
-
-def _parse_address(text: str) -> Address:
-    """Parse the textual address carried by a New Member event.
-
-    ``"host:port"`` becomes a UDP tuple; anything else is a node name.
-    """
-    host, sep, port = text.rpartition(":")
-    if sep and port.isdigit():
-        return (host, int(port))
-    return text
-
-
 def format_address(address: Address) -> str:
-    """Inverse of :func:`_parse_address`, used by discovery when it builds
-    New Member events."""
+    """An address as text (``"host:port"`` for UDP), as discovery puts it
+    in New Member, Member Moved and BEACON bodies."""
     if isinstance(address, tuple) and len(address) == 2:
         return f"{address[0]}:{address[1]}"
     return str(address)

@@ -35,11 +35,13 @@ NEW_MEMBER_TYPE = "smc.member.new"
 #: Discovery declares a device gone; proxies self-destruct on this.
 PURGE_MEMBER_TYPE = "smc.member.purge"
 #: A member re-announced (or heartbeated) from a new transport address:
-#: it roamed.  Queued deliveries were migrated to the new address.
+#: it roamed.  Its channel moved with it; ``requeued`` counts the
+#: payloads queued or in flight on that channel.
 MEMBER_MOVED_TYPE = "smc.member.moved"
 #: A member's state changed (joining/healthy/degraded/draining/gone) or
 #: it re-declared its capacity.  Attributes: ``member``, ``name``,
-#: ``state``, ``previous``, ``capacity`` and optionally ``reason``.
+#: ``state``, ``previous``, ``capacity``, and ``reason`` (purge, drain)
+#: or ``silence_s`` (the silence that made it DEGRADED).
 MEMBER_STATE_TYPE = "smc.member.state"
 #: Prefix for management command events the policy service emits.
 COMMAND_TYPE_PREFIX = "smc.cmd."

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from repro.ids import ServiceId
 from repro.matching.filters import Filter
-from repro.transport.base import Address
 from repro.transport.endpoint import PacketEndpoint
 
 from repro.core import protocol
@@ -55,12 +54,12 @@ class SensorProxy(Proxy):
 
     def __init__(self, bus: EventBus, endpoint: PacketEndpoint,
                  member_id: ServiceId, member_name: str,
-                 member_address: Address, translator: DeviceTranslator,
+                 translator: DeviceTranslator,
                  *, forward_acks: bool = False) -> None:
         self.translator = translator
         self.forward_acks = forward_acks
         super().__init__(bus, endpoint, member_id, member_name,
-                         member_address, translator.device_type)
+                         translator.device_type)
 
     def initial_subscriptions(self) -> list[list[Filter]]:
         filters = self.translator.command_filters()

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Protocol, Sequence, runtime_checkable
 
-from repro.errors import BusError, CodecError
+from repro.errors import AddressError, BusError, CodecError
 from repro.ids import ServiceId
 from repro.matching.filters import (
     Filter,
@@ -88,6 +88,8 @@ class ProxyStats:
     readings_translated: int = 0
     commands_translated: int = 0
     malformed_payloads: int = 0
+    #: Refused member PUBLISHes of an ``smc.member.*`` type.
+    forged_member_events: int = 0
     dropped_on_destroy: int = 0
     batches_flushed: int = 0
     batches_received: int = 0
@@ -106,12 +108,11 @@ class Proxy:
 
     def __init__(self, bus: EventBus, endpoint: PacketEndpoint,
                  member_id: ServiceId, member_name: str,
-                 member_address: Address, device_type: str) -> None:
+                 device_type: str) -> None:
         self.bus = bus
         self.endpoint = endpoint
         self.member_id = member_id
         self.member_name = member_name
-        self._member_address = member_address
         self.device_type = device_type
         self.stats = ProxyStats()
         #: The member's declared inbound event capacity (0 = undeclared).
@@ -142,17 +143,12 @@ class Proxy:
 
     @property
     def member_address(self) -> Address:
-        """The member's *current* transport address.
-
-        Resolved through the endpoint on every use so deliveries follow a
-        roamed member: the endpoint re-learns the forward mapping from
-        every packet it hears, and discovery migrates queued channel state
-        on a re-announce from a new address.  Falls back to the
-        admission-time address if the endpoint has forgotten the peer.
+        """The member's *current* transport address: the endpoint's, the
+        one owner of it, which follows every roam.  Raises
+        :class:`~repro.errors.AddressError` while the member has none —
+        its address changed hands and it has not been heard from since.
         """
-        if self.endpoint.knows_peer(self.member_id):
-            return self.endpoint.address_of(self.member_id)
-        return self._member_address
+        return self.endpoint.address_of(self.member_id)
 
     # -- hooks for concrete proxies ----------------------------------------
 
@@ -212,6 +208,10 @@ class Proxy:
             chunk = protocol.chunk_frames
         if not items:
             return
+        try:
+            address = self.member_address
+        except AddressError:
+            return      # its session died with its address: nowhere to queue
         limit = protocol.flush_limit(self.endpoint.window)
         # A declared capacity bounds the *events* per payload, on top of
         # the byte limit: a sensor that buffers 4 events must never be
@@ -228,7 +228,7 @@ class Proxy:
                 # channel (runtime -> socket); under simulation this
                 # charges the core host.
                 self.bus.meter.charge_copy(OUTBOUND_COPIES * len(payload))
-                self.endpoint.send_reliable(self.member_address, payload)
+                self.endpoint.send_reliable(address, payload)
         stats = self.stats
         stats.events_delivered += len(items)
         stats.batches_flushed += 1
@@ -239,7 +239,7 @@ class Proxy:
         any reliable traffic."""
         if self._destroyed:
             return None
-        channel = self.endpoint.existing_channel(self.member_address)
+        channel = self.endpoint.peer_channel(self.member_id)
         return channel.stats if channel is not None else None
 
     def set_quench(self, reason: str, wanted: bool) -> bool:
@@ -255,8 +255,9 @@ class Proxy:
             self.quench_reasons.discard(reason)
         if bool(self.quench_reasons) == was_quenched:
             return False
-        self.endpoint.send_reliable(self.member_address,
-                                    protocol.frame_quench(not was_quenched))
+        if self.endpoint.knows_peer(self.member_id):
+            self.endpoint.send_reliable(
+                self.member_address, protocol.frame_quench(not was_quenched))
         return True
 
     @property
@@ -271,7 +272,9 @@ class Proxy:
         by frame (:func:`~repro.core.protocol.walk` states the BATCH
         policy): each run of PUBLISH frames enters the bus as one batch,
         and a frame whose body does not decode is counted and skipped
-        like the walk's bad frames, never the rest of the payload."""
+        like the walk's bad frames, never the rest of the payload.  A
+        member never speaks for the cell: a PUBLISH of an
+        ``smc.member.*`` type is counted and refused."""
         if self._destroyed:
             return
         stats = self.stats
@@ -290,6 +293,9 @@ class Proxy:
                     event, end = decode_event(body)
                     if end != len(body):
                         raise CodecError("trailing bytes after event")
+                    if event.type.startswith("smc.member."):
+                        stats.forged_member_events += 1
+                        continue
                     pending.append(event)
                     continue
                 if pending:

@@ -132,7 +132,7 @@ class BackpressureGuard:
         self.stats.sweeps += 1
         for member in self.bus.members():
             proxy = self.bus.proxy_of(member)
-            channel = self.endpoint.existing_channel(proxy.member_address)
+            channel = self.endpoint.peer_channel(member)
             backlog = channel.unacked_count() if channel is not None else 0
             quench_at, wake_at, shed_at = self._bounds_for(proxy.capacity)
             if backlog >= quench_at:

@@ -115,9 +115,6 @@ class DiscoveryService:
                               else AllowAllAuthenticator())
         self.table = MembershipTable()
         self.stats = DiscoveryStats()
-        #: Observed silence at each DEGRADED transition — the measured
-        #: ghost-detection latencies the ROADMAP and bench gate report.
-        self.degraded_latencies: list[float] = []
         self._publisher = bus.local_publisher(f"discovery.{config.cell_name}")
         self._beacon_timer = None
         self._sweep_timer = None
@@ -188,9 +185,7 @@ class DiscoveryService:
             # Known member re-announcing (e.g. it missed our ack, or it was
             # out of range): treat as liveness, re-ack idempotently.  The
             # membership session continues, so new_session=False.  An
-            # announce from a *new* address is a roam: without the handover
-            # the record keeps the stale address and the member's queued
-            # deliveries retransmit there until purge.
+            # announce from a *new* address is a roam.
             if src != record.address:
                 self._handle_roam(record, src)
             self._update_capacity(record, announce.capacity)
@@ -231,22 +226,19 @@ class DiscoveryService:
         self.endpoint.send_control(src, PacketType.JOIN_ACK, ack.encode())
 
     def _handle_roam(self, record: MemberRecord, src: Address) -> None:
-        """Hand the member's transport state over to its new address.
-
-        The endpoint migrates queued deliveries from every superseded
-        channel (the PR 3 reverse-map machinery) and re-learns the
-        forward mapping; the record follows, and a Member Moved event
-        tells the rest of the cell (e.g. a directed-beacon domain).
-        """
+        """Record the member's new address and publish Member Moved.  The
+        endpoint moved its channel on hearing the packet
+        (:meth:`PacketEndpoint.learn_peer`); ``requeued`` counts the
+        payloads queued or in flight on it."""
         old_address = record.address
-        requeued = self.endpoint.move_peer(record.member_id, src)
+        channel = self.endpoint.peer_channel(record.member_id)
         record.address = src
         self.stats.roams += 1
         self._publisher.publish(MEMBER_MOVED_TYPE, {
             "member": int(record.member_id), "name": record.name,
             "address": format_address(src),
             "old_address": format_address(old_address),
-            "requeued": requeued,
+            "requeued": channel.unacked_count() if channel else 0,
         })
 
     # -- liveness ------------------------------------------------------------
@@ -296,31 +288,25 @@ class DiscoveryService:
                          intent: LeaveIntentBody) -> None:
         """Begin draining: flush the member's queue, then purge.
 
-        Consolidates any roamed-channel remnants onto the member's live
-        address (the PR 3 reverse-map machinery) so *every* queued
-        delivery is on the channel the sweep watches, and reports the
-        DRAINING transition — the member's proxy reacts by withdrawing
-        its subscriptions and quenching its publishers, so the backlog
-        only shrinks from here.  Idempotent: LEAVE_INTENT is a datagram
-        and may be repeated.
+        Reports the DRAINING transition — the member's proxy reacts by
+        withdrawing its subscriptions and quenching its publishers, so
+        the backlog on its one channel only shrinks from here.
+        Idempotent: LEAVE_INTENT is a datagram and may be repeated.
         """
         record = self.table.get(member_id)
         if record is None or record.lifecycle is LifecycleState.DRAINING:
             return
         self.stats.drains += 1
         record.drain_started = self.scheduler.now()
-        self.endpoint.move_peer(member_id, record.address)
         self._set_lifecycle(record, LifecycleState.DRAINING,
                             reason=intent.reason)
 
     def _drain_backlog(self, record: MemberRecord) -> int:
-        """Undelivered payloads still queued for a draining member."""
-        backlog = 0
-        for address in self.endpoint.channel_addresses(record.member_id):
-            channel = self.endpoint.existing_channel(address)
-            if channel is not None:
-                backlog += channel.unacked_count()
-        return backlog
+        """Undelivered payloads still queued for a draining member, on the
+        channel at the address the endpoint holds for it (which leads
+        ``record.address`` when a roam was seen only in data packets)."""
+        channel = self.endpoint.peer_channel(record.member_id)
+        return channel.unacked_count() if channel is not None else 0
 
     # -- the sweep: silence drives the state machine -------------------------
 
@@ -337,8 +323,10 @@ class DiscoveryService:
                 self._purge(record, reason="timeout")
             elif record.lifecycle is not LifecycleState.DEGRADED:
                 self.stats.degradations += 1
-                self.degraded_latencies.append(silence)
-                self._set_lifecycle(record, LifecycleState.DEGRADED)
+                # The silence that crossed silent_after_s: the measured
+                # ghost-detection latency.
+                self._set_lifecycle(record, LifecycleState.DEGRADED,
+                                    silence_s=silence)
 
     def _sweep_draining(self, record: MemberRecord, now: float) -> None:
         """Draining members purge on empty backlog — or on the deadline.
@@ -373,24 +361,22 @@ class DiscoveryService:
     # -- lifecycle reporting -------------------------------------------------
 
     def _set_lifecycle(self, record: MemberRecord, target: LifecycleState,
-                       *, reason: str | None = None) -> None:
+                       **extra: str | float) -> None:
         previous = record.lifecycle
         if previous is target:
             return
         record.advance_lifecycle(target)
-        self._publish_state(record, previous=previous, reason=reason)
+        self._publish_state(record, previous=previous, **extra)
 
     def _publish_state(self, record: MemberRecord, *,
-                       previous: LifecycleState,
-                       reason: str | None = None) -> None:
-        attrs = {
+                       previous: LifecycleState, **extra: str | float) -> None:
+        """One ``smc.member.state`` event; ``extra`` adds ``reason`` (a
+        purge or drain) or ``silence_s`` (a DEGRADED move)."""
+        self._publisher.publish(MEMBER_STATE_TYPE, {
             "member": int(record.member_id), "name": record.name,
             "state": record.lifecycle.value, "previous": previous.value,
-            "capacity": record.capacity,
-        }
-        if reason is not None:
-            attrs["reason"] = reason
-        self._publisher.publish(MEMBER_STATE_TYPE, attrs)
+            "capacity": record.capacity, **extra,
+        })
 
     # -- queries ------------------------------------------------------------
 

@@ -12,8 +12,11 @@ discovery protocol and the event bus:
   :class:`~repro.transport.reliability.ReliableChannel`, created on demand,
   which delivers ordered, duplicate-free payloads upward.
 
-The endpoint also learns the address of every service id it hears from, so
-upper layers can address peers by id alone.
+The endpoint is the one owner of where each peer is: it learns the address
+of every service id it hears from, so upper layers address peers by id
+alone, and each peer has exactly one channel, at its current address.  A
+peer heard from a new address has roamed, and :meth:`PacketEndpoint.
+learn_peer` moves its channel there.
 """
 
 from __future__ import annotations
@@ -51,10 +54,7 @@ class PacketEndpoint:
         self._rto_max = rto_max
         self._channels: dict[Address, ReliableChannel] = {}
         self._peer_addresses: dict[ServiceId, Address] = {}
-        # Reverse of _peer_addresses, kept for *every* address a peer has
-        # used since it was last forgotten — a roamed peer owns several
-        # entries at once.  Teardown of a roamed peer's whole channel
-        # set derives from it.
+        # Who is at each address now: the exact reverse of _peer_addresses.
         self._address_peers: dict[Address, ServiceId] = {}
         self._control_handler: ControlHandler | None = None
         self._payload_handler: PayloadHandler | None = None
@@ -127,25 +127,24 @@ class PacketEndpoint:
         return peer in self._peer_addresses
 
     def learn_peer(self, peer: ServiceId, address: Address) -> None:
-        """Record ``peer``'s address without waiting to hear a packet.
+        """Record that ``peer`` is at ``address`` now.
 
-        Used when another subsystem (e.g. a New Member event) already knows
-        where the peer lives.  Re-learning a peer at a new address (the
-        peer *roamed*) keeps any channel state at its previous addresses
-        attributed to it, so :meth:`close_channel` tears down the whole
-        set when the member is purged.
+        A peer heard from a new address has *roamed*: its one channel
+        moves there, queue and sequence space intact (the peer's stack
+        carries on), and what is in flight is resent there at once.  An
+        address that changes hands resets its channel — the previous
+        peer's session there is dead, and it is left with no address.
         """
-        previous_owner = self._address_peers.get(address)
-        if previous_owner is not None and previous_owner != peer:
-            # The address changed hands (e.g. a NAT rebind).  Channel
-            # state there belongs to the previous peer's dead session:
-            # its queued payloads must not surface at the new occupant,
-            # and the new peer's sequence space is unrelated — so the
-            # channel resets now, and the previous peer's stale forward
-            # mapping goes with it.
+        old_address = self._peer_addresses.get(peer)
+        if old_address == address:
+            return
+        self._address_peers.pop(old_address, None)   # no-ops on first contact
+        channel = self._channels.pop(old_address, None)
+        if channel is not None or address in self._address_peers:
             self.reset_channel_to(address)
-            if self._peer_addresses.get(previous_owner) == address:
-                del self._peer_addresses[previous_owner]
+        if channel is not None:
+            channel.move_to(address)
+            self._channels[address] = channel
         self._peer_addresses[peer] = address
         self._address_peers[address] = peer
 
@@ -159,10 +158,7 @@ class PacketEndpoint:
         The observability accessor: reading stats must not instantiate
         channel state toward a purged or never-contacted peer.
         """
-        channel = self._channels.get(address)
-        if channel is None or channel.closed:
-            return None
-        return channel
+        return self._channels.get(address)
 
     def channel_stats(self) -> ChannelStats:
         """Aggregate reliability counters over every live channel.
@@ -189,40 +185,31 @@ class PacketEndpoint:
         and actuate per-channel RTOs; observability code uses it to list
         per-peer counters without creating channel state.
         """
-        return [channel for channel in self._channels.values()
-                if not channel.closed]
+        return list(self._channels.values())
 
-    def channel_addresses(self, peer: ServiceId) -> set[Address]:
-        """Addresses at which ``peer`` currently has live channel state.
-
-        One entry for a settled peer; several while it has roamed and the
-        superseded channels have not yet been torn down.
-        """
-        return {address for address, owner in self._address_peers.items()
-                if owner == peer and address in self._channels}
+    def peer_channel(self, peer: ServiceId) -> ReliableChannel | None:
+        """The live channel at ``peer``'s current address, or None."""
+        return self._channels.get(self._peer_addresses.get(peer))
 
     def close_channel(self, peer: ServiceId) -> int:
-        """Destroy every channel to ``peer``, dropping any queued payloads.
-
-        Covers the peer's current address *and* any address it roamed
-        away from, so a purged member's queue at an old address dies with
-        its proxy instead of leaking (and retransmitting) forever.
-        Returns the number of undelivered payloads discarded.
-        """
-        dropped = 0
-        for address in self.channel_addresses(peer):
-            dropped += self.reset_channel_to(address)
-        return dropped
+        """Forget ``peer``: destroy its channel, dropping any queued
+        payloads, and its address.  Returns the number of undelivered
+        payloads discarded."""
+        address = self._peer_addresses.get(peer)
+        return 0 if address is None else self.reset_channel_to(address)
 
     def reset_channel_to(self, address: Address) -> int:
-        """Destroy any channel state for ``address``; next send starts
-        fresh at sequence 1.
+        """Destroy any channel state for ``address`` and forget who is
+        there; the next send starts fresh at sequence 1.
 
         Both ends of a membership session must reset together: a device
         calls this when a JOIN_ACK announces a new session, mirroring the
         fresh channel the cell created with its new proxy.  Returns the
         number of queued payloads discarded.
         """
+        peer = self._address_peers.pop(address, None)
+        if peer is not None:
+            del self._peer_addresses[peer]
         channel = self._channels.pop(address, None)
         if channel is None:
             return 0
@@ -230,49 +217,10 @@ class PacketEndpoint:
         channel.close()
         return dropped
 
-    def move_peer(self, peer: ServiceId, new_address: Address) -> int:
-        """Migrate ``peer``'s channel state to ``new_address`` (it roamed).
-
-        Every channel at a superseded address is drained and torn down;
-        its undelivered payloads are requeued, oldest first, on a channel
-        to the new address — so a roamed member's queued deliveries follow
-        it instead of retransmitting to the stale address until purge.
-        The forward and reverse maps are updated through
-        :meth:`learn_peer`, which also handles the new address having
-        changed hands.  Returns the number of payloads requeued.
-        """
-        old_addresses = [address for address in self.channel_addresses(peer)
-                         if address != new_address]
-        payloads: list[bytes] = []
-        for address in old_addresses:
-            channel = self._channels.pop(address)
-            payloads.extend(channel.drain_undelivered())
-            # The superseded address hosts no state now; dropping its
-            # reverse entry keeps the map from growing with every roam.
-            if self._address_peers.get(address) == peer:
-                del self._address_peers[address]
-        self.learn_peer(peer, new_address)
-        if payloads:
-            channel = self._channel(new_address)
-            for payload in payloads:
-                channel.send(payload)
-        return len(payloads)
-
-    def forget_peer(self, peer: ServiceId) -> None:
-        """Drop every channel and every learned address for ``peer``."""
-        self.close_channel(peer)
-        self._peer_addresses.pop(peer, None)
-        stale = [address for address, owner in self._address_peers.items()
-                 if owner == peer]
-        for address in stale:
-            del self._address_peers[address]
-
     def close(self) -> None:
         for channel in self._channels.values():
             channel.close()
         self._channels.clear()
-        self._peer_addresses.clear()
-        self._address_peers.clear()
         self.transport.close()
 
     # -- internals -----------------------------------------------------------
@@ -283,7 +231,7 @@ class PacketEndpoint:
 
     def _channel(self, address: Address) -> ReliableChannel:
         channel = self._channels.get(address)
-        if channel is None or channel.closed:
+        if channel is None:
             channel = ReliableChannel(
                 self.transport, self.scheduler, address,
                 self._on_channel_deliver, window=self._window,
@@ -304,8 +252,7 @@ class PacketEndpoint:
         sender = packet.sender
         if sender == self.service_id:
             return          # broadcast echo of our own traffic
-        # learn_peer keeps "forward entry => matching reverse entry": an
-        # unchanged forward entry has nothing to learn; first contact, a
+        # An unchanged mapping has nothing to learn; first contact, a
         # roam or an address handover takes the full path.
         if self._peer_addresses.get(sender) != src:
             self.learn_peer(sender, src)

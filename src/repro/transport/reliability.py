@@ -290,20 +290,15 @@ class ReliableChannel:
         """Messages queued but not yet transmitted (the sheddable backlog)."""
         return len(self._pending)
 
-    def drain_undelivered(self) -> list[bytes]:
-        """Remove and return every unacknowledged payload, oldest first,
-        then close the channel.
-
-        Used when the peer roams: the endpoint migrates the drained
-        payloads onto a fresh channel at the peer's new address instead of
-        retransmitting into the void at the old one.  Payloads the peer
-        already received but whose ack was lost may be re-sent — the
-        bus-level per-sender watermark absorbs those duplicates.
-        """
-        payloads = [entry.payload for entry in self._in_flight.values()]
-        payloads.extend(self._pending)
-        self.close()
-        return payloads
+    def move_to(self, address: Address) -> None:
+        """Follow the peer to ``address`` (it roamed): the queue and both
+        sequence spaces carry on, and every unSACKed packet in flight is
+        resent there at once rather than at its RTO."""
+        self._peer_address = address
+        for seq, entry in self._in_flight.items():
+            if not entry.sacked:
+                self._resend(seq, entry)
+        self._ensure_timer()
 
     def shed_backlog(self, max_pending: int) -> int:
         """Drop the oldest untransmitted payloads beyond ``max_pending``.
@@ -346,7 +341,7 @@ class ReliableChannel:
 
     def close(self) -> None:
         """Drop all queued state — a due ACK included.  Used when the peer
-        is purged from the SMC, or has roamed to another address."""
+        is purged from the SMC, or its address changed hands."""
         self._closed = True
         self._pending.clear()
         self._in_flight.clear()
@@ -421,10 +416,7 @@ class ReliableChannel:
             if entry.sacked or entry.deadline > now + 1e-12:
                 continue
             entry.rto = min(entry.rto * 2.0, self._rto_max)
-            entry.deadline = now + entry.rto
-            entry.resent = True
-            self._transmit(seq, entry.payload)
-            self.stats.retransmissions += 1
+            self._resend(seq, entry)
         self._ensure_timer()
 
     def _process_ack(self, ack: int, sack: tuple[tuple[int, int], ...],
@@ -479,13 +471,17 @@ class ReliableChannel:
             self._fast_rtx_seq = seq
             # Push the timeout out one private RTO, but no backoff: a fast
             # retransmit is evidence the path works, not that it is slow.
-            entry.deadline = self._scheduler.now() + entry.rto
-            entry.resent = True
-            self._transmit(seq, entry.payload)
-            self.stats.retransmissions += 1
+            self._resend(seq, entry)
             self.stats.fast_retransmits += 1
             self._ensure_timer()
             return
+
+    def _resend(self, seq: int, entry: _InFlight) -> None:
+        """Retransmit one packet; its next deadline is one private RTO out."""
+        entry.deadline = self._scheduler.now() + entry.rto
+        entry.resent = True
+        self._transmit(seq, entry.payload)
+        self.stats.retransmissions += 1
 
     def _record_rtt(self, sample: float) -> None:
         """Fold one round-trip sample into the RFC-6298 estimator.

@@ -57,10 +57,8 @@ class TestBootstrap:
         assert kit.bootstrap.stats.payloads_from_nonmembers == 1
         assert kit.bus.stats.from_unknown_member == 1
 
-    def test_address_parsing(self):
-        from repro.core.bootstrap import _parse_address, format_address
-        assert _parse_address("10.0.0.1:8080") == ("10.0.0.1", 8080)
-        assert _parse_address("node-name") == "node-name"
+    def test_address_formatting(self):
+        from repro.core.bootstrap import format_address
         assert format_address(("10.0.0.1", 8080)) == "10.0.0.1:8080"
         assert format_address("node-name") == "node-name"
 
@@ -180,6 +178,78 @@ class TestPurgeSelfDestruct:
         proxy.destroy()
         proxy.destroy()
         assert not kit.bus.is_member(client.service_id)
+
+
+class TestMembersDoNotSpeakForTheCell:
+    """Only the cell publishes ``smc.member.*``: a member's PUBLISH of
+    one is refused at its proxy, before the bus (and the proxies and
+    bootstrap subscribed to those types) can act on it."""
+
+    def test_forged_purge_leaves_the_victim_alive(self, kit, sim):
+        victim = kit.client("victim")
+        victim.subscribe(Filter.where("t"), lambda e: None)
+        forger = kit.client("forger")
+        sim.run_until_idle()
+        forger.publish("smc.member.purge", {
+            "member": int(victim.service_id), "name": "victim",
+            "reason": "forged"})
+        sim.run_until_idle()
+        proxy = kit.bus.proxy_of(victim.service_id)
+        assert not proxy.destroyed
+        assert kit.bus.subscriptions_of(victim.service_id)
+        assert kit.bus.proxy_of(
+            forger.service_id).stats.forged_member_events == 1
+
+    def test_forged_new_member_creates_no_proxy(self, kit, sim):
+        forger = kit.client("forger")
+        # A peer the endpoint has heard from, but discovery never admitted.
+        stranger = kit.device_endpoint("stranger")
+        stranger.send_reliable("core", protocol.frame(BusOp.PUBLISH, b""))
+        sim.run_until_idle()
+        forger.publish("smc.member.new", {
+            "member": int(stranger.service_id), "name": "stranger",
+            "device_type": "service", "address": "stranger"})
+        sim.run_until_idle()
+        assert not kit.bus.is_member(stranger.service_id)
+        assert kit.bootstrap.stats.proxies_created == 1      # the forger
+        assert kit.bus.proxy_of(
+            forger.service_id).stats.forged_member_events == 1
+
+    def test_new_member_the_endpoint_never_heard_is_a_failure(self, kit):
+        member = service_id_from_name("nowhere")
+        kit.discovery.publish("smc.member.new", {
+            "member": int(member), "name": "nowhere",
+            "device_type": "service", "address": "nowhere"})
+        kit.sim.run_until_idle()
+        assert not kit.bus.is_member(member)
+        assert kit.bootstrap.stats.creation_failures == 1
+
+
+class TestAddressHandover:
+    def test_proxy_whose_address_changed_hands_sends_nothing(self, kit, sim,
+                                                             hub):
+        # A member goes quiet and another peer turns up at its address
+        # (a NAT rebind): the member's session there is reset, and until
+        # it is heard again its proxy has nowhere to send.
+        client = kit.client("dev")
+        client.subscribe(Filter.where("t"), lambda e: None)
+        sim.run_until_idle()
+        proxy = kit.bus.proxy_of(client.service_id)
+        transport = hub._transports.pop("dev")       # the member moves off
+        transport._local_address = "dev-away"
+        hub._transports["dev-away"] = transport
+        newcomer = kit.device_endpoint("dev")
+        newcomer.transport._service_id = service_id_from_name("newcomer")
+        newcomer.send_reliable("core", protocol.frame(BusOp.PUBLISH, b""))
+        sim.run_until_idle()
+        assert not kit.core_endpoint.knows_peer(client.service_id)
+        kit.bus.local_publisher("svc").publish("t")
+        assert proxy.set_quench("backlog", True)
+        sim.run_until_idle()                          # must not raise
+        assert proxy.stats.events_delivered == 0
+        assert proxy.transport_stats() is None
+        assert kit.core_endpoint.peer_channel(newcomer.service_id) \
+            .stats.delivered == 1                     # its own, only
 
 
 class TestSensorProxyTranslation:

@@ -87,7 +87,7 @@ class TestBackpressureGuard:
         bus = EventBus(sim)
         dev_id = dev.service_id
         core.learn_peer(dev_id, "dev")
-        proxy = ServiceProxy(bus, core, dev_id, "dev", "dev", "service")
+        proxy = ServiceProxy(bus, core, dev_id, "dev", "service")
         guard = BackpressureGuard(bus, core, **bounds)
         return core, bus, dev_id, proxy, guard
 
@@ -216,8 +216,7 @@ class TestQuenchOwnership:
         dev.set_payload_handler(on_payload)
         bus = EventBus(sim)
         core.learn_peer(dev.service_id, "dev")
-        proxy = ServiceProxy(bus, core, dev.service_id, "dev", "dev",
-                             "service")
+        proxy = ServiceProxy(bus, core, dev.service_id, "dev", "service")
         guard = BackpressureGuard(bus, core, quench_backlog=4,
                                   wake_backlog=2, shed_backlog=64)
         return core, bus, proxy, guard, advised

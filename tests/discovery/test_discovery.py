@@ -422,7 +422,8 @@ class TestRoaming:
         assert record.address == "dev-roamed"
         assert service.stats.roams == 1
         assert core_ep.address_of(dev_ep.service_id) == "dev-roamed"
-        assert core_ep.channel_addresses(dev_ep.service_id) <= {"dev-roamed"}
+        assert all(channel.peer_address == "dev-roamed"
+                   for channel in core_ep.live_channels())
         moved = [entry for entry in log if entry[0] == MEMBER_MOVED_TYPE]
         assert moved == [(MEMBER_MOVED_TYPE, "dev", None)]
         # Still one member — a roam is not a rejoin.

@@ -66,6 +66,15 @@ def state_log(bus):
     return log
 
 
+def degraded_silences(bus):
+    """The ``silence_s`` each DEGRADED state event reports."""
+    silences = []
+    bus.subscribe_local(
+        Filter.where(MEMBER_STATE_TYPE, state="degraded"),
+        lambda e: silences.append(e.get("silence_s")))
+    return silences
+
+
 class TestLifecycleTable:
     def test_legal_transitions(self):
         assert advance(LifecycleState.JOINING,
@@ -124,6 +133,7 @@ class TestDegradedDetection:
                                                     endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = state_log(bus)
+        silences = degraded_silences(bus)
         agent = make_agent(sim, endpoints("dev"))
         faults = HubFaults(hub)
         service.start()
@@ -136,9 +146,10 @@ class TestDegradedDetection:
         # The measured detection latency respects the advertised bound:
         # threshold (3 x heartbeat) plus at most one sweep period.
         threshold = service.config.silent_after_s
-        assert service.degraded_latencies
-        assert all(lat <= threshold + service.config.sweep_period_s + 1e-9
-                   for lat in service.degraded_latencies)
+        assert len(silences) == 1
+        assert all(threshold < lat
+                   <= threshold + service.config.sweep_period_s + 1e-9
+                   for lat in silences)
         assert service.stats.degradations == 1
         # Left dead, the ghost is still purged at the masking timeout.
         sim.run(12.0)

@@ -32,7 +32,7 @@ import pytest
 from repro.core.bootstrap import ProxyBootstrap
 from repro.core.bus import EventBus
 from repro.core.client import BusClient
-from repro.core.events import PURGE_MEMBER_TYPE
+from repro.core.events import MEMBER_STATE_TYPE, PURGE_MEMBER_TYPE
 from repro.discovery.agent import AgentConfig, DiscoveryAgent
 from repro.discovery.lifecycle import LifecycleState
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
@@ -75,6 +75,10 @@ class ChaosCell:
         self.bus.subscribe_local(
             Filter.where(PURGE_MEMBER_TYPE),
             lambda e: self.purges.append((e.get("name"), e.get("reason"))))
+        self.silences = []          # silence_s of each DEGRADED move
+        self.bus.subscribe_local(
+            Filter.where(MEMBER_STATE_TYPE, state="degraded"),
+            lambda e: self.silences.append(e.get("silence_s")))
         self._endpoints = endpoints
 
     def device(self, name, with_client=False):
@@ -163,9 +167,9 @@ def test_chaos_soak_detection_conservation_and_drain(sim, hub, endpoints):
 
     # -- ghost detection within the advertised bound -----------------------
     threshold = cell.service.config.silent_after_s
-    assert cell.service.degraded_latencies, "no degradation ever detected"
+    assert cell.silences, "no degradation ever detected"
     assert all(lat <= threshold + cell.SWEEP_S + 1e-9
-               for lat in cell.service.degraded_latencies)
+               for lat in cell.silences)
     assert cell.service.stats.degradations >= 2     # ghost and sleeper
     assert cell.purge_reasons("ghost") == ["timeout"]
     assert cell.record("ghost") is None
@@ -285,15 +289,18 @@ class TestUdpChaos:
 
             # A device crashes without a word: degraded, then purged.
             discovery = server.cell.discovery
+            silences = []
+            server.cell.subscribe(
+                Filter.where(MEMBER_STATE_TYPE, state="degraded"),
+                lambda e: silences.append(e.get("silence_s")))
             ghost_id = devices["chaos-ghost"].service_id
             devices["chaos-ghost"].crash()
-            assert self.wait(
-                server, lambda: discovery.stats.degradations >= 1), \
+            assert self.wait(server, lambda: silences), \
                 "crash never detected DEGRADED"
             threshold = discovery.config.silent_after_s
             assert all(lat <= threshold + discovery.config.sweep_period_s
                        + 0.5           # realtime scheduler slop
-                       for lat in discovery.degraded_latencies)
+                       for lat in silences)
             assert self.wait(
                 server, lambda: discovery.table.get(ghost_id) is None), \
                 "ghost never purged"

@@ -128,12 +128,11 @@ class TestBodyAreaScenario:
 
         The nurse's pad walks out of Bluetooth range (WalkAway), then its
         traffic briefly re-appears from a corridor relay address with the
-        same service id — the cell relearns the address, leaving channel
-        state at *both* addresses.  When the purge finally fires, the
-        proxy's close_channel must drop the queued events at the old
-        address and the relay-side channel too; before the fix only the
-        latest address was torn down and the old queue retransmitted
-        forever.
+        same service id — the cell moves the pad's one channel, queue
+        and all, to the relay address.  When the purge finally fires, the
+        proxy's close_channel must drop every queued event and leave no
+        channel at either address (once, a roamed peer kept a channel at
+        each, and only the latest was torn down).
         """
         sim, network, node = ban
         cell = build_cell(sim, network, purge_after=15.0)
@@ -141,8 +140,11 @@ class TestBodyAreaScenario:
             node("nurse", position=WalkAway(t_leave=20.0, t_return=90.0,
                                             distance=100.0, walk_s=2.0)),
             sim, "nurse")
-        # An in-range relay node the roamed traffic will arrive from.
+        # An in-range relay node the roamed traffic will arrive from.  It
+        # only forwards: a relay answering as a peer of its own would take
+        # the address over, and a handover resets the pad's channel there.
         relay = node("corridor").transport
+        relay.set_receiver(lambda src, data: None)
         cell.start()
         display.start()
         sim.run(19.0)
@@ -163,13 +165,14 @@ class TestBodyAreaScenario:
         sim.run(27.0)
         endpoint = cell.endpoint
         assert endpoint.address_of(member) == "corridor"
-        assert endpoint.channel_addresses(member) == {"nurse", "corridor"}
+        assert endpoint.existing_channel("nurse") is None
+        assert endpoint.peer_channel(member).unacked_count() >= 3
 
         sim.run(60.0)                       # silence -> purge
         assert not cell.bus.is_member(member)
         assert proxy.destroyed
         assert proxy.stats.dropped_on_destroy >= 3
-        assert endpoint.channel_addresses(member) == set()
+        assert endpoint.peer_channel(member) is None
         assert endpoint.existing_channel("nurse") is None
         assert endpoint.existing_channel("corridor") is None
 

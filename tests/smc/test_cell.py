@@ -74,6 +74,7 @@ class TestAssembly:
         cell = make_cell()
         discovery = cell.publisher("discovery")
         for member, device_type in ((101, "sensor.hr"), (102, "actuator.pump")):
+            cell.endpoint.learn_peer(ServiceId(member), f"node-{member}")
             discovery.publish(NEW_MEMBER_TYPE, {
                 "member": member, "name": device_type,
                 "device_type": device_type, "address": f"node-{member}"})

@@ -23,7 +23,11 @@ mechanism reappears next to the one this tree keeps:
   the three subsystems deleted as unexercised stay deleted;
 * how much a member is sent at once has one owner, its proxy (the hop's
   window and the declared capacity), and the hooks deleted for having no
-  caller stay deleted.
+  caller stay deleted;
+* a peer has one channel, and a roam moves it: only
+  ``PacketEndpoint.learn_peer`` re-keys the endpoint's channel table, and
+  the multi-address roam machinery and the proxies' second copy of a
+  member's address stay deleted.
 """
 
 import ast
@@ -256,3 +260,42 @@ def test_flush_sizing_has_one_owner_and_deleted_hooks_stay_deleted():
         f"protocol.flush_limit(window) and the proxy's capacity alone")
     assert not defined & {"FlushController", "FlushTarget",
                           "SimNetworkFaults", "EngineFactory"}
+
+
+def test_a_peer_has_one_channel_and_a_roam_moves_it():
+    deleted = {"move_peer", "channel_addresses", "forget_peer",
+               "drain_undelivered", "_parse_address", "ProxyFactory",
+               "register_factory"}
+    defined = set()
+    rekeyers = set()
+    for rel, tree in modules():
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for function in cls.body:
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                removes = stores = False
+                for node in ast.walk(function):
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "pop"
+                            and ast.unparse(node.func.value).endswith(
+                                "_channels")):
+                        removes = True
+                    if (isinstance(node, ast.Subscript)
+                            and ast.unparse(node.value).endswith("_channels")):
+                        if isinstance(node.ctx, ast.Del):
+                            removes = True
+                        elif isinstance(node.ctx, ast.Store):
+                            stores = True
+                if removes and stores:
+                    rekeyers.add(f"{rel}:{cls.name}.{function.name}")
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Assign):
+                defined.update(target.id for target in node.targets
+                               if isinstance(target, ast.Name))
+    assert sorted(defined & deleted) == []
+    assert rekeyers == {"transport/endpoint.py:PacketEndpoint.learn_peer"}

@@ -87,12 +87,14 @@ class TestPeerBookkeeping:
         assert a.address_of(peer) == "remote"
 
     def test_forget_peer(self, sim, endpoints):
+        # close_channel forgets the peer: its channel and its address.
         a, b = endpoints("a"), endpoints("b")
         a.send_reliable("b", b"x")
         sim.run_until_idle()
         peer = service_id_from_name("a")
-        b.forget_peer(peer)
+        b.close_channel(peer)
         assert not b.knows_peer(peer)
+        assert b.existing_channel("a") is None
 
 
 class TestChannels:
@@ -165,9 +167,10 @@ class TestChannels:
 
 
 class TestRoamingPeers:
-    """A peer that re-appears at a new address must not leak channel
-    state at its old one (regression: close_channel/forget_peer used to
-    tear down only the latest address)."""
+    """A peer has one channel, at its current address: a roam moves it,
+    and teardown leaves nothing at any address the peer has used
+    (regression: close_channel used to tear down only the latest
+    address, and a roamed peer owned a channel at each)."""
 
     def _stranded(self, sim, hub, endpoints, payloads=3):
         """A core with ``payloads`` events queued to peer "dev", whose
@@ -187,9 +190,10 @@ class TestRoamingPeers:
         core.learn_peer(dev_id, "dev-roamed")     # peer roams
         core.send_reliable("dev-roamed", b"x")
         core.send_reliable("dev-roamed", b"y")
-        assert core.channel_addresses(dev_id) == {"dev", "dev-roamed"}
+        assert core.existing_channel("dev") is None
+        assert core.peer_channel(dev_id).unacked_count() == 5
         assert core.close_channel(dev_id) == 5    # 3 stranded + 2 new
-        assert core.channel_addresses(dev_id) == set()
+        assert core.peer_channel(dev_id) is None
         assert core.existing_channel("dev") is None
         assert core.existing_channel("dev-roamed") is None
 
@@ -200,16 +204,18 @@ class TestRoamingPeers:
         core.set_payload_handler(lambda peer, data: None)
         dev.send_reliable("core", b"hello")       # channel at "dev"
         sim.run_until_idle()
+        channel = core.existing_channel("dev")
         # The same service id now speaks from a new source address.
         roamed = hub.create("dev-roamed")
         packet = Packet(type=PacketType.DATA,
-                        sender=service_id_from_name("dev"), seq=1,
+                        sender=service_id_from_name("dev"), seq=2,
                         payload=b"from-new-home")
         roamed.send("core", packet.encode())
         sim.run_until_idle()
         assert core.address_of(service_id_from_name("dev")) == "dev-roamed"
-        assert core.channel_addresses(service_id_from_name("dev")) \
-            == {"dev", "dev-roamed"}
+        assert core.live_channels() == [channel]
+        assert channel.peer_address == "dev-roamed"
+        assert channel.stats.delivered == 2       # one sequence space
         core.close_channel(service_id_from_name("dev"))
         assert core.existing_channel("dev") is None
         assert core.existing_channel("dev-roamed") is None
@@ -218,13 +224,11 @@ class TestRoamingPeers:
         core, dev_id = self._stranded(sim, hub, endpoints)
         core.learn_peer(dev_id, "dev-roamed")
         core.send_reliable("dev-roamed", b"x")
-        core.forget_peer(dev_id)
+        core.close_channel(dev_id)
         assert not core.knows_peer(dev_id)
-        assert core.channel_addresses(dev_id) == set()
-        assert core.existing_channel("dev") is None
-        assert core.existing_channel("dev-roamed") is None
-        # Nothing stale is left behind in the reverse map.
-        assert core._address_peers == {}
+        assert core.live_channels() == []
+        # Nothing stale is left behind in either map.
+        assert core._address_peers == {} and core._peer_addresses == {}
 
     def test_address_handover_resets_old_peers_channel(
             self, sim, hub, endpoints):
@@ -242,9 +246,11 @@ class TestRoamingPeers:
         # The address changes hands: a different peer now lives there.
         core.learn_peer(new_peer, "shared-addr")
         assert core.existing_channel("shared-addr") is None
+        assert not core.knows_peer(old_peer)
         assert core.close_channel(old_peer) == 0    # nothing left to leak
         core.send_reliable("shared-addr", b"new-session")
-        assert core.channel_addresses(new_peer) == {"shared-addr"}
+        assert core.peer_channel(new_peer) is core.existing_channel(
+            "shared-addr")
         assert core.close_channel(new_peer) == 1    # only its own payload
 
 
@@ -274,8 +280,9 @@ class TestChannelObservability:
 
 
 class TestMovePeer:
-    """move_peer: the roam handover — migrate queued deliveries to the
-    member's new address instead of retransmitting at the stale one."""
+    """learn_peer's roam: the peer's one channel moves to its new address
+    with its queue, and what was in flight is resent there at once
+    instead of retransmitting to the stale address."""
 
     def _stranded(self, sim, hub, endpoints, payloads=3):
         core, dev = endpoints("core"), endpoints("dev")
@@ -307,34 +314,35 @@ class TestMovePeer:
         core, dev_id = self._stranded(sim, hub, endpoints)
         got = self._device_at(hub, "dev-roamed", dev_id)
         hub.drop_filter = None
-        assert core.move_peer(dev_id, "dev-roamed") == 3
-        sim.run_until_idle()
+        core.learn_peer(dev_id, "dev-roamed")
+        sim.run(0.001)                          # resent at once, no RTO
         assert got == [bytes([0]), bytes([1]), bytes([2])]
         assert core.address_of(dev_id) == "dev-roamed"
-        assert core.channel_addresses(dev_id) == {"dev-roamed"}
+        assert core.live_channels() == [core.existing_channel("dev-roamed")]
         assert core.existing_channel("dev") is None
 
     def test_move_covers_every_superseded_address(self, sim, hub,
                                                   endpoints):
-        # A twice-roamed peer has stranded state at two old addresses.
+        # A twice-roamed peer: one channel, moved twice, one queue.
         core, dev_id = self._stranded(sim, hub, endpoints)
         hub.create("dev-hop")
         core.learn_peer(dev_id, "dev-hop")
         core.send_reliable("dev-hop", b"mid-roam")
         got = self._device_at(hub, "dev-final", dev_id)
         hub.drop_filter = None
-        assert core.move_peer(dev_id, "dev-final") == 4
+        core.learn_peer(dev_id, "dev-final")
         sim.run_until_idle()
-        assert sorted(got) == sorted([bytes([0]), bytes([1]), bytes([2]),
-                                      b"mid-roam"])
-        assert core.channel_addresses(dev_id) == {"dev-final"}
+        assert got == [bytes([0]), bytes([1]), bytes([2]), b"mid-roam"]
+        assert core.live_channels() == [core.existing_channel("dev-final")]
 
     def test_move_to_current_address_is_noop(self, sim, hub, endpoints):
         core, dev_id = self._stranded(sim, hub, endpoints)
-        assert core.move_peer(dev_id, "dev") == 0
+        channel = core.existing_channel("dev")
+        core.learn_peer(dev_id, "dev")
         assert core.address_of(dev_id) == "dev"
         # The existing channel (with its in-flight state) survives.
-        assert core.existing_channel("dev") is not None
+        assert core.existing_channel("dev") is channel
+        assert channel.stats.retransmissions == 0
 
     def test_move_with_no_channel_state(self, sim, hub, endpoints):
         core = endpoints("core")
@@ -342,8 +350,9 @@ class TestMovePeer:
         hub.create("dev-roamed")
         dev_id = service_id_from_name("dev")
         core.learn_peer(dev_id, "dev")
-        assert core.move_peer(dev_id, "dev-roamed") == 0
+        core.learn_peer(dev_id, "dev-roamed")
         assert core.address_of(dev_id) == "dev-roamed"
+        assert core.live_channels() == []
 
 
 class TestAckDueAcrossTeardown:
@@ -372,10 +381,10 @@ class TestAckDueAcrossTeardown:
             self, sim, hub, endpoints):
         core, dev, sent_to, mid_turn = self._ack_due_at_core(
             sim, hub, endpoints)
-        mid_turn.append(lambda peer: core.move_peer(peer, "dev-roamed"))
+        mid_turn.append(lambda peer: core.learn_peer(peer, "dev-roamed"))
         dev.send_reliable("core", b"moving")
         sim.run(0.01)
-        assert sent_to == []                 # not to "dev", not anywhere
+        assert sent_to == ["dev-roamed"]     # the due ACK moved with it
         assert core.existing_channel("dev") is None
         assert core.address_of(dev.service_id) == "dev-roamed"
 

@@ -525,14 +525,38 @@ class TestAckCoalescing:
         assert chan_b.closed
         assert chan_b.stats.acks_sent == 0 and acks == []
 
-    def test_drain_undelivered_with_ack_due_sends_nothing(self, sim, hub):
+    def test_move_to_with_ack_due_acks_at_new_address(self, sim, hub):
         chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
-        acks = spy_acks(hub)
+        hub.create("a-roamed")
+        sent_to = []
+        hub.drop_filter = (lambda src, dest, data:
+                           sent_to.append((src, dest)) or True)
         chan_a.send(b"x")
-        sim.call_soon(chan_b.drain_undelivered)   # same instant, mid-turn
+        sim.call_soon(chan_b.move_to, "a-roamed")   # same instant, mid-turn
         sim.run(0.01)
         assert delivered_b == [b"x"]
-        assert chan_b.stats.acks_sent == 0 and acks == []
+        assert chan_b.stats.acks_sent == 1
+        assert sent_to == [("a", "b"), ("b", "a-roamed")]
+
+    def test_move_to_resends_in_flight_and_keeps_the_sequence(self, sim,
+                                                              hub):
+        # The queue and both sequence spaces carry on; what was in flight
+        # toward the old address is resent to the new one at once.
+        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=2)
+        tb = chan_b._transport
+        hub.drop_filter = lambda src, dest, data: False     # all lost
+        for payload in (b"1", b"2", b"3"):
+            chan_a.send(payload)
+        hub.drop_filter = None
+        del hub._transports["b"]                # b's stack moves
+        tb._local_address = "b-roamed"
+        hub._transports["b-roamed"] = tb
+        chan_a.move_to("b-roamed")
+        assert chan_a.stats.retransmissions == 2
+        sim.run(0.001)                          # well inside the RTO
+        assert delivered_b == [b"1", b"2", b"3"]
+        assert chan_a.unacked_count() == 0
+        assert chan_b.stats.duplicates == 0
 
     def test_transport_closed_mid_turn_sends_nothing(self, sim, hub):
         chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
