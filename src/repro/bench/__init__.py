@@ -13,9 +13,10 @@ host, joined by a USB-IP link calibrated to the paper's quoted link numbers
   numbers: 1.5 ms average latency (0.6-2.3 ms band) and ~575 KB/s raw
   throughput;
 
-plus the ablations DESIGN.md schedules (fan-out, loss, quenching,
-discovery timing).  ``examples/fig4_reproduction.py`` and the pytest
-benchmarks under ``benchmarks/`` are thin wrappers over these functions.
+plus ablations beyond the paper (fan-out, loss, quenching, discovery
+timing, the windowed transport, the autonomic loops, the lifecycle).
+``examples/fig4_reproduction.py`` and the pytest benchmarks under
+``benchmarks/`` are thin wrappers over these functions.
 """
 
 from repro.bench.experiments import (

@@ -1,4 +1,4 @@
-"""The paper's experiments, plus the ablations DESIGN.md schedules.
+"""The paper's experiments, plus ablations beyond them.
 
 Each function is deterministic for a given seed, runs entirely in virtual
 time, and returns a structured result the reporting module can print as
@@ -8,7 +8,7 @@ the rows/series of the corresponding figure.
 from __future__ import annotations
 
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bench.testbed import (
     BENCH_EVENT_TYPE,
@@ -25,7 +25,7 @@ from repro.matching.filters import Filter
 from repro.sim.hosts import PDA_PROFILE, LAPTOP_PROFILE, SimHost
 from repro.sim.kernel import Simulator
 from repro.sim.mobility import WalkAway
-from repro.sim.radio import USB_IP, WIFI_11B, SimNetwork
+from repro.sim.radio import USB_IP, WIFI_11B, SimNetwork, fixed_latency
 from repro.sim.rng import RngRegistry
 
 #: Engine names in paper order: first generation, then its replacement.
@@ -279,19 +279,17 @@ def run_window_goodput(windows: tuple[int, ...] = (1, 32),
     """Reliable-channel goodput vs send window on a lossy long-RTT link.
 
     Isolates the transport from the bus: one :class:`ReliableChannel`
-    pair over an in-memory link with ``rtt_s`` round-trip time and
-    seeded datagram loss, pushing ``messages`` payloads through each
+    pair over an ideal link with ``rtt_s`` round-trip time and seeded
+    datagram loss, pushing ``messages`` payloads through each
     window setting.  Stop-and-wait pays one RTT per payload; the
     sliding-window/SACK sender streams a window per RTT and retransmits
     only the lost packets, so goodput scales with the window until the
     link saturates — the ratio is CI's regression gate for the windowed
     transport.
     """
-    import random
-
-    from repro.transport.inmem import InMemoryHub
     from repro.transport.packets import Packet
     from repro.transport.reliability import ReliableChannel
+    from repro.transport.simnet import ideal_network
 
     results: dict = {"rtt_ms": rtt_s * 1000.0, "loss_rate": loss_rate,
                      "messages": messages, "payload_size": payload_size}
@@ -299,10 +297,9 @@ def run_window_goodput(windows: tuple[int, ...] = (1, 32),
                 for i in range(messages)]
     for window in windows:
         sim = Simulator()
-        hub = InMemoryHub(sim, delay_s=rtt_s / 2.0)
-        rng = random.Random(seed)
-        hub.drop_filter = lambda src, dest, data: rng.random() >= loss_rate
-        sender_t, receiver_t = hub.create("tx"), hub.create("rx")
+        network = ideal_network(sim, replace(fixed_latency(rtt_s / 2.0),
+                                             loss_rate=loss_rate), seed)
+        sender_t, receiver_t = network.add_node("tx"), network.add_node("rx")
         got: list[bytes] = []
         done_at = [0.0]
 
@@ -354,7 +351,7 @@ def run_rtt_convergence(rtt_s: float, *, warm_messages: int = 240,
     """RTO self-tuning on one link, from the channel's default config.
 
     One :class:`~repro.transport.reliability.ReliableChannel` pair over a
-    fixed-delay in-memory link of ``rtt_s`` round-trip time, with the
+    fixed-delay ideal link of ``rtt_s`` round-trip time, with the
     autonomic RTT controller ticking.  The channel starts at its stock
     RTO (50 ms) — an order of magnitude too high for the paper's USB
     cable and far too *low* for a wide-area uplink, where every packet
@@ -368,13 +365,13 @@ def run_rtt_convergence(rtt_s: float, *, warm_messages: int = 240,
     ``rto_over_optimal`` is the benchmark's figure of merit.
     """
     from repro.autonomic import AutonomicConfig, AutonomicManager, RttController
-    from repro.transport.inmem import InMemoryHub
     from repro.transport.packets import Packet
     from repro.transport.reliability import ReliableChannel
+    from repro.transport.simnet import ideal_network
 
     sim = Simulator()
-    hub = InMemoryHub(sim, delay_s=rtt_s / 2.0)
-    sender_t, receiver_t = hub.create("tx"), hub.create("rx")
+    network = ideal_network(sim, fixed_latency(rtt_s / 2.0))
+    sender_t, receiver_t = network.add_node("tx"), network.add_node("rx")
     got: list[bytes] = []
     # Stock channel configuration — the whole point is that *one* default
     # works on both links once the loop is closed.
@@ -719,8 +716,7 @@ def run_discovery_timing(beacon_periods: tuple[float, ...] = (0.25, 0.5,
 
 def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
                                                                  1.0),
-                         drain_backlog: int = 50,
-                         seed: int = 0) -> ExperimentResult:
+                         drain_backlog: int = 50) -> ExperimentResult:
     """Ghost-detection latency vs heartbeat period, and drain completeness.
 
     Two lifecycle guarantees, measured:
@@ -738,48 +734,47 @@ def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
     from repro.core.events import MEMBER_STATE_TYPE, PURGE_MEMBER_TYPE
     from repro.discovery.agent import AgentConfig, DiscoveryAgent
     from repro.discovery.service import DiscoveryConfig, DiscoveryService
-    from repro.sim.faults import HubFaults
     from repro.transport.endpoint import PacketEndpoint
-    from repro.transport.inmem import InMemoryHub
+    from repro.transport.simnet import ideal_network
 
     result = ExperimentResult(
         name="lifecycle", x_label="Heartbeat period (s)",
         y_label="Ghost-detection latency (s)")
 
-    def build(sim, hub, heartbeat_s, **config):
+    def build(sim, network, heartbeat_s, **config):
         defaults = dict(cell_name="lifecycle", beacon_period_s=heartbeat_s,
                         heartbeat_period_s=heartbeat_s,
                         purge_after_s=10.0 * heartbeat_s,
                         sweep_period_s=heartbeat_s / 10.0)
         defaults.update(config)
-        core = PacketEndpoint(hub.create("core"), sim)
+        core = PacketEndpoint(network.add_node("core"), sim)
         bus = EventBus(sim)
         ProxyBootstrap(bus, core)
         service = DiscoveryService(bus, core, sim,
                                    DiscoveryConfig(**defaults))
         return bus, service
 
-    def agent(sim, hub, name, **config):
+    def agent(sim, network, name, **config):
         defaults = dict(name=name, device_type="service",
                         beacon_timeout_s=1000.0)
         defaults.update(config)
-        return DiscoveryAgent(PacketEndpoint(hub.create(name), sim), sim,
+        return DiscoveryAgent(PacketEndpoint(network.add_node(name), sim), sim,
                               AgentConfig(**defaults))
 
     # -- A: detection latency across heartbeat periods -----------------------
     series = Series(label="degraded-detection")
     for heartbeat_s in heartbeat_periods:
         sim = Simulator()
-        hub = InMemoryHub(sim)
-        bus, service = build(sim, hub, heartbeat_s)
+        network = ideal_network(sim)
+        bus, service = build(sim, network, heartbeat_s)
         silences: list[float] = []
         bus.subscribe_local(Filter.where(MEMBER_STATE_TYPE, state="degraded"),
                             lambda e: silences.append(e.get("silence_s")))
-        ghost = agent(sim, hub, "ghost")
+        ghost = agent(sim, network, "ghost")
         service.start()
         ghost.start()
         sim.run(4.0 * heartbeat_s + 0.05)       # joined, mid-interval
-        HubFaults(hub, rng_seed=seed).kill("ghost")
+        network.set_node_up("ghost", False)
         sim.run(20.0 * heartbeat_s)
         latency = silences[0] if silences else float("nan")
         series.points.append(SeriesPoint(x=heartbeat_s, mean=latency,
@@ -789,10 +784,10 @@ def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
 
     # -- B: graceful drain flushes the whole backlog -------------------------
     sim = Simulator()
-    hub = InMemoryHub(sim)
-    bus, service = build(sim, hub, 0.2, drain_deadline_s=60.0)
-    publisher = agent(sim, hub, "pub")
-    subscriber = agent(sim, hub, "sub")
+    network = ideal_network(sim)
+    bus, service = build(sim, network, 0.2, drain_deadline_s=60.0)
+    publisher = agent(sim, network, "pub")
+    subscriber = agent(sim, network, "sub")
     pub_client = BusClient(publisher.endpoint, sim, None)
     sub_client = BusClient(subscriber.endpoint, sim, None)
     publisher.client = pub_client
@@ -809,14 +804,13 @@ def run_lifecycle_timing(heartbeat_periods: tuple[float, ...] = (0.2, 0.5,
                          lambda e: delivered.append(e.get("n")))
     sim.run(2.0)
     proxy = bus.proxy_of(subscriber.endpoint.service_id)
-    faults = HubFaults(hub, rng_seed=seed)
-    faults.block_one_way("core", "sub")          # deliveries queue up
+    network.block_one_way("core", "sub", True)   # deliveries queue up
     for n in range(drain_backlog):
         pub_client.publish("bench.drain", {"n": n})
     sim.run(3.0)
     subscriber.leave_gracefully()
     sim.run(4.0)
-    faults.unblock_one_way("core", "sub")        # flush and tear down
+    network.block_one_way("core", "sub", False)  # flush and tear down
     drain_kicked = sim.now()
     sim.run(30.0)
     result.notes["drain"] = {

@@ -2,7 +2,7 @@
 
 The harness prints the same rows/series the paper's figures plot, so a run
 of ``examples/fig4_reproduction.py`` can be eyeballed directly against
-Figure 4 (and EXPERIMENTS.md records exactly these tables).
+Figure 4.
 """
 
 from __future__ import annotations

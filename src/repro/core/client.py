@@ -34,7 +34,6 @@ from repro.sim.kernel import Scheduler
 from repro.transport import wire
 from repro.transport.base import Address
 from repro.transport.endpoint import PacketEndpoint
-from repro.transport.reliability import ChannelStats
 from repro.transport.wire import Value
 
 from repro.core import protocol
@@ -145,15 +144,6 @@ class BusClient:
         self.stats.published += len(events)
         self.stats.batches_sent += 1
         return events
-
-    def transport_stats(self) -> "ChannelStats | None":
-        """Reliability-layer counters for the channel toward the bus core
-        (retransmissions, fast retransmits, duplicates...), or None while
-        disconnected or before any reliable traffic."""
-        if self.bus_address is None:
-            return None
-        channel = self.endpoint.existing_channel(self.bus_address)
-        return channel.stats if channel is not None else None
 
     def advertise(self, filt: Filter) -> None:
         """Declare what this service publishes (enables quenching)."""

@@ -233,15 +233,6 @@ class Proxy:
         stats.events_delivered += len(items)
         stats.batches_flushed += 1
 
-    def transport_stats(self):
-        """Reliability-layer counters for this member's channel, or None
-        once the proxy is destroyed (the channel died with it) or before
-        any reliable traffic."""
-        if self._destroyed:
-            return None
-        channel = self.endpoint.peer_channel(self.member_id)
-        return channel.stats if channel is not None else None
-
     def set_quench(self, reason: str, wanted: bool) -> bool:
         """State (or withdraw) one reason for the member to stop
         publishing.  A QUENCH advisory goes out, and True comes back, only

@@ -140,12 +140,18 @@ _TESTS = {Op.NE: operator.ne, Op.LT: operator.lt, Op.LE: operator.le,
           Op.CONTAINS: lambda value, operand: operand in value}
 
 
+#: The operators no value satisfies against a NaN operand.
+_NAN_NEVER_OPS = _ORDER_OPS | {Op.EQ}
+
+
 def _never_satisfied(constraint) -> bool:
-    """An ordering constraint against NaN.  Every comparison with it is
-    false, so it is left out of the index — its filter can then never
-    reach its count — where it would sort nowhere and break the bisect of
-    every threshold it shared a bucket with."""
-    return constraint.op in _ORDER_OPS and constraint.value != constraint.value
+    """An ordering or EQ constraint against NaN.  Every comparison with it
+    is false, so it is left out of the index — its filter can then never
+    reach its count.  Indexed, an ordering would sort nowhere and break
+    the bisect of every threshold it shared a bucket with, and an EQ would
+    match the very NaN object it was built from by dict identity."""
+    return (constraint.op in _NAN_NEVER_OPS
+            and constraint.value != constraint.value)
 
 
 def name_class(filt) -> frozenset[str]:

@@ -76,8 +76,9 @@ class HostProfile:
 # reproduces the paper's three quoted link numbers (1.5 ms mean latency,
 # 0.6-2.3 ms spread, ~575 KB/s raw bulk throughput) and the *shape* of
 # Figure 4 (response time rising roughly linearly with payload; the
-# translation-free bus beating the Siena-based bus).  EXPERIMENTS.md records
-# the measured values next to the paper's.
+# translation-free bus beating the Siena-based bus).  The Figure 4 and
+# link-baseline benches under ``benchmarks/`` print the measured values,
+# and ``tests/bench/test_fig4_golden.py`` pins them.
 
 #: iPAQ hx4700 running Blackdown JVM 1.3.1 — slow syscalls, very slow
 #: runtime copies, and a large fixed per-event cost in the bus software
@@ -96,6 +97,12 @@ LAPTOP_PROFILE = HostProfile(name="laptop", per_packet_s=2.5e-4,
 SENSOR_PROFILE = HostProfile(name="sensor", per_packet_s=2.0e-3,
                              per_byte_s=2.0e-6, sw_byte_s=5.0e-6,
                              match_base_s=0.0)
+
+#: A host whose work costs nothing: the ideal network's nodes, where a
+#: datagram is handed over the instant it arrives.
+ZERO_COST_PROFILE = HostProfile(name="zero_cost", per_packet_s=0.0,
+                                per_byte_s=0.0, sw_byte_s=0.0,
+                                match_base_s=0.0)
 
 
 class CostMeter:

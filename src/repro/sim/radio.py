@@ -17,12 +17,22 @@ Profiles mirror the paper's testbed and its future-work targets:
   bandwidth calibrated so raw bulk transfer sustains ~575 KB/s (Section V).
 * ``BLUETOOTH`` / ``ZIGBEE`` / ``WIFI_11B`` — the wireless targets of
   Section VI, with range limits so mobility can carry nodes out of the cell.
+* ``IDEAL`` — zero latency, unbounded bandwidth, no loss, no fragmentation:
+  on zero-cost hosts a datagram is handed over one scheduler event after
+  it is sent, in send order.  The unit tests and the transport-only
+  experiments run on it, or on :func:`fixed_latency` / a lossy ``replace``.
+
+Faults belong to the network: nodes go down (``set_node_up``), pairs are
+blocked both ways or one way, and a pair's datagrams are mangled from an
+RNG stream of their own, so traffic no mangle touches draws what it drew
+without one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, replace
 from typing import Callable
 
 from repro.errors import AddressError, ConfigurationError, TransportError
@@ -55,6 +65,8 @@ class LinkProfile:
         if not self.latency_min_s <= self.latency_mean_s <= self.latency_max_s:
             raise ConfigurationError(
                 f"{self.name}: latency bounds must bracket the mean")
+        if self.latency_min_s < 0:
+            raise ConfigurationError(f"{self.name}: negative latency")
         if self.bandwidth_bps <= 0:
             raise ConfigurationError(f"{self.name}: bandwidth must be > 0")
         if not 0.0 <= self.loss_rate < 1.0:
@@ -69,8 +81,11 @@ class LinkProfile:
         """Draw a one-way propagation latency.
 
         A triangular distribution over (min, mean, max) matches the paper's
-        report of a 1.5 ms average within a 0.6-2.3 ms band.
+        report of a 1.5 ms average within a 0.6-2.3 ms band.  A fixed
+        latency draws nothing.
         """
+        if self.latency_min_s == self.latency_max_s:
+            return self.latency_min_s
         return rng.triangular(self.latency_min_s, self.latency_max_s,
                               self.latency_mean_s)
 
@@ -105,6 +120,16 @@ WIFI_11B = LinkProfile(name="wifi_11b", latency_mean_s=2.5e-3,
                        latency_min_s=1.0e-3, latency_max_s=8.0e-3,
                        bandwidth_bps=700_000.0, loss_rate=0.002,
                        mtu=1472, range_m=50.0)
+
+#: The ideal link: nothing between send and receive but one scheduler event.
+IDEAL = LinkProfile(name="ideal", latency_mean_s=0.0, latency_min_s=0.0,
+                    latency_max_s=0.0, bandwidth_bps=math.inf, mtu=sys.maxsize)
+
+
+def fixed_latency(delay_s: float) -> LinkProfile:
+    """The ideal link with every datagram delayed by exactly ``delay_s``."""
+    return replace(IDEAL, name=f"ideal+{delay_s}s", latency_mean_s=delay_s,
+                   latency_min_s=delay_s, latency_max_s=delay_s)
 
 
 class _Node:
@@ -153,16 +178,26 @@ class SimNetwork:
        propagation latency; each fragment is subject to independent loss.
        Loss of *any* fragment loses the datagram, as with IP fragmentation.
     3. B's host CPU is charged the per-packet receive cost; the payload is
-       handed to B's transport when that charge completes.
+       handed to B's transport when that charge completes (at once when
+       it costs nothing).
     """
 
     def __init__(self, scheduler: Scheduler,
                  rng: RngRegistry | None = None) -> None:
         self.scheduler = scheduler
-        self.rng = (rng or RngRegistry(0)).stream("network")
+        registry = rng or RngRegistry(0)
+        self.rng = registry.stream("network")
+        self._fault_rng = registry.stream("faults")
         self._media: dict[str, Medium] = {}
         self._nodes: dict[str, _Node] = {}
-        self._blocked: set[frozenset[str]] = set()
+        #: Blocked directions, ``(src, dest)``.
+        self._blocked: set[tuple[str, str]] = set()
+        #: (corrupt_rate, duplicate_rate, delay_s) per unordered pair.
+        self._mangles: dict[frozenset[str], tuple[float, float, float]] = {}
+        #: The per-datagram test seam, for drops and spies no fault above
+        #: expresses: ``tap(src, dest, payload)`` sees every datagram sent,
+        #: and returning False drops it.
+        self.tap: Callable[[str, str, bytes], bool] | None = None
         self.datagrams_sent = 0
         self.datagrams_dropped = 0
         self.datagrams_delivered = 0
@@ -204,11 +239,30 @@ class SimNetwork:
 
     def set_link_blocked(self, a: str, b: str, blocked: bool) -> None:
         """Administratively block/unblock the pair (both directions)."""
-        key = frozenset((a, b))
+        self.block_one_way(a, b, blocked)
+        self.block_one_way(b, a, blocked)
+
+    def block_one_way(self, src: str, dest: str, blocked: bool) -> None:
+        """Block/unblock ``src -> dest`` only: an asymmetric outage, where
+        the other direction (acks included) still flows."""
         if blocked:
-            self._blocked.add(key)
+            self._blocked.add((src, dest))
         else:
-            self._blocked.discard(key)
+            self._blocked.discard((src, dest))
+
+    def mangle(self, a: str, b: str, *, corrupt_rate: float = 0.0,
+               duplicate_rate: float = 0.0, delay_s: float = 0.0) -> None:
+        """Corrupt, duplicate and delay the pair's datagrams, both ways
+        (all zero: leave them alone).  A corrupted datagram has one byte
+        flipped, so the receiver's CRC check drops it: corruption degrades
+        to loss."""
+        if not (0.0 <= corrupt_rate <= 1.0 and 0.0 <= duplicate_rate <= 1.0
+                and delay_s >= 0):
+            raise ConfigurationError(
+                f"rates must be in [0, 1] and the delay >= 0: {corrupt_rate}, "
+                f"{duplicate_rate}, {delay_s}")
+        self._mangles[frozenset((a, b))] = (corrupt_rate, duplicate_rate,
+                                            delay_s)
 
     def host_of(self, name: str) -> SimHost:
         return self._node(name).host
@@ -261,13 +315,11 @@ class SimNetwork:
         self.datagrams_sent += 1
         now = self.scheduler.now()
         profile = src.medium.profile
-        if not src.up or not dest.up:
-            self.datagrams_dropped += 1
-            return
-        if frozenset((src.name, dest.name)) in self._blocked:
-            self.datagrams_dropped += 1
-            return
-        if not src.medium.in_range(src, dest, now):
+        if ((self.tap is not None
+                and not self.tap(src.name, dest.name, payload))
+                or not src.up or not dest.up
+                or (src.name, dest.name) in self._blocked
+                or not src.medium.in_range(src, dest, now)):
             self.datagrams_dropped += 1
             return
 
@@ -289,12 +341,22 @@ class SimNetwork:
         if (profile.duplicate_rate
                 and self.rng.random() < profile.duplicate_rate):
             copies = 2
+        delay_s = 0.0
+        mangle = self._mangles.get(frozenset((src.name, dest.name)))
+        if mangle is not None:
+            corrupt_rate, duplicate_rate, delay_s = mangle
+            if payload and self._fault_rng.random() < corrupt_rate:
+                mutated = bytearray(payload)
+                mutated[self._fault_rng.randrange(len(mutated))] ^= 0xFF
+                payload = bytes(mutated)
+            if self._fault_rng.random() < duplicate_rate:
+                copies += 1
         for _ in range(copies):
             latency = profile.sample_latency(self.rng)
             if self.latency_probe is not None:
                 self.latency_probe.append(latency)
             arrival = (departure + profile.serialisation_time(len(payload))
-                       + latency)
+                       + latency + delay_s)
             self.scheduler.call_at(arrival, self._arrive, src.name, dest.name,
                                    payload, nfrags)
 
@@ -310,8 +372,11 @@ class SimNetwork:
         done = dest.host.ready_time()
         self.datagrams_delivered += 1
         self.bytes_delivered += len(payload)
-        self.scheduler.call_at(done, self._deliver_if_up, dest_name,
-                               src_name, payload)
+        if done > self.scheduler.now():
+            self.scheduler.call_at(done, self._deliver_if_up, dest_name,
+                                   src_name, payload)
+        else:
+            dest.deliver(src_name, payload)
 
     def _deliver_if_up(self, dest_name: str, src_name: str,
                        payload: bytes) -> None:

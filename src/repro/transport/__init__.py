@@ -7,12 +7,12 @@ byte arrays — deliberately *not* language-level serialised objects — so SMC
 services can be written in any language (the paper's motivation for avoiding
 Java serialisation).
 
-Three concrete transports are provided:
+Two concrete transports are provided:
 
-* :class:`~repro.transport.inmem.InMemoryTransport` — zero-cost hub for
-  unit tests;
 * :class:`~repro.transport.simnet.SimTransport` — rides the simulated
-  network (latency, loss, fragmentation, range, host CPU costs);
+  network (latency, loss, fragmentation, range, host CPU costs, faults);
+  on its ideal link (:func:`~repro.transport.simnet.ideal_network`) it is
+  the zero-cost network the unit tests run on;
 * :class:`~repro.transport.udp.UdpTransport` — real UDP datagram sockets,
   equivalent to the paper's prototype transport.
 
@@ -24,7 +24,6 @@ duplicate-suppressed channel the event bus semantics are built on.
 
 from repro.transport.base import Transport, TransportStats
 from repro.transport.endpoint import PacketEndpoint
-from repro.transport.inmem import InMemoryHub, InMemoryTransport
 from repro.transport.packets import Packet, PacketFlags, PacketType
 from repro.transport.reliability import ChannelStats, ReliableChannel
 from repro.transport.simnet import SimTransport
@@ -33,8 +32,6 @@ from repro.transport.udp import UdpTransport
 __all__ = [
     "Transport",
     "TransportStats",
-    "InMemoryHub",
-    "InMemoryTransport",
     "SimTransport",
     "UdpTransport",
     "Packet",

@@ -14,7 +14,6 @@ concrete transport class" — and in their address type:
 =====================  =========================
 transport              address
 =====================  =========================
-InMemoryTransport      node name (str)
 SimTransport           node name (str)
 UdpTransport           (host, port) tuple
 =====================  =========================

@@ -214,7 +214,6 @@ class ReliableChannel:
         self._reorder: dict[int, bytes] = {}
         # Delivered in order since the last packet that carried our ack.
         self._ack_due = False
-        self._peer_id: ServiceId | None = None
 
         self._closed = False
         self.stats = ChannelStats()
@@ -224,11 +223,6 @@ class ReliableChannel:
     @property
     def peer_address(self) -> Address:
         return self._peer_address
-
-    @property
-    def peer_id(self) -> ServiceId | None:
-        """The peer's service id, learned from its first packet."""
-        return self._peer_id
 
     @property
     def rto_initial(self) -> float:
@@ -323,7 +317,6 @@ class ReliableChannel:
         """Process an incoming DATA/ACK/RAW packet from this channel's peer."""
         if self._closed:
             return
-        self._peer_id = packet.sender
         ptype = packet.type
         # Every packet type may carry a piggy-backed cumulative ack; pure
         # ACKs also carry SACK ranges and feed duplicate-ack detection.

@@ -4,14 +4,19 @@
 a :class:`~repro.sim.radio.SimNetwork`.  All link behaviour — latency,
 serialisation, loss, fragmentation, radio range, and host CPU charging —
 lives in the network model; this class only adapts the interfaces.
+:func:`ideal_network` builds the one-medium network of zero-cost hosts
+that the transport-only experiments and the delivery-semantics tests run
+on.
 """
 
 from __future__ import annotations
 
 from repro.errors import AddressError
 from repro.ids import service_id_from_name
-from repro.sim.hosts import SimHost
-from repro.sim.radio import SimNetwork
+from repro.sim.hosts import ZERO_COST_PROFILE, SimHost
+from repro.sim.kernel import Scheduler
+from repro.sim.radio import IDEAL, LinkProfile, SimNetwork
+from repro.sim.rng import RngRegistry
 from repro.transport.base import Transport
 
 
@@ -36,3 +41,20 @@ class SimTransport(Transport):
 
     def _broadcast_datagram(self, payload: bytes) -> None:
         self._network.broadcast(self.local_address, payload)
+
+
+def ideal_network(scheduler: Scheduler, profile: LinkProfile = IDEAL,
+                  seed: int = 0) -> SimNetwork:
+    """A network of one ``profile`` medium (the ideal link by default)
+    whose nodes run on zero-cost hosts: ``network.add_node(name)`` attaches
+    one and returns its transport."""
+    network = SimNetwork(scheduler, RngRegistry(seed))
+    medium = network.add_medium(profile.name, profile)
+
+    def add_node(name: str) -> SimTransport:
+        network.attach(name, SimHost(scheduler, ZERO_COST_PROFILE, name),
+                       medium)
+        return SimTransport(network, name)
+
+    network.add_node = add_node
+    return network

@@ -21,16 +21,17 @@ from repro.errors import ConfigurationError
 from repro.ids import service_id_from_name
 from repro.matching.filters import Constraint, Filter, Op, Subscription
 from repro.sim.kernel import Simulator
-from repro.transport.inmem import InMemoryHub
+from repro.sim.radio import fixed_latency
 from repro.transport.packets import Packet
 from repro.transport.reliability import ReliableChannel
+from repro.transport.simnet import ideal_network
 
 SID = service_id_from_name("autonomic-test")
 
 
 def make_channel_pair(sim, delay_s, *, rto_initial=0.05, window=32):
-    hub = InMemoryHub(sim, delay_s=delay_s)
-    ta, tb = hub.create("tx"), hub.create("rx")
+    net = ideal_network(sim, fixed_latency(delay_s))
+    ta, tb = net.add_node("tx"), net.add_node("rx")
     delivered = []
     sender = ReliableChannel(ta, sim, "rx", lambda s, p: None,
                              window=window, rto_initial=rto_initial,
@@ -40,7 +41,7 @@ def make_channel_pair(sim, delay_s, *, rto_initial=0.05, window=32):
                                window=window)
     ta.set_receiver(lambda src, d: sender.handle_packet(Packet.decode(d)))
     tb.set_receiver(lambda src, d: receiver.handle_packet(Packet.decode(d)))
-    return sender, receiver, delivered, hub
+    return sender, receiver, delivered, net
 
 
 class TestRttController:
@@ -171,9 +172,9 @@ class TestManager:
 
     def test_build_bus_manager_picks_controllers_by_bus(self):
         sim = Simulator()
-        hub = InMemoryHub(sim)
+        net = ideal_network(sim)
         from repro.transport.endpoint import PacketEndpoint
-        endpoint = PacketEndpoint(hub.create("core"), sim)
+        endpoint = PacketEndpoint(net.add_node("core"), sim)
 
         sharded = EventBus(sim, ShardedMatcher(8))
         manager = build_bus_manager(sim, sharded, endpoint)
@@ -181,5 +182,5 @@ class TestManager:
 
         single = EventBus(sim)
         manager = build_bus_manager(
-            sim, single, PacketEndpoint(hub.create("c2"), sim))
+            sim, single, PacketEndpoint(net.add_node("c2"), sim))
         assert {c.name for c in manager.controllers} == {"rtt"}

@@ -1,9 +1,11 @@
 """Shared fixtures.
 
 Unit tests run on a virtual-time :class:`Simulator`; network-flavoured
-tests get an in-memory hub or a simulated network.  Everything is
-deterministic — no test depends on wall-clock time or real sockets except
-the explicitly-marked UDP integration tests.
+tests get a simulated network: ``net``, the ideal link between zero-cost
+hosts (faults are its own methods; ``net.tap`` sees every datagram), or
+``simnet`` / ``usb_net``, which model a radio and the paper's cable.
+Everything is deterministic — no test depends on wall-clock time or real
+sockets except the explicitly-marked UDP integration tests.
 """
 
 import pytest
@@ -14,8 +16,7 @@ from repro.sim.kernel import Simulator
 from repro.sim.radio import USB_IP, WIFI_11B, SimNetwork
 from repro.sim.rng import RngRegistry
 from repro.transport.endpoint import PacketEndpoint
-from repro.transport.inmem import InMemoryHub
-from repro.transport.simnet import SimTransport
+from repro.transport.simnet import SimTransport, ideal_network
 
 
 @pytest.fixture
@@ -24,8 +25,9 @@ def sim():
 
 
 @pytest.fixture
-def hub(sim):
-    return InMemoryHub(sim)
+def net(sim):
+    """The ideal network: ``net.add_node(name)`` returns a node's transport."""
+    return ideal_network(sim)
 
 
 @pytest.fixture
@@ -59,10 +61,10 @@ def usb_net(sim):
 
 
 @pytest.fixture
-def endpoints(sim, hub):
-    """Factory for PacketEndpoints joined through the in-memory hub."""
+def endpoints(sim, net):
+    """Factory for PacketEndpoints joined through the ideal network."""
 
     def make(name, **kwargs):
-        return PacketEndpoint(hub.create(name), sim, **kwargs)
+        return PacketEndpoint(net.add_node(name), sim, **kwargs)
 
     return make

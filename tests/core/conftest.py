@@ -28,12 +28,12 @@ class CoreKit:
     ``run_until_idle`` still terminates.
     """
 
-    def __init__(self, sim, hub, window=None, shards=1, autonomic=None):
+    def __init__(self, sim, net, window=None, shards=1, autonomic=None):
         self.sim = sim
-        self.hub = hub
+        self.net = net
         endpoint_kwargs = {} if window is None else {"window": window}
         self.window = window
-        self.core_endpoint = PacketEndpoint(hub.create("core"), sim,
+        self.core_endpoint = PacketEndpoint(net.add_node("core"), sim,
                                             **endpoint_kwargs)
         if shards > 1:
             self.bus = ShardedEventBus(sim, shards, "forwarding")
@@ -49,7 +49,7 @@ class CoreKit:
     def device_endpoint(self, name, **kwargs) -> PacketEndpoint:
         if self.window is not None:
             kwargs.setdefault("window", self.window)
-        return PacketEndpoint(self.hub.create(name), self.sim, **kwargs)
+        return PacketEndpoint(self.net.add_node(name), self.sim, **kwargs)
 
     def admit(self, endpoint, name=None, device_type="service"):
         """Publish the New Member event for a device endpoint."""
@@ -78,5 +78,5 @@ class CoreKit:
 
 
 @pytest.fixture
-def kit(sim, hub):
-    return CoreKit(sim, hub)
+def kit(sim, net):
+    return CoreKit(sim, net)

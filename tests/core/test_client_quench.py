@@ -56,7 +56,7 @@ class TestClient:
                     return False
             return True
 
-        kit.hub.drop_filter = drop_one_subscriber_ack
+        kit.net.tap = drop_one_subscriber_ack
         publisher.publish("t", {"v": 1})
         sim.run(10.0)
         assert len(got) == 1

@@ -10,6 +10,8 @@ from repro.devices.protocols import HeartRateProtocol
 from repro.errors import ConfigurationError
 from repro.ids import service_id_from_name
 from repro.matching.filters import Filter
+from repro.transport.endpoint import PacketEndpoint
+from repro.transport.simnet import SimTransport
 
 
 class TestBootstrap:
@@ -146,12 +148,12 @@ class TestPurgeSelfDestruct:
         kit.purge(client.service_id)
         assert kit.bus.subscriptions_of(client.service_id) == set()
 
-    def test_purge_drops_queued_events(self, kit, sim, hub):
+    def test_purge_drops_queued_events(self, kit, sim, net):
         client = kit.client("dev")
         client.subscribe(Filter.where("t"), lambda e: None)
         sim.run_until_idle()
         # Cut the device off, queue events for it, then purge.
-        hub.drop_filter = lambda src, dest, data: dest != "dev"
+        net.block_one_way("core", "dev", True)
         publisher = kit.bus.local_publisher("svc")
         for _ in range(5):
             publisher.publish("t")
@@ -160,7 +162,7 @@ class TestPurgeSelfDestruct:
         kit.purge(client.service_id)
         assert proxy.stats.dropped_on_destroy >= 4
         # Nothing arrives even after the partition heals.
-        hub.drop_filter = None
+        net.block_one_way("core", "dev", False)
         before = client.stats.delivered
         sim.run(10.0)
         assert client.stats.delivered == before
@@ -227,7 +229,7 @@ class TestMembersDoNotSpeakForTheCell:
 
 class TestAddressHandover:
     def test_proxy_whose_address_changed_hands_sends_nothing(self, kit, sim,
-                                                             hub):
+                                                             net):
         # A member goes quiet and another peer turns up at its address
         # (a NAT rebind): the member's session there is reset, and until
         # it is heard again its proxy has nowhere to send.
@@ -235,10 +237,8 @@ class TestAddressHandover:
         client.subscribe(Filter.where("t"), lambda e: None)
         sim.run_until_idle()
         proxy = kit.bus.proxy_of(client.service_id)
-        transport = hub._transports.pop("dev")       # the member moves off
-        transport._local_address = "dev-away"
-        hub._transports["dev-away"] = transport
-        newcomer = kit.device_endpoint("dev")
+        # The member moves off, and another peer takes its address.
+        newcomer = PacketEndpoint(SimTransport(net, "dev"), sim)
         newcomer.transport._service_id = service_id_from_name("newcomer")
         newcomer.send_reliable("core", protocol.frame(BusOp.PUBLISH, b""))
         sim.run_until_idle()
@@ -247,7 +247,7 @@ class TestAddressHandover:
         assert proxy.set_quench("backlog", True)
         sim.run_until_idle()                          # must not raise
         assert proxy.stats.events_delivered == 0
-        assert proxy.transport_stats() is None
+        assert kit.core_endpoint.peer_channel(client.service_id) is None
         assert kit.core_endpoint.peer_channel(newcomer.service_id) \
             .stats.delivered == 1                     # its own, only
 

@@ -64,7 +64,7 @@ def delivered_keys(payloads) -> list[tuple[int, int]]:
 
 
 class TestOneTurnOnePublish:
-    """On the in-memory hub a turn is one scheduler instant: everything
+    """On the ideal network a turn is one scheduler instant: everything
     sent before the scheduler runs arrives in the same turn."""
 
     def subscriber(self, kit, name="display"):

@@ -431,12 +431,12 @@ class TestWorkerDifferential:
         """K one-event PUBLISH datagrams handed up in one receive turn
         are one plan round over the worker pipe, not K — and deliver what
         K turns deliver."""
-        from repro.transport.inmem import InMemoryHub
+        from repro.transport.simnet import ideal_network
         from tests.core.conftest import CoreKit
 
         def drive(one_turn):
             sim = Simulator()
-            kit = CoreKit(sim, InMemoryHub(sim), shards=4)
+            kit = CoreKit(sim, ideal_network(sim), shards=4)
             pool.rebind(kit.bus.sharded)
             inboxes = {index: [] for index in range(6)}
             for index, inbox in inboxes.items():

@@ -1,7 +1,7 @@
 """Deployment layer: edge controls, the cell server and its healthz.
 
-Edge units (admission, backpressure) run on the simulator + in-memory
-hub; the CellServer tests stand up real loopback sockets, because the
+Edge units (admission, backpressure) run on the simulator + the ideal
+network; the CellServer tests stand up real loopback sockets, because the
 server *is* the real-socket assembly — but with OS-chosen ports and
 sub-second timers they stay fast and collision-free.
 """
@@ -80,7 +80,7 @@ class TestCapacityAuthenticator:
 
 
 class TestBackpressureGuard:
-    def _stack(self, sim, hub, endpoints, **bounds):
+    def _stack(self, sim, net, endpoints, **bounds):
         core = endpoints("core", window=2)
         dev = endpoints("dev")
         dev.set_payload_handler(lambda peer, data: None)   # swallow frames
@@ -91,7 +91,7 @@ class TestBackpressureGuard:
         guard = BackpressureGuard(bus, core, **bounds)
         return core, bus, dev_id, proxy, guard
 
-    def test_bounds_validated(self, sim, hub, endpoints):
+    def test_bounds_validated(self, sim, net, endpoints):
         core = endpoints("core")
         bus = EventBus(sim)
         for bad in (dict(quench_backlog=4, wake_backlog=4, shed_backlog=8),
@@ -100,11 +100,11 @@ class TestBackpressureGuard:
             with pytest.raises(ConfigurationError):
                 BackpressureGuard(bus, core, **bad)
 
-    def test_quench_then_wake_hysteresis(self, sim, hub, endpoints):
+    def test_quench_then_wake_hysteresis(self, sim, net, endpoints):
         core, bus, dev_id, proxy, guard = self._stack(
-            sim, hub, endpoints, quench_backlog=4, wake_backlog=2,
+            sim, net, endpoints, quench_backlog=4, wake_backlog=2,
             shed_backlog=64)
-        hub.drop_filter = lambda src, dest, data: False   # strand sends
+        net.set_link_blocked("core", "dev", True)   # strand sends
         for index in range(6):
             core.send_reliable("dev", bytes([index]))
         guard.sweep()
@@ -113,17 +113,17 @@ class TestBackpressureGuard:
         guard.sweep()                     # still over: no duplicate
         assert guard.stats.quench_advisories == 1
         # The member drains: acks arrive, backlog falls below wake.
-        hub.drop_filter = None
+        net.set_link_blocked("core", "dev", False)
         sim.run_until_idle(max_time=sim.now() + 60.0)
         guard.sweep()
         assert guard.edge_quenched() == set()
         assert guard.stats.wake_advisories == 1
 
-    def test_shed_trims_pending_tail(self, sim, hub, endpoints):
+    def test_shed_trims_pending_tail(self, sim, net, endpoints):
         core, bus, dev_id, proxy, guard = self._stack(
-            sim, hub, endpoints, quench_backlog=3, wake_backlog=1,
+            sim, net, endpoints, quench_backlog=3, wake_backlog=1,
             shed_backlog=6)
-        hub.drop_filter = lambda src, dest, data: False
+        net.set_link_blocked("core", "dev", True)
         for index in range(10):           # window 2 -> 8 pending
             core.send_reliable("dev", bytes([index]))
         channel = core.existing_channel("dev")
@@ -135,7 +135,7 @@ class TestBackpressureGuard:
         assert channel.stats.backlog_shed == 3
         assert channel.unacked_count() == 8            # 2 in flight + 6
 
-    def test_a_declared_capacity_clamps_the_bounds(self, sim, hub, endpoints):
+    def test_a_declared_capacity_clamps_the_bounds(self, sim, net, endpoints):
         """Under the 64/16/256 defaults a member that declared capacity 4
         is quenched at 4 queued payloads and shed past 16 (4 x capacity);
         a heartbeat re-declaring 8 moves the bounds once its state event
@@ -157,7 +157,7 @@ class TestBackpressureGuard:
             for index in range(count):
                 core.send_reliable("dev", bytes([index]))
 
-        hub.drop_filter = lambda src, dest, data: src != "core"
+        net.block_one_way("core", "dev", True)
         strand(3)
         channel = core.existing_channel("dev")
         guard.sweep()
@@ -184,11 +184,11 @@ class TestBackpressureGuard:
         assert channel.stats.backlog_shed == 9
         assert channel.unacked_count() == 2 + 18
 
-    def test_purged_member_forgotten(self, sim, hub, endpoints):
+    def test_purged_member_forgotten(self, sim, net, endpoints):
         core, bus, dev_id, proxy, guard = self._stack(
-            sim, hub, endpoints, quench_backlog=2, wake_backlog=1,
+            sim, net, endpoints, quench_backlog=2, wake_backlog=1,
             shed_backlog=64)
-        hub.drop_filter = lambda src, dest, data: False
+        net.set_link_blocked("core", "dev", True)
         for index in range(4):
             core.send_reliable("dev", bytes([index]))
         guard.sweep()
@@ -203,7 +203,7 @@ class TestQuenchOwnership:
     quench controller and a drain each state a reason, and the member is
     advised only when the set of reasons goes empty <-> non-empty."""
 
-    def _stack(self, sim, hub, endpoints):
+    def _stack(self, sim, net, endpoints):
         core = endpoints("core", window=2)
         dev = endpoints("dev")
         advised = []
@@ -221,37 +221,37 @@ class TestQuenchOwnership:
                                   wake_backlog=2, shed_backlog=64)
         return core, bus, proxy, guard, advised
 
-    def _strand(self, hub, core, count=6):
-        hub.drop_filter = lambda src, dest, data: False
+    def _strand(self, net, core, count=6):
+        net.set_link_blocked("core", "dev", True)
         for index in range(count):
             core.send_reliable("dev", protocol.frame(BusOp.DEVICE_CMD,
                                                      bytes([index])))
 
-    def _flush(self, sim, hub):
-        hub.drop_filter = None
+    def _flush(self, sim, net):
+        net.set_link_blocked("core", "dev", False)
         sim.run_until_idle(max_time=sim.now() + 60.0)
 
     def test_drain_of_an_edge_quenched_member_sends_one_on_no_off(
-            self, sim, hub, endpoints):
-        core, bus, proxy, guard, advised = self._stack(sim, hub, endpoints)
-        self._strand(hub, core)
+            self, sim, net, endpoints):
+        core, bus, proxy, guard, advised = self._stack(sim, net, endpoints)
+        self._strand(net, core)
         guard.sweep()
         assert guard.edge_quenched() == {proxy.member_id}
         proxy.begin_drain()
-        self._flush(sim, hub)
+        self._flush(sim, net)
         guard.sweep()                     # backlog gone; still draining
-        self._flush(sim, hub)
+        self._flush(sim, net)
         assert advised == [True]
         assert guard.edge_quenched() == set() and proxy.quenched
         assert guard.stats.quench_advisories == 1
         assert guard.stats.wake_advisories == 0
 
     def test_elvin_wake_under_a_backlog_quench_sends_no_off(
-            self, sim, hub, endpoints):
-        core, bus, proxy, guard, advised = self._stack(sim, hub, endpoints)
+            self, sim, net, endpoints):
+        core, bus, proxy, guard, advised = self._stack(sim, net, endpoints)
         controller = QuenchController(bus)
         controller.register_advertisement(proxy.member_id, Filter.where("t"))
-        self._strand(hub, core)
+        self._strand(net, core)
         guard.sweep()
         assert proxy.quench_reasons == {"unsubscribed", "backlog"}
         assert guard.stats.quench_advisories == 0     # already told
@@ -259,17 +259,17 @@ class TestQuenchOwnership:
         assert not controller.is_quenched(proxy.member_id)
         assert controller.stats.wake_messages_sent == 0
         assert guard.edge_quenched() == {proxy.member_id}
-        self._flush(sim, hub)
+        self._flush(sim, net)
         assert advised == [True]
         guard.sweep()                     # both reasons cleared: one off
-        self._flush(sim, hub)
+        self._flush(sim, net)
         assert advised == [True, False]
         assert guard.stats.wake_advisories == 1
         assert not proxy.quenched
 
-    def test_purge_clears_the_reasons(self, sim, hub, endpoints):
-        core, bus, proxy, guard, advised = self._stack(sim, hub, endpoints)
-        self._strand(hub, core)
+    def test_purge_clears_the_reasons(self, sim, net, endpoints):
+        core, bus, proxy, guard, advised = self._stack(sim, net, endpoints)
+        self._strand(net, core)
         guard.sweep()
         proxy.begin_drain()
         assert proxy.quench_reasons == {"backlog", "draining"}

@@ -247,7 +247,7 @@ class TestActuators:
         sim.run(6.0)
         assert [record.dose_ml for record in pump.doses] == doses
         assert proxy.stats.batches_flushed == flushed + 1
-        assert proxy.transport_stats().sent >= 3
+        assert proxy.endpoint.peer_channel(proxy.member_id).stats.sent >= 3
 
     def test_bad_frame_in_a_batch_costs_only_itself(self, sim, cell_net):
         _, endpoint = cell_net
@@ -298,18 +298,18 @@ class TestActuators:
 
 
 class TestSmartDeviceNewSession:
-    """Purge -> rejoin -> publish / deliver on the in-memory hub: the
+    """Purge -> rejoin -> publish / deliver on the ideal network: the
     agent's new-session rule resets the channel and re-issues the
     subscriptions, whichever stack the client sits in."""
 
-    def test_purged_smart_devices_work_again_after_rejoining(self, sim, hub):
+    def test_purged_smart_devices_work_again_after_rejoining(self, sim, net):
         from repro.core.bootstrap import ProxyBootstrap
         from repro.core.bus import EventBus
         from repro.devices.base import SmartDevice
         from repro.discovery.agent import AgentConfig
         from repro.discovery.service import DiscoveryConfig, DiscoveryService
 
-        core = PacketEndpoint(hub.create("core"), sim)
+        core = PacketEndpoint(net.add_node("core"), sim)
         bus = EventBus(sim)
         ProxyBootstrap(bus, core)
         service = DiscoveryService(bus, core, sim, DiscoveryConfig(
@@ -323,7 +323,7 @@ class TestSmartDeviceNewSession:
                 connections.append((self.name, rejoined))
 
         publisher, subscriber = (
-            Recorder(PacketEndpoint(hub.create(name), sim), sim,
+            Recorder(PacketEndpoint(net.add_node(name), sim), sim,
                      AgentConfig(name=name, device_type="service",
                                  beacon_timeout_s=2.0))
             for name in ("pub", "sub"))
@@ -338,12 +338,12 @@ class TestSmartDeviceNewSession:
         sim.run(3.0)
         assert got == [1]
 
-        hub.drop_filter = lambda src, dest, data: False     # partition
+        net.set_node_up("core", False)          # the cell drops off the air
         sim.run(12.0)
         assert len(service.table) == 0
         assert not publisher.joined and not subscriber.joined
         assert publisher.client.publish("vitals.hr", {"n": 99}) is None
-        hub.drop_filter = None
+        net.set_node_up("core", True)
         sim.run(20.0)
         assert publisher.joined and subscriber.joined
         assert connections == [("pub", False), ("sub", False),

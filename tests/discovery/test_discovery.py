@@ -1,4 +1,4 @@
-"""Discovery service + agent over the in-memory hub.
+"""Discovery service + agent over the ideal network.
 
 Membership lifecycle: admission, auth, heartbeats, masking, purge, leave.
 """
@@ -210,7 +210,7 @@ class TestLiveness:
         assert not any(t == PURGE_MEMBER_TYPE for t, *_ in log)
         assert agent.stats.heartbeats_sent > 10
 
-    def test_silence_then_purge(self, sim, hub, endpoints):
+    def test_silence_then_purge(self, sim, net, endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = membership_log(bus, sim)
         moves = transition_log(bus)
@@ -219,13 +219,13 @@ class TestLiveness:
         agent.start()
         sim.run(2.0)
         assert agent.joined
-        hub.drop_filter = lambda src, dest, data: False   # total partition
+        net.set_link_blocked("core", "dev", True)         # total partition
         sim.run(12.0)
         assert moves.index(("dev", "healthy", "degraded")) \
             < moves.index(("dev", "degraded", "gone"))
         assert (PURGE_MEMBER_TYPE, "dev", "timeout") in log
 
-    def test_transient_silence_masked(self, sim, hub, endpoints):
+    def test_transient_silence_masked(self, sim, net, endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = membership_log(bus, sim)
         moves = transition_log(bus)
@@ -233,9 +233,9 @@ class TestLiveness:
         service.start()
         agent.start()
         sim.run(2.0)
-        hub.drop_filter = lambda src, dest, data: False
+        net.set_link_blocked("core", "dev", True)
         sim.run(4.0)          # silent but under the 4s purge threshold? 2s in
-        hub.drop_filter = None
+        net.set_link_blocked("core", "dev", False)
         sim.run(6.0)
         types = [t for t, *_ in log]
         assert moves.index(("dev", "healthy", "degraded")) \
@@ -243,22 +243,22 @@ class TestLiveness:
         assert PURGE_MEMBER_TYPE not in types
         assert agent.joined
 
-    def test_rejoin_after_purge_is_new_session(self, sim, hub, endpoints):
+    def test_rejoin_after_purge_is_new_session(self, sim, net, endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = membership_log(bus, sim)
         agent = make_agent(sim, endpoints("dev"))
         service.start()
         agent.start()
         sim.run(2.0)
-        hub.drop_filter = lambda src, dest, data: False
+        net.set_link_blocked("core", "dev", True)
         sim.run(12.0)         # purged
-        hub.drop_filter = None
+        net.set_link_blocked("core", "dev", False)
         sim.run(22.0)         # rejoins
         assert agent.joined
         assert agent.last_join_was_new
         assert [t for t, *_ in log].count(NEW_MEMBER_TYPE) == 2
 
-    def test_reannounce_of_live_member_is_not_new_session(self, sim, hub,
+    def test_reannounce_of_live_member_is_not_new_session(self, sim, net,
                                                           endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = membership_log(bus, sim)
@@ -276,7 +276,7 @@ class TestLiveness:
         assert agent.last_join_was_new is False
         assert [t for t, *_ in log].count(NEW_MEMBER_TYPE) == 1
 
-    def test_out_of_range_agent_detects_loss(self, sim, hub, endpoints):
+    def test_out_of_range_agent_detects_loss(self, sim, net, endpoints):
         service, _ = make_service(sim, endpoints("core"))
         agent = make_agent(sim, endpoints("dev"))
         losses = []
@@ -284,7 +284,7 @@ class TestLiveness:
         service.start()
         agent.start()
         sim.run(2.0)
-        hub.drop_filter = lambda src, dest, data: False
+        net.set_link_blocked("core", "dev", True)
         sim.run(5.0)
         assert not agent.joined
         assert losses == ["beacon silence"]
@@ -315,17 +315,17 @@ class TestMembershipTable:
         with pytest.raises(DiscoveryError):
             MembershipTable().remove(9)
 
-    def test_heard_recovers_silent(self, sim, hub, endpoints):
+    def test_heard_recovers_silent(self, sim, net, endpoints):
         service, _ = make_service(sim, endpoints("core"))
         agent = make_agent(sim, endpoints("dev"), beacon_timeout_s=100.0)
         service.start()
         agent.start()
         sim.run(2.0)
         (record,) = service.table.members()
-        hub.drop_filter = lambda src, dest, data: False
+        net.set_link_blocked("core", "dev", True)
         sim.run(4.0)                                # past silent_after_s
         assert record.lifecycle is LifecycleState.DEGRADED
-        hub.drop_filter = None
+        net.set_link_blocked("core", "dev", False)
         sim.run(5.0)
         assert record.lifecycle is LifecycleState.HEALTHY
         assert service.stats.recoveries == 1
@@ -379,7 +379,7 @@ class TestRoaming:
     beacons) at the stale address until it was purged.
     """
 
-    def _joined(self, sim, hub, endpoints):
+    def _joined(self, sim, net, endpoints):
         core_ep = endpoints("core")
         service, bus = make_service(sim, core_ep)
         log = membership_log(bus, sim)
@@ -395,26 +395,26 @@ class TestRoaming:
         agent._cancel_timers()
         return service, bus, core_ep, dev_ep, agent, log
 
-    def _spoof_from(self, hub, address, packet):
+    def _spoof_from(self, net, address, packet):
         """Send ``packet`` into the core from a new transport address,
         keeping the original sender id — the device roamed."""
-        roamed = hub.create(address)
+        roamed = net.add_node(address)
         roamed.set_receiver(lambda src, data: None)
         roamed.send("core", packet.encode())
         return roamed
 
     def test_announce_from_new_address_updates_record(
-            self, sim, hub, endpoints):
+            self, sim, net, endpoints):
         from repro.core.events import MEMBER_MOVED_TYPE
         from repro.transport.packets import Packet, PacketType
 
         service, bus, core_ep, dev_ep, agent, log = self._joined(
-            sim, hub, endpoints)
+            sim, net, endpoints)
         record = service.table.get(dev_ep.service_id)
         assert record.address == "dev"
 
         announce = AnnounceBody("dev", "service", b"")
-        self._spoof_from(hub, "dev-roamed",
+        self._spoof_from(net, "dev-roamed",
                          Packet(type=PacketType.ANNOUNCE,
                                 sender=dev_ep.service_id,
                                 payload=announce.encode()))
@@ -430,18 +430,18 @@ class TestRoaming:
         assert len(service.table) == 1
         assert service.stats.admissions == 1
 
-    def test_queued_deliveries_follow_the_roam(self, sim, hub, endpoints):
+    def test_queued_deliveries_follow_the_roam(self, sim, net, endpoints):
         from repro.transport.packets import Packet, PacketType
 
         service, bus, core_ep, dev_ep, agent, log = self._joined(
-            sim, hub, endpoints)
+            sim, net, endpoints)
         # Strand deliveries toward the old address.
-        hub.drop_filter = lambda src, dest, data: src != "core" or dest != "dev"
+        net.block_one_way("core", "dev", True)
         core_ep.send_reliable("dev", b"queued-while-away")
         sim.run(sim.now() + 0.5)
 
         got = []
-        roamed = hub.create("dev-roamed")
+        roamed = net.add_node("dev-roamed")
 
         def on_datagram(src, data):
             packet = Packet.decode(data)
@@ -459,44 +459,44 @@ class TestRoaming:
         sim.run(sim.now() + 2.0)
         assert b"queued-while-away" in got
 
-    def test_heartbeat_from_new_address_also_roams(self, sim, hub,
+    def test_heartbeat_from_new_address_also_roams(self, sim, net,
                                                    endpoints):
         from repro.transport.packets import Packet, PacketType
 
         service, bus, core_ep, dev_ep, agent, log = self._joined(
-            sim, hub, endpoints)
+            sim, net, endpoints)
         record = service.table.get(dev_ep.service_id)
         # The re-announce was lost; the first packet from the new home
         # is a heartbeat.
-        self._spoof_from(hub, "dev-roamed",
+        self._spoof_from(net, "dev-roamed",
                          Packet(type=PacketType.HEARTBEAT,
                                 sender=dev_ep.service_id))
         sim.run(sim.now() + 1.0)
         assert record.address == "dev-roamed"
         assert service.stats.roams == 1
 
-    def test_same_address_reannounce_is_not_a_roam(self, sim, hub,
+    def test_same_address_reannounce_is_not_a_roam(self, sim, net,
                                                    endpoints):
         service, bus, core_ep, dev_ep, agent, log = self._joined(
-            sim, hub, endpoints)
+            sim, net, endpoints)
         agent._send_announce()          # duplicate from the same address
         sim.run(sim.now() + 1.0)
         assert service.stats.roams == 0
         assert service.table.get(dev_ep.service_id).address == "dev"
 
-    def test_roam_of_silent_member_also_recovers(self, sim, hub,
+    def test_roam_of_silent_member_also_recovers(self, sim, net,
                                                  endpoints):
         from repro.transport.packets import Packet, PacketType
 
         service, bus, core_ep, dev_ep, agent, log = self._joined(
-            sim, hub, endpoints)
-        hub.drop_filter = lambda src, dest, data: False
+            sim, net, endpoints)
+        net.set_link_blocked("core", "dev", True)
         sim.run(sim.now() + 2.5)                    # past silent_after_s
         record = service.table.get(dev_ep.service_id)
         assert record.lifecycle is LifecycleState.DEGRADED
-        hub.drop_filter = None
+        net.set_link_blocked("core", "dev", False)
         announce = AnnounceBody("dev", "service", b"")
-        self._spoof_from(hub, "dev-roamed",
+        self._spoof_from(net, "dev-roamed",
                          Packet(type=PacketType.ANNOUNCE,
                                 sender=dev_ep.service_id,
                                 payload=announce.encode()))

@@ -1,8 +1,9 @@
 """The member state machine: DEGRADED detection, graceful drain, capacity,
 jittered backoff, and the beacon-silence watchdog.
 
-Everything runs on the simulator + in-memory hub with the fault injector
-from :mod:`repro.sim.faults`, so each scenario is deterministic.
+Everything runs on the simulator + the ideal network, whose own fault
+methods take nodes down and block links, so each scenario is
+deterministic.
 (``sim.run(t)`` runs to *absolute* virtual time ``t``.)
 """
 
@@ -34,7 +35,6 @@ from repro.discovery.messages import LeaveIntentBody
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
 from repro.errors import ConfigurationError, DiscoveryError
 from repro.matching.filters import Filter
-from repro.sim.faults import HubFaults
 from repro.transport.packets import PacketType
 
 
@@ -129,18 +129,17 @@ class TestDegradedDetection:
         assert record.lifecycle is LifecycleState.HEALTHY
         assert ("healthy", "joining", "dev", 0, None) in log
 
-    def test_ghost_degraded_within_three_heartbeats(self, sim, hub,
+    def test_ghost_degraded_within_three_heartbeats(self, sim, net,
                                                     endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = state_log(bus)
         silences = degraded_silences(bus)
         agent = make_agent(sim, endpoints("dev"))
-        faults = HubFaults(hub)
         service.start()
         agent.start()
         sim.run(2.2)     # joined and healthy, mid-heartbeat-interval
         assert agent.joined
-        faults.kill("dev")
+        net.set_node_up("dev", False)
         sim.run(5.0)     # past the degraded threshold, before the purge
         assert ("degraded", "healthy", "dev", 0, None) in log
         # The measured detection latency respects the advertised bound:
@@ -156,19 +155,18 @@ class TestDegradedDetection:
         assert service.table.get(agent.endpoint.service_id) is None
         assert ("gone", "degraded", "dev", 0, "timeout") in log
 
-    def test_degraded_member_recovers_to_healthy(self, sim, hub, endpoints):
+    def test_degraded_member_recovers_to_healthy(self, sim, net, endpoints):
         service, bus = make_service(sim, endpoints("core"))
         log = state_log(bus)
         agent = make_agent(sim, endpoints("dev"), beacon_timeout_s=10.0)
-        faults = HubFaults(hub)
         service.start()
         agent.start()
         sim.run(2.0)
-        faults.kill("dev")
+        net.set_node_up("dev", False)
         sim.run(4.0)     # past the degraded threshold, before the purge
         record = service.table.get(agent.endpoint.service_id)
         assert record.lifecycle is LifecycleState.DEGRADED
-        faults.revive("dev")
+        net.set_node_up("dev", True)
         sim.run(5.0)     # next heartbeat lands
         assert record.lifecycle is LifecycleState.HEALTHY
         assert ("healthy", "degraded", "dev", 0, None) in log
@@ -278,35 +276,33 @@ class TestJitteredBackoff:
 class TestBeaconWatchdog:
     """Satellite coverage for DiscoveryAgent._check_beacons."""
 
-    def test_falls_out_of_range_on_beacon_silence(self, sim, hub,
+    def test_falls_out_of_range_on_beacon_silence(self, sim, net,
                                                   endpoints):
         service, _ = make_service(sim, endpoints("core"))
         agent = make_agent(sim, endpoints("dev"), beacon_timeout_s=1.5)
         left = []
         agent.on_left = left.append
-        faults = HubFaults(hub)
         service.start()
         agent.start()
         sim.run(2.0)
         assert agent.joined
-        faults.block_one_way("core", "dev")   # beacons lost; uplink fine
+        net.block_one_way("core", "dev", True)   # beacons lost; uplink fine
         sim.run(5.0)
         assert agent.state is AgentState.SEARCHING
         assert left == ["beacon silence"]
         assert agent.stats.losses == 1
 
-    def test_rejoins_on_next_beacon(self, sim, hub, endpoints):
+    def test_rejoins_on_next_beacon(self, sim, net, endpoints):
         service, _ = make_service(sim, endpoints("core"))
         agent = make_agent(sim, endpoints("dev"), beacon_timeout_s=1.5)
-        faults = HubFaults(hub)
         service.start()
         agent.start()
         sim.run(2.0)
-        faults.block_one_way("core", "dev")
+        net.block_one_way("core", "dev", True)
         sim.run(5.0)
         assert not agent.joined
         heard_before = agent.stats.beacons_heard
-        faults.unblock_one_way("core", "dev")
+        net.block_one_way("core", "dev", False)
         sim.run(7.0)
         assert agent.joined
         assert agent.stats.beacons_heard > heard_before
@@ -400,14 +396,13 @@ class TestGracefulDrain:
         return publisher, subscriber, pub_client, sub_client
 
     def test_drain_flushes_backlog_then_purges_with_zero_loss(
-            self, sim, hub, endpoints):
+            self, sim, net, endpoints):
         _, service, bus, _ = self._cell(sim, endpoints,
                                         drain_deadline_s=30.0)
         log = state_log(bus)
         purges = []
         bus.subscribe_local(Filter.where(PURGE_MEMBER_TYPE),
                             lambda e: purges.append(e.get("reason")))
-        faults = HubFaults(hub)
         _pub, subscriber, pub_client, sub_client = self._joined_pair(
             sim, endpoints, service)
 
@@ -421,7 +416,7 @@ class TestGracefulDrain:
 
         # Cut the core -> subscriber direction so deliveries pile up on
         # the channel (heartbeats still flow sub -> core).
-        faults.block_one_way("core", "sub")
+        net.block_one_way("core", "sub", True)
         for n in range(10):
             pub_client.publish("ward.data", {"n": n})
         sim.run(4.0)
@@ -437,7 +432,7 @@ class TestGracefulDrain:
         assert proxy.draining
         assert not purges                 # still flushing: not purged yet
 
-        faults.unblock_one_way("core", "sub")
+        net.block_one_way("core", "sub", False)
         sim.run(12.0)
         # Every queued delivery landed, then the purge fired, and the
         # proxy found an empty channel: zero matched-event loss.
@@ -449,12 +444,11 @@ class TestGracefulDrain:
         assert ("draining", "healthy", "sub", 0, "drain") in log
         assert ("gone", "draining", "sub", 0, "drain") in log
 
-    def test_drain_deadline_degrades_to_purge(self, sim, hub, endpoints):
+    def test_drain_deadline_degrades_to_purge(self, sim, net, endpoints):
         _, service, bus, _ = self._cell(sim, endpoints, drain_deadline_s=1.0)
         purges = []
         bus.subscribe_local(Filter.where(PURGE_MEMBER_TYPE),
                             lambda e: purges.append(e.get("reason")))
-        faults = HubFaults(hub)
         _pub, subscriber, pub_client, sub_client = self._joined_pair(
             sim, endpoints, service)
         sim.run(2.0)
@@ -463,7 +457,7 @@ class TestGracefulDrain:
         member = subscriber.endpoint.service_id
         proxy = bus.proxy_of(member)
 
-        faults.block_one_way("core", "sub")
+        net.block_one_way("core", "sub", True)
         for n in range(5):
             pub_client.publish("ward.data", {"n": n})
         sim.run(4.0)

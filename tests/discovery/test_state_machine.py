@@ -28,8 +28,8 @@ from repro.ids import service_id_from_name
 from repro.matching.filters import Filter
 from repro.sim.kernel import Simulator
 from repro.transport.endpoint import PacketEndpoint
-from repro.transport.inmem import InMemoryHub
 from repro.transport.packets import Packet, PacketType
+from repro.transport.simnet import ideal_network
 
 
 # -- (a) the table, exhaustively ----------------------------------------------
@@ -139,10 +139,10 @@ class Rig:
 
     def __init__(self):
         self.sim = Simulator()
-        hub = InMemoryHub(self.sim)
-        hub.create("dev").set_receiver(lambda src, data: None)
-        hub.drop_filter = lambda src, dest, data: False     # nothing acks
-        self.endpoint = PacketEndpoint(hub.create("core"), self.sim)
+        net = ideal_network(self.sim)
+        net.add_node("dev").set_receiver(lambda src, data: None)
+        net.set_link_blocked("core", "dev", True)           # nothing acks
+        self.endpoint = PacketEndpoint(net.add_node("core"), self.sim)
         bus = EventBus(self.sim)
         self.service = DiscoveryService(bus, self.endpoint, self.sim,
                                         DiscoveryConfig(

@@ -37,8 +37,9 @@ from repro.discovery.agent import AgentConfig, DiscoveryAgent
 from repro.discovery.lifecycle import LifecycleState
 from repro.discovery.service import DiscoveryConfig, DiscoveryService
 from repro.matching.filters import Filter
-from repro.sim.faults import FaultPlan, HubFaults
+from repro.sim.faults import FaultPlan
 from repro.smc.cell import CellConfig
+from repro.transport.simnet import ideal_network
 
 CHAOS_EVENTS = 200     # steady publisher, clean link
 NOISE_EVENTS = 100     # noisy publisher, mangled link
@@ -51,14 +52,15 @@ def assert_conservation(stats):
 
 
 class ChaosCell:
-    """A cell plus named devices on one hub, with fast lifecycle timers."""
+    """A cell plus named devices on one network, with fast lifecycle
+    timers."""
 
     HEARTBEAT_S = 0.2
     SWEEP_S = 0.1
 
     def __init__(self, sim, endpoints):
         self.sim = sim
-        core = endpoints("core")
+        self.core = core = endpoints("core")
         self.bus = EventBus(sim)
         ProxyBootstrap(self.bus, core)
         self.service = DiscoveryService(
@@ -106,7 +108,7 @@ class ChaosCell:
         return [reason for who, reason in self.purges if who == name]
 
 
-def test_chaos_soak_detection_conservation_and_drain(sim, hub, endpoints):
+def test_chaos_soak_detection_conservation_and_drain(sim, net, endpoints):
     cell = ChaosCell(sim, endpoints)
     cell.device("steady-pub", with_client=True)
     cell.device("steady-sub", with_client=True)
@@ -149,16 +151,15 @@ def test_chaos_soak_detection_conservation_and_drain(sim, hub, endpoints):
                     noise_sent, n)
 
     # The storm, compiled up-front from one seed.
-    faults = HubFaults(hub, rng_seed=1337)
     plan = FaultPlan(sim, seed=1337)
     plan.at(4.0, "mangle core|noisy",
-            lambda: faults.mangle("core", "noisy", corrupt_rate=0.1,
-                                  duplicate_rate=0.1, delay_s=0.01))
-    plan.crash(plan.jittered(5.0, 0.2), faults, "ghost")
-    plan.freeze(6.0, faults, "sleeper", 1.2)
-    plan.flap(8.0, faults, "core", "walker", 0.3, 3)
+            lambda: net.mangle("core", "noisy", corrupt_rate=0.1,
+                               duplicate_rate=0.1, delay_s=0.01))
+    plan.crash(plan.jittered(5.0, 0.2), net, "ghost")
+    plan.freeze(6.0, net, "sleeper", 1.2)
+    plan.flap(8.0, net, "core", "walker", 0.3, 3)
     plan.at(14.5, "clear mangle core|noisy",
-            lambda: faults.clear_mangle("core", "noisy"))
+            lambda: net.mangle("core", "noisy"))
     plan.at(14.5, "drain drainer",
             lambda: cell.agents["drainer"].leave_gracefully())
     assert len(plan.log) == 12          # the full reproduction recipe
@@ -190,8 +191,10 @@ def test_chaos_soak_detection_conservation_and_drain(sim, hub, endpoints):
     assert noise_sent == list(range(NOISE_EVENTS))
     assert sorted(noise_inbox) == list(range(NOISE_EVENTS))
     assert len(noise_inbox) == len(set(noise_inbox))
-    assert faults.injected > 0, "the mangle never actuated"
-    assert hub.datagrams_dropped > 0, "the storm never dropped a datagram"
+    assert (cell.core.decode_errors
+            + cell.agents["noisy"].endpoint.decode_errors > 0), \
+        "the mangle never corrupted a datagram"
+    assert net.datagrams_dropped > 0, "the storm never dropped a datagram"
 
     # -- the graceful departure lost nothing -------------------------------
     assert cell.purge_reasons("drainer") == ["drain"]
@@ -205,18 +208,26 @@ def test_chaos_soak_detection_conservation_and_drain(sim, hub, endpoints):
     assert_conservation(cell.bus.stats)
 
 
-def test_chaos_soak_is_deterministic(sim, hub, endpoints):
+def test_chaos_soak_is_deterministic(sim):
     """Same seed, same storm: the plan's log is the reproduction recipe."""
-    faults = HubFaults(hub, rng_seed=7)
     plan = FaultPlan(sim, seed=7)
     instants = [plan.jittered(1.0, 0.5) for _ in range(5)]
     plan2 = FaultPlan(sim, seed=7)
     assert [plan2.jittered(1.0, 0.5) for _ in range(5)] == instants
     payload = bytes(range(64))
-    faults.mangle("a", "b", corrupt_rate=1.0)
-    faults2 = HubFaults(hub, rng_seed=7)
-    faults2.mangle("a", "b", corrupt_rate=1.0)
-    assert faults._rng.random() == faults2._rng.random()
+    received = []
+    for _ in range(2):
+        net = ideal_network(sim, seed=7)
+        a, b = net.add_node("a"), net.add_node("b")
+        got = []
+        b.set_receiver(lambda src, data, got=got: got.append(data))
+        net.mangle("a", "b", corrupt_rate=1.0)
+        for _ in range(5):
+            a.send("b", payload)
+        sim.run_until_idle()
+        received.append(got)
+    assert received[0] == received[1]
+    assert len(received[0]) == 5 and payload not in received[0]
 
 
 class TestUdpChaos:

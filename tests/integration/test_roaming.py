@@ -21,26 +21,29 @@ from repro.ids import service_id_from_name
 from repro.matching.filters import Filter
 from repro.sim.kernel import Simulator
 from repro.transport.endpoint import PacketEndpoint
-from repro.transport.inmem import InMemoryHub
+from repro.transport.simnet import SimTransport, ideal_network
 
 
-def rebind(hub, transport, address):
-    """Move ``transport`` to a new hub ``address``, keeping its service id
-    and everything above it: its later datagrams come from ``address``
-    and what is sent there reaches the same stack."""
-    del hub._transports[transport.local_address]
+def rebind(net, transport, address):
+    """Move ``transport`` to a new node ``address``, keeping its service id
+    and everything above it: its later datagrams come from ``address``,
+    what is sent there reaches the same stack, and the address it left
+    becomes a black hole."""
+    old = transport.local_address
+    net.add_node(address)
     transport._local_address = address
-    hub._transports[address] = transport
+    net.set_receiver(address, transport._deliver)
+    net.set_receiver(old, lambda src, data: None)
 
 
-def test_smart_device_keeps_its_session_across_a_rebind(sim, hub):
-    core = PacketEndpoint(hub.create("core"), sim)
+def test_smart_device_keeps_its_session_across_a_rebind(sim, net):
+    core = PacketEndpoint(net.add_node("core"), sim)
     bus = EventBus(sim)
     ProxyBootstrap(bus, core)
     service = DiscoveryService(bus, core, sim, DiscoveryConfig(
         cell_name="cell", beacon_period_s=0.5, heartbeat_period_s=0.5,
         purge_after_s=4.0, sweep_period_s=0.25))
-    device = SmartDevice(PacketEndpoint(hub.create("dev"), sim), sim,
+    device = SmartDevice(PacketEndpoint(net.add_node("dev"), sim), sim,
                          AgentConfig(name="dev", device_type="service",
                                      beacon_timeout_s=2.0))
     service.start()
@@ -58,7 +61,7 @@ def test_smart_device_keeps_its_session_across_a_rebind(sim, hub):
     sim.run(3.0)
     assert (at_cell, at_device) == ([0], [0])
 
-    rebind(hub, device.endpoint.transport, "dev-rebound")
+    rebind(net, device.endpoint.transport, "dev-rebound")
     sim.run(3.6)                        # the next heartbeat is the roam
     member = service.table.get(device.endpoint.service_id)
     assert member.address == "dev-rebound"
@@ -89,20 +92,20 @@ OPS = st.lists(st.one_of(
 
 
 class RoamRig:
-    """One cell-side and one member-side endpoint on an in-memory hub.
+    """One cell-side and one member-side endpoint on the ideal network.
 
     The member roams by moving its transport to a fresh address (the
     address it left becomes a black hole); a handover gives a retired
     member address to a stranger peer, once the cell has heard the member
-    somewhere else.  A fault arms the hub to drop or duplicate its next
-    datagram.
+    somewhere else.  A fault arms the network's tap to drop or duplicate
+    its next datagram.
     """
 
     def __init__(self):
         self.sim = Simulator()
-        self.hub = InMemoryHub(self.sim)
-        self.cell = PacketEndpoint(self.hub.create("cell"), self.sim)
-        self.member = PacketEndpoint(self.hub.create("a0"), self.sim)
+        self.net = ideal_network(self.sim)
+        self.cell = PacketEndpoint(self.net.add_node("cell"), self.sim)
+        self.member = PacketEndpoint(self.net.add_node("a0"), self.sim)
         self.member_id = self.member.service_id
         self.up, self.down, self.strangers = [], [], {}
         self.at_cell, self.at_member, self.from_strangers = [], [], []
@@ -111,7 +114,7 @@ class RoamRig:
             lambda peer, data: self.at_member.append(bytes(data)))
         self.retired = []
         self.fault = None
-        self.hub.drop_filter = self._filter
+        self.net.tap = self._filter
         self.publish()
         self.settle()                   # the cell has heard the member
 
@@ -124,7 +127,7 @@ class RoamRig:
     def _filter(self, src, dest, data):
         fault, self.fault = self.fault, None
         if fault == "duplicate":
-            self.hub.inject(src, dest, data)
+            self.net.send(src, dest, data)      # the tap is disarmed now
         return fault != "drop"
 
     def settle(self):
@@ -142,8 +145,8 @@ class RoamRig:
 
     def roam(self):
         old = self.member.local_address
-        rebind(self.hub, self.member.transport, "a%d" % (len(self.retired) + 1))
-        self.hub.create(old).set_receiver(lambda src, data: None)
+        rebind(self.net, self.member.transport,
+               "a%d" % (len(self.retired) + 1))
         self.retired.append(old)
 
     def handover(self):
@@ -153,7 +156,7 @@ class RoamRig:
         if not free:
             return
         address = free[0]
-        transport = self.hub._transports[address]
+        transport = SimTransport(self.net, address)
         transport._service_id = service_id_from_name("stranger-" + address)
         stranger = PacketEndpoint(transport, self.sim)
         stranger.send_reliable("cell", b"hello from " + address.encode())
@@ -178,7 +181,7 @@ class RoamRig:
             assert channel.peer_address == address
 
     def finish(self):
-        """Heal the hub, have the member speak from where it is, and give
+        """Heal the network, have the member speak from where it is, and give
         every queue time to drain (a desynchronised channel would
         retransmit forever)."""
         self.fault = None

@@ -1,7 +1,7 @@
 """Seeded soak: thousands of events, membership churn, exact accounting.
 
 Drives a full SMC core (clients -> channels -> proxies -> bus) over the
-in-memory simulated network for thousands of events while members are
+ideal simulated network for thousands of events while members are
 purged and readmitted, mixing the per-event and batch publish pipelines,
 plus hostile traffic (publications from a non-member) and bus-level
 duplicates.  Asserts the paper's semantics verbatim:
@@ -33,7 +33,7 @@ from repro.core.protocol import BusOp
 from repro.ids import service_id_from_name
 from repro.matching.filters import Filter
 from repro.sim.kernel import Simulator
-from repro.transport.inmem import InMemoryHub
+from repro.transport.simnet import ideal_network
 
 from tests.core.conftest import CoreKit
 
@@ -113,8 +113,7 @@ def make_controllers_eager(kit):
 def test_soak_churn_exactly_once_fifo_and_counters(seed, shards, autonomic):
     rng = random.Random(seed)
     sim = Simulator()
-    hub = InMemoryHub(sim)
-    kit = CoreKit(sim, hub, shards=shards, autonomic=autonomic)
+    kit = CoreKit(sim, ideal_network(sim), shards=shards, autonomic=autonomic)
     if autonomic is not None:
         make_controllers_eager(kit)
 

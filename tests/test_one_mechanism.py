@@ -27,7 +27,10 @@ mechanism reappears next to the one this tree keeps:
 * a peer has one channel, and a roam moves it: only
   ``PacketEndpoint.learn_peer`` re-keys the endpoint's channel table, and
   the multi-address roam machinery and the proxies' second copy of a
-  member's address stay deleted.
+  member's address stay deleted;
+* there is one simulated network, ``SimNetwork``: the in-memory hub, its
+  fault filter and their per-datagram hooks stay deleted, and every
+  datagram transport is a ``SimTransport`` or a ``UdpTransport``.
 """
 
 import ast
@@ -299,3 +302,25 @@ def test_a_peer_has_one_channel_and_a_roam_moves_it():
                                if isinstance(target, ast.Name))
     assert sorted(defined & deleted) == []
     assert rekeyers == {"transport/endpoint.py:PacketEndpoint.learn_peer"}
+
+
+def test_one_simulated_network():
+    names = set()
+    bases = {}
+    for _rel, tree in modules():
+        for node in ast.walk(tree):
+            names.update(value for field in ("id", "attr", "arg", "name")
+                         if isinstance(value := getattr(node, field, None),
+                                       str))
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = {ast.unparse(base).rsplit(".", 1)[-1]
+                                    for base in node.bases}
+    assert sorted(names & {"InMemoryHub", "InMemoryTransport", "HubFaults",
+                           "drop_filter", "inject"}) == []
+    transports, grown = set(), True
+    while grown:
+        found = {name for name, parents in bases.items()
+                 if parents & (transports | {"Transport"})}
+        grown = not found <= transports
+        transports |= found
+    assert transports == {"SimTransport", "UdpTransport"}

@@ -34,7 +34,7 @@ from repro.matching.filters import (
 from repro.sim.kernel import Simulator
 from repro.transport import wire
 from repro.transport.endpoint import PacketEndpoint
-from repro.transport.inmem import InMemoryHub
+from repro.transport.simnet import ideal_network
 
 from tests.core.conftest import CoreKit
 
@@ -237,8 +237,8 @@ def walked(payload):
 # -- the differential ------------------------------------------------------------
 
 class RecordingDevice(RawSensorDevice):
-    def __init__(self, sim, hub, name):
-        super().__init__(PacketEndpoint(hub.create(name), sim), sim,
+    def __init__(self, sim, net, name):
+        super().__init__(PacketEndpoint(net.add_node(name), sim), sim,
                          AgentConfig(name=name, device_type="sensor.hr"))
         self.commands = []
 
@@ -252,7 +252,7 @@ def proxy_pair():
     sides = []
     for _ in range(2):
         sim = Simulator()
-        kit = CoreKit(sim, InMemoryHub(sim))
+        kit = CoreKit(sim, ideal_network(sim))
         kit.admit(kit.device_endpoint("pub"))
         inbox = []
         kit.bus.subscribe_local(Filter.where("walk.reading"),
@@ -282,7 +282,7 @@ class TestOneWalk:
     @given(payloads())
     def test_client_matches_the_parent_loop(self, payload):
         sim = Simulator()
-        kit = CoreKit(sim, InMemoryHub(sim))
+        kit = CoreKit(sim, ideal_network(sim))
         results = []
         for name in ("new", "twin"):
             client = kit.client(name)
@@ -305,9 +305,9 @@ class TestOneWalk:
     @given(payloads())
     def test_raw_device_matches_the_parent_loop(self, payload):
         sim = Simulator()
-        hub = InMemoryHub(sim)
-        device = RecordingDevice(sim, hub, "new")
-        twin = RecordingDevice(sim, hub, "twin")
+        net = ideal_network(sim)
+        device = RecordingDevice(sim, net, "new")
+        twin = RecordingDevice(sim, net, "twin")
         handled = []
         device._on_payload(SENDER, payload)
         parent_device_on_payload(twin, SENDER, payload, handled)

@@ -58,9 +58,9 @@ class TestPlanes:
         sim.run_until_idle()
         assert seen == []
 
-    def test_garbage_datagrams_counted_not_raised(self, sim, hub, endpoints):
+    def test_garbage_datagrams_counted_not_raised(self, sim, net, endpoints):
         b = endpoints("b")
-        raw = hub.create("raw-sender")
+        raw = net.add_node("raw-sender")
         raw.send("b", b"not a packet at all")
         sim.run_until_idle()
         assert b.decode_errors == 1
@@ -98,11 +98,11 @@ class TestPeerBookkeeping:
 
 
 class TestChannels:
-    def test_close_channel_reports_dropped_payloads(self, sim, hub,
+    def test_close_channel_reports_dropped_payloads(self, sim, net,
                                                     endpoints):
         a, b = endpoints("a"), endpoints("b")
         b.set_payload_handler(lambda peer, data: None)
-        hub.drop_filter = lambda src, dest, data: False
+        net.set_link_blocked("a", "b", True)
         a.learn_peer(service_id_from_name("b"), "b")
         for i in range(4):
             a.send_reliable("b", bytes([i]))
@@ -114,7 +114,7 @@ class TestChannels:
         a.learn_peer(service_id_from_name("b"), "b")
         assert a.close_channel(service_id_from_name("b")) == 0
 
-    def test_one_sided_reset_desyncs_by_design(self, sim, hub, endpoints):
+    def test_one_sided_reset_desyncs_by_design(self, sim, net, endpoints):
         # Channel state is scoped to a membership session: if only one side
         # resets, the survivor treats the fresh sequence numbers as
         # duplicates.  This is why JOIN_ACK carries new_session and both
@@ -129,7 +129,7 @@ class TestChannels:
         sim.run(5.0)
         assert got == [b"first"]               # suppressed as a duplicate
 
-    def test_both_sides_reset_resyncs(self, sim, hub, endpoints):
+    def test_both_sides_reset_resyncs(self, sim, net, endpoints):
         a, b = endpoints("a"), endpoints("b")
         got = []
         b.set_payload_handler(lambda peer, data: got.append(data))
@@ -172,21 +172,22 @@ class TestRoamingPeers:
     (regression: close_channel used to tear down only the latest
     address, and a roamed peer owned a channel at each)."""
 
-    def _stranded(self, sim, hub, endpoints, payloads=3):
+    def _stranded(self, sim, net, endpoints, payloads=3):
         """A core with ``payloads`` events queued to peer "dev", whose
         acks never arrive; returns (core, dev service id)."""
         core, dev = endpoints("core"), endpoints("dev")
         dev.set_payload_handler(lambda peer, data: None)
-        hub.create("dev-roamed")                  # the peer's new home
-        hub.drop_filter = lambda src, dest, data: src != "core"
+        net.add_node("dev-roamed")                  # the peer's new home
+        for address in ("dev", "dev-roamed"):     # nothing the core sends
+            net.block_one_way("core", address, True)
         core.learn_peer(dev.service_id, "dev")
         for index in range(payloads):
             core.send_reliable("dev", bytes([index]))
         return core, dev.service_id
 
     def test_close_channel_drops_roamed_and_current_queues(
-            self, sim, hub, endpoints):
-        core, dev_id = self._stranded(sim, hub, endpoints)
+            self, sim, net, endpoints):
+        core, dev_id = self._stranded(sim, net, endpoints)
         core.learn_peer(dev_id, "dev-roamed")     # peer roams
         core.send_reliable("dev-roamed", b"x")
         core.send_reliable("dev-roamed", b"y")
@@ -198,7 +199,7 @@ class TestRoamingPeers:
         assert core.existing_channel("dev-roamed") is None
 
     def test_roam_learned_from_packets_not_just_learn_peer(
-            self, sim, hub, endpoints):
+            self, sim, net, endpoints):
         core, dev = endpoints("core"), endpoints("dev")
         dev.set_payload_handler(lambda peer, data: None)
         core.set_payload_handler(lambda peer, data: None)
@@ -206,7 +207,7 @@ class TestRoamingPeers:
         sim.run_until_idle()
         channel = core.existing_channel("dev")
         # The same service id now speaks from a new source address.
-        roamed = hub.create("dev-roamed")
+        roamed = net.add_node("dev-roamed")
         packet = Packet(type=PacketType.DATA,
                         sender=service_id_from_name("dev"), seq=2,
                         payload=b"from-new-home")
@@ -220,8 +221,8 @@ class TestRoamingPeers:
         assert core.existing_channel("dev") is None
         assert core.existing_channel("dev-roamed") is None
 
-    def test_forget_peer_clears_all_roamed_state(self, sim, hub, endpoints):
-        core, dev_id = self._stranded(sim, hub, endpoints)
+    def test_forget_peer_clears_all_roamed_state(self, sim, net, endpoints):
+        core, dev_id = self._stranded(sim, net, endpoints)
         core.learn_peer(dev_id, "dev-roamed")
         core.send_reliable("dev-roamed", b"x")
         core.close_channel(dev_id)
@@ -231,14 +232,14 @@ class TestRoamingPeers:
         assert core._address_peers == {} and core._peer_addresses == {}
 
     def test_address_handover_resets_old_peers_channel(
-            self, sim, hub, endpoints):
+            self, sim, net, endpoints):
         # When an address changes hands, the previous peer's session
         # there is dead: its queued payloads must not surface at the new
         # occupant, and the new peer starts from a fresh channel.
         core = endpoints("core")
         endpoints("dev")
-        hub.create("shared-addr")
-        hub.drop_filter = lambda src, dest, data: False
+        net.add_node("shared-addr")
+        net.set_link_blocked("core", "shared-addr", True)
         old_peer = service_id_from_name("dev")
         new_peer = service_id_from_name("other")
         core.learn_peer(old_peer, "shared-addr")
@@ -284,19 +285,19 @@ class TestMovePeer:
     with its queue, and what was in flight is resent there at once
     instead of retransmitting to the stale address."""
 
-    def _stranded(self, sim, hub, endpoints, payloads=3):
+    def _stranded(self, sim, net, endpoints, payloads=3):
         core, dev = endpoints("core"), endpoints("dev")
         dev.set_payload_handler(lambda peer, data: None)
-        hub.drop_filter = lambda src, dest, data: src != "core"
+        net.block_one_way("core", "dev", True)
         core.learn_peer(dev.service_id, "dev")
         for index in range(payloads):
             core.send_reliable("dev", bytes([index]))
         return core, dev.service_id
 
-    def _device_at(self, hub, address, dev_id):
+    def _device_at(self, net, address, dev_id):
         """A raw transport standing in for the roamed device: same
         service id, new address; collects DATA payloads and ACKs them."""
-        transport = hub.create(address)
+        transport = net.add_node(address)
         got = []
 
         def on_datagram(src, data):
@@ -310,10 +311,10 @@ class TestMovePeer:
         transport.set_receiver(on_datagram)
         return got
 
-    def test_queued_payloads_follow_the_peer(self, sim, hub, endpoints):
-        core, dev_id = self._stranded(sim, hub, endpoints)
-        got = self._device_at(hub, "dev-roamed", dev_id)
-        hub.drop_filter = None
+    def test_queued_payloads_follow_the_peer(self, sim, net, endpoints):
+        core, dev_id = self._stranded(sim, net, endpoints)
+        got = self._device_at(net, "dev-roamed", dev_id)
+        net.block_one_way("core", "dev", False)
         core.learn_peer(dev_id, "dev-roamed")
         sim.run(0.001)                          # resent at once, no RTO
         assert got == [bytes([0]), bytes([1]), bytes([2])]
@@ -321,22 +322,23 @@ class TestMovePeer:
         assert core.live_channels() == [core.existing_channel("dev-roamed")]
         assert core.existing_channel("dev") is None
 
-    def test_move_covers_every_superseded_address(self, sim, hub,
+    def test_move_covers_every_superseded_address(self, sim, net,
                                                   endpoints):
         # A twice-roamed peer: one channel, moved twice, one queue.
-        core, dev_id = self._stranded(sim, hub, endpoints)
-        hub.create("dev-hop")
+        core, dev_id = self._stranded(sim, net, endpoints)
+        net.add_node("dev-hop")
+        net.block_one_way("core", "dev-hop", True)
         core.learn_peer(dev_id, "dev-hop")
         core.send_reliable("dev-hop", b"mid-roam")
-        got = self._device_at(hub, "dev-final", dev_id)
-        hub.drop_filter = None
+        got = self._device_at(net, "dev-final", dev_id)
+        net.block_one_way("core", "dev", False)
         core.learn_peer(dev_id, "dev-final")
         sim.run_until_idle()
         assert got == [bytes([0]), bytes([1]), bytes([2]), b"mid-roam"]
         assert core.live_channels() == [core.existing_channel("dev-final")]
 
-    def test_move_to_current_address_is_noop(self, sim, hub, endpoints):
-        core, dev_id = self._stranded(sim, hub, endpoints)
+    def test_move_to_current_address_is_noop(self, sim, net, endpoints):
+        core, dev_id = self._stranded(sim, net, endpoints)
         channel = core.existing_channel("dev")
         core.learn_peer(dev_id, "dev")
         assert core.address_of(dev_id) == "dev"
@@ -344,10 +346,10 @@ class TestMovePeer:
         assert core.existing_channel("dev") is channel
         assert channel.stats.retransmissions == 0
 
-    def test_move_with_no_channel_state(self, sim, hub, endpoints):
+    def test_move_with_no_channel_state(self, sim, net, endpoints):
         core = endpoints("core")
         endpoints("dev")
-        hub.create("dev-roamed")
+        net.add_node("dev-roamed")
         dev_id = service_id_from_name("dev")
         core.learn_peer(dev_id, "dev")
         core.learn_peer(dev_id, "dev-roamed")
@@ -359,11 +361,11 @@ class TestAckDueAcrossTeardown:
     """A due (end-of-turn) ACK dies with its channel: nothing is sent on
     a closed channel, and nothing to an address the peer has left."""
 
-    def _ack_due_at_core(self, sim, hub, endpoints):
+    def _ack_due_at_core(self, sim, net, endpoints):
         """DATA from "dev" delivered at the core, ACK not yet flushed:
         the returned hook runs mid-turn, inside the payload upcall."""
         core, dev = endpoints("core"), endpoints("dev")
-        hub.create("dev-roamed")
+        net.add_node("dev-roamed")
         sent_to = []
 
         def note_core_sends(src, dest, data):
@@ -371,16 +373,16 @@ class TestAckDueAcrossTeardown:
                 sent_to.append(dest)
             return True
 
-        hub.drop_filter = note_core_sends
+        net.tap = note_core_sends
         mid_turn = []
         core.set_payload_handler(
             lambda peer, data: [hook(peer) for hook in mid_turn])
         return core, dev, sent_to, mid_turn
 
     def test_roam_with_ack_due_sends_no_ack_to_old_address(
-            self, sim, hub, endpoints):
+            self, sim, net, endpoints):
         core, dev, sent_to, mid_turn = self._ack_due_at_core(
-            sim, hub, endpoints)
+            sim, net, endpoints)
         mid_turn.append(lambda peer: core.learn_peer(peer, "dev-roamed"))
         dev.send_reliable("core", b"moving")
         sim.run(0.01)
@@ -388,9 +390,9 @@ class TestAckDueAcrossTeardown:
         assert core.existing_channel("dev") is None
         assert core.address_of(dev.service_id) == "dev-roamed"
 
-    def test_reset_channel_drops_the_due_ack(self, sim, hub, endpoints):
+    def test_reset_channel_drops_the_due_ack(self, sim, net, endpoints):
         core, dev, sent_to, mid_turn = self._ack_due_at_core(
-            sim, hub, endpoints)
+            sim, net, endpoints)
         mid_turn.append(lambda peer: core.reset_channel_to("dev"))
         dev.send_reliable("core", b"x")
         sim.run(0.01)
@@ -398,16 +400,16 @@ class TestAckDueAcrossTeardown:
         # The fresh channel the next packet creates owes nothing.
         assert core.channel_to("dev").stats.acks_sent == 0
 
-    def test_endpoint_closed_mid_turn(self, sim, hub, endpoints):
+    def test_endpoint_closed_mid_turn(self, sim, net, endpoints):
         core, dev, sent_to, mid_turn = self._ack_due_at_core(
-            sim, hub, endpoints)
+            sim, net, endpoints)
         mid_turn.append(lambda peer: core.close())
         dev.send_reliable("core", b"x")
         sim.run(0.01)                        # must not raise
         assert sent_to == []
 
     def test_a_raising_turn_end_callback_does_not_cost_the_ack(
-            self, sim, hub, endpoints):
+            self, sim, net, endpoints):
         # A turn always pays its debts.  The upcall runs before the
         # channel registers its ACK, so the failing callback comes first.
         core, dev = endpoints("core"), endpoints("dev")
@@ -436,7 +438,7 @@ class TestAckDueAcrossTeardown:
         assert dev.channel_to("core").unacked_count() == 0
 
     def test_unchanged_mapping_skips_learn_peer_but_roam_still_learned(
-            self, sim, hub, endpoints):
+            self, sim, net, endpoints):
         core, dev = endpoints("core"), endpoints("dev")
         core.set_payload_handler(lambda peer, data: None)
         learned = []
@@ -451,7 +453,7 @@ class TestAckDueAcrossTeardown:
             dev.send_reliable("core", bytes([index]))
             sim.run_until_idle()
         assert learned == ["dev"]            # first contact only
-        roamed = hub.create("dev-roamed")
+        roamed = net.add_node("dev-roamed")
         roamed.send("core", Packet(type=PacketType.HEARTBEAT,
                                    sender=dev.service_id).encode())
         sim.run_until_idle()

@@ -41,7 +41,7 @@ from repro.matching.filters import (
 )
 from repro.sim.kernel import Simulator
 from repro.transport import wire
-from repro.transport.inmem import InMemoryHub
+from repro.transport.simnet import ideal_network
 
 from tests.core.conftest import CoreKit
 from tests.transport.test_zero_copy import (
@@ -122,7 +122,7 @@ class Cell:
 
     def __init__(self, subscribers=1):
         self.sim = Simulator()
-        self.kit = CoreKit(self.sim, InMemoryHub(self.sim))
+        self.kit = CoreKit(self.sim, ideal_network(self.sim))
         self.publisher = self.kit.device_endpoint("pub")
         self.kit.admit(self.publisher)
         self.clients, self.inboxes = [], []

@@ -1,11 +1,14 @@
 """The reliable channel: ordering, dedup, retransmission until closed.
 
 These are the paper's Section II-C guarantees at the hop level, tested
-against a hub that can drop and reorder traffic on demand, plus the
+on the ideal network with faults and a per-datagram tap that drop and
+reorder traffic on demand, plus the
 sliding-window machinery: selective acks, per-packet retransmit
 deadlines, fast retransmit, serial-number wraparound, and a differential
 suite over the simulated network's loss/reorder/duplication.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,10 +18,9 @@ from repro.errors import ConfigurationError, PacketError
 from repro.ids import service_id_from_name
 from repro.sim.hosts import LAPTOP_PROFILE, SimHost
 from repro.sim.kernel import Simulator
-from repro.sim.radio import LinkProfile, SimNetwork
+from repro.sim.radio import IDEAL, LinkProfile, SimNetwork, fixed_latency
 from repro.sim.rng import RngRegistry
 from repro.transport import reliability
-from repro.transport.inmem import InMemoryHub
 from repro.transport.packets import Packet, PacketType
 from repro.transport.reliability import (
     ReliableChannel,
@@ -26,12 +28,12 @@ from repro.transport.reliability import (
     serial_lt,
     serial_succ,
 )
-from repro.transport.simnet import SimTransport
+from repro.transport.simnet import SimTransport, ideal_network
 
 
-def make_pair(sim, hub, *, window=1, rto_initial=0.05, initial_seq=1):
+def make_pair(sim, net, *, window=1, rto_initial=0.05, initial_seq=1):
     """Two endpoints with channels wired to each other through raw packets."""
-    ta, tb = hub.create("a"), hub.create("b")
+    ta, tb = net.add_node("a"), net.add_node("b")
     delivered_a, delivered_b = [], []
     rto_max = max(2.0, 2.0 * rto_initial)
     chan_a = ReliableChannel(ta, sim, "b", lambda s, p: delivered_a.append(p),
@@ -45,8 +47,13 @@ def make_pair(sim, hub, *, window=1, rto_initial=0.05, initial_seq=1):
     return chan_a, chan_b, delivered_a, delivered_b
 
 
-def drop_data_seq_once(hub, seq):
-    """Install a filter dropping the first DATA transmission of ``seq``."""
+def lossy(sim, loss_rate, seed):
+    """An ideal network that loses ``loss_rate`` of its datagrams."""
+    return ideal_network(sim, replace(IDEAL, loss_rate=loss_rate), seed)
+
+
+def drop_data_seq_once(net, seq):
+    """Install a tap dropping the first DATA transmission of ``seq``."""
     dropped = [0]
 
     def drop(src, dest, data):
@@ -56,60 +63,68 @@ def drop_data_seq_once(hub, seq):
             return False
         return True
 
-    hub.drop_filter = drop
+    net.tap = drop
     return dropped
 
 
 class TestBasics:
-    def test_send_delivers(self, sim, hub):
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub)
+    def test_send_delivers(self, sim, net):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net)
         chan_a.send(b"hello")
         sim.run_until_idle()
         assert delivered_b == [b"hello"]
 
-    def test_many_messages_in_order(self, sim, hub):
-        chan_a, _, _, delivered_b = make_pair(sim, hub)
+    def test_many_messages_in_order(self, sim, net):
+        chan_a, _, _, delivered_b = make_pair(sim, net)
         for i in range(50):
             chan_a.send(f"msg-{i}".encode())
         sim.run_until_idle()
         assert delivered_b == [f"msg-{i}".encode() for i in range(50)]
 
-    def test_bidirectional(self, sim, hub):
-        chan_a, chan_b, delivered_a, delivered_b = make_pair(sim, hub)
+    def test_bidirectional(self, sim, net):
+        chan_a, chan_b, delivered_a, delivered_b = make_pair(sim, net)
         chan_a.send(b"ping")
         chan_b.send(b"pong")
         sim.run_until_idle()
         assert delivered_b == [b"ping"]
         assert delivered_a == [b"pong"]
 
-    def test_peer_id_learned(self, sim, hub):
-        chan_a, chan_b, _, _ = make_pair(sim, hub)
+    def test_peer_id_learned(self, sim, net):
+        ta, tb = net.add_node("a"), net.add_node("b")
+        senders = []
+        chan_a = ReliableChannel(ta, sim, "b", lambda s, p: None)
+        chan_b = ReliableChannel(tb, sim, "a",
+                                 lambda s, p: senders.append(s))
+        ta.set_receiver(
+            lambda src, data: chan_a.handle_packet(Packet.decode(data)))
+        tb.set_receiver(
+            lambda src, data: chan_b.handle_packet(Packet.decode(data)))
         chan_a.send(b"x")
         sim.run_until_idle()
-        assert chan_b.peer_id == service_id_from_name("a")
+        assert senders == [service_id_from_name("a")]
 
-    def test_unreliable_send_has_no_seq_state(self, sim, hub):
-        chan_a, _, _, delivered_b = make_pair(sim, hub)
+    def test_unreliable_send_has_no_seq_state(self, sim, net):
+        chan_a, _, _, delivered_b = make_pair(sim, net)
         chan_a.send(b"raw", unreliable=True)
         sim.run_until_idle()
         assert delivered_b == [b"raw"]
         assert chan_a.unacked_count() == 0
 
-    def test_window_must_be_positive(self, sim, hub):
-        ta = hub.create("a")
+    def test_window_must_be_positive(self, sim, net):
+        ta = net.add_node("a")
         with pytest.raises(ConfigurationError):
             ReliableChannel(ta, sim, "b", lambda s, p: None, window=0)
 
-    def test_bad_rto_bounds_rejected(self, sim, hub):
-        ta = hub.create("a")
+    def test_bad_rto_bounds_rejected(self, sim, net):
+        ta = net.add_node("a")
         with pytest.raises(ConfigurationError):
             ReliableChannel(ta, sim, "b", lambda s, p: None,
                             rto_initial=1.0, rto_max=0.5)
 
 
 class TestLossRecovery:
-    def test_retransmits_until_delivered(self, sim, hub):
-        chan_a, _, _, delivered_b = make_pair(sim, hub)
+    def test_retransmits_until_delivered(self, sim, net):
+        chan_a, _, _, delivered_b = make_pair(sim, net)
         drops = [0]
 
         def drop_first_three(src, dest, data):
@@ -119,14 +134,14 @@ class TestLossRecovery:
                 return False
             return True
 
-        hub.drop_filter = drop_first_three
+        net.tap = drop_first_three
         chan_a.send(b"persistent")
         sim.run(10.0)
         assert delivered_b == [b"persistent"]
         assert chan_a.stats.retransmissions >= 3
 
-    def test_lost_ack_causes_duplicate_which_is_suppressed(self, sim, hub):
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub)
+    def test_lost_ack_causes_duplicate_which_is_suppressed(self, sim, net):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net)
         dropped = [0]
 
         def drop_first_ack(src, dest, data):
@@ -136,62 +151,57 @@ class TestLossRecovery:
                 return False
             return True
 
-        hub.drop_filter = drop_first_ack
+        net.tap = drop_first_ack
         chan_a.send(b"once")
         sim.run(10.0)
         assert delivered_b == [b"once"]              # exactly once
         assert chan_b.stats.duplicates >= 1
 
-    def test_order_preserved_under_heavy_loss(self, sim, hub):
-        import random
-        rng = random.Random(7)
-        hub.drop_filter = lambda src, dest, data: rng.random() > 0.3
-        chan_a, _, _, delivered_b = make_pair(sim, hub)
+    def test_order_preserved_under_heavy_loss(self, sim):
+        chan_a, _, _, delivered_b = make_pair(sim, lossy(sim, 0.3, 7))
         messages = [f"m{i}".encode() for i in range(40)]
         for message in messages:
             chan_a.send(message)
         sim.run(120.0)
         assert delivered_b == messages
 
-    def test_rto_backs_off_and_resets(self, sim, hub):
-        chan_a, _, _, delivered_b = make_pair(sim, hub, rto_initial=0.05)
-        hub.drop_filter = lambda src, dest, data: False   # black hole
+    def test_rto_backs_off_and_resets(self, sim, net):
+        chan_a, _, _, delivered_b = make_pair(sim, net, rto_initial=0.05)
+        net.set_link_blocked("a", "b", True)     # black hole
         chan_a.send(b"x")
         sim.run(2.0)
         retries_in_two_seconds = chan_a.stats.retransmissions
         # Exponential backoff: far fewer than 2.0/0.05 = 40 attempts.
         assert 3 <= retries_in_two_seconds < 12
-        hub.drop_filter = None
+        net.set_link_blocked("a", "b", False)
         sim.run(6.0)
         assert delivered_b == [b"x"]
 
 
 class TestWindowing:
-    def test_stop_and_wait_has_one_in_flight(self, sim, hub):
-        chan_a, _, _, _ = make_pair(sim, hub)
-        hub.drop_filter = lambda src, dest, data: False
+    def test_stop_and_wait_has_one_in_flight(self, sim, net):
+        chan_a, _, _, _ = make_pair(sim, net)
+        net.set_link_blocked("a", "b", True)
         for i in range(5):
             chan_a.send(bytes([i]))
         assert chan_a.unacked_count() == 5
         # Only one DATA packet actually left (window=1).
         assert chan_a.stats.sent == 1
 
-    def test_larger_window_pipelines(self, sim, hub):
-        chan_a, _, _, delivered_b = make_pair(sim, hub, window=4)
-        hub.drop_filter = lambda src, dest, data: False
+    def test_larger_window_pipelines(self, sim, net):
+        chan_a, _, _, delivered_b = make_pair(sim, net, window=4)
+        net.set_link_blocked("a", "b", True)
         for i in range(10):
             chan_a.send(bytes([i]))
         assert chan_a.stats.sent == 4
-        hub.drop_filter = None
+        net.set_link_blocked("a", "b", False)
         sim.run(30.0)
         assert delivered_b == [bytes([i]) for i in range(10)]
 
-    def test_out_of_order_arrival_reordered(self, sim, hub):
+    def test_out_of_order_arrival_reordered(self, sim):
         # Window 4 with selective drops forces out-of-order arrivals.
-        import random
-        rng = random.Random(3)
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
-        hub.drop_filter = lambda src, dest, data: rng.random() > 0.25
+        chan_a, chan_b, _, delivered_b = make_pair(sim, lossy(sim, 0.25, 3),
+                                                   window=4)
         messages = [f"seq-{i}".encode() for i in range(30)]
         for message in messages:
             chan_a.send(message)
@@ -201,19 +211,19 @@ class TestWindowing:
 
 
 class TestRetriesUntilClosed:
-    def test_retries_until_closed(self, sim, hub):
+    def test_retries_until_closed(self, sim, net):
         # Abandoning a dead peer's queue is the proxy's job (purge ->
         # close); the channel itself never gives up.
-        chan_a, _, _, delivered_b = make_pair(sim, hub)
-        hub.drop_filter = lambda src, dest, data: False
+        chan_a, _, _, delivered_b = make_pair(sim, net)
+        net.set_link_blocked("a", "b", True)
         chan_a.send(b"eternal")
         sim.run(30.0)
         assert not chan_a.closed
         assert chan_a.unacked_count() == 1
-        hub.drop_filter = None
+        net.set_link_blocked("a", "b", False)
         sim.run(40.0)
         assert delivered_b == [b"eternal"]
-        hub.drop_filter = lambda src, dest, data: False
+        net.set_link_blocked("a", "b", True)
         chan_a.send(b"purged")
         sim.run(50.0)
         chan_a.close()
@@ -232,10 +242,10 @@ class TestRetransmitStarvation:
     new sends kept arriving.
     """
 
-    def test_steady_stream_does_not_starve_oldest(self, sim, hub):
-        chan_a, _, _, delivered_b = make_pair(sim, hub, window=2,
+    def test_steady_stream_does_not_starve_oldest(self, sim, net):
+        chan_a, _, _, delivered_b = make_pair(sim, net, window=2,
                                               rto_initial=0.05)
-        dropped = drop_data_seq_once(hub, 1)
+        dropped = drop_data_seq_once(net, 1)
         messages = [f"s{i}".encode() for i in range(100)]
         # Sends arrive faster than one RTO apart for four full seconds.
         for index, message in enumerate(messages):
@@ -268,9 +278,9 @@ class TestSerialArithmetic:
 class TestWraparound:
     """Regression: raw seq/ack comparisons broke at the 2**32 wrap."""
 
-    def test_stream_crosses_wrap_without_loss(self, sim, hub):
+    def test_stream_crosses_wrap_without_loss(self, sim, net):
         start = 2**32 - 4
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4,
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=4,
                                                    initial_seq=start)
         messages = [f"w{i}".encode() for i in range(12)]
         for message in messages:
@@ -280,13 +290,10 @@ class TestWraparound:
         assert chan_a.unacked_count() == 0
         assert chan_b.stats.duplicates == 0
 
-    def test_stream_crosses_wrap_under_loss(self, sim, hub):
-        import random
+    def test_stream_crosses_wrap_under_loss(self, sim):
         start = 2**32 - 4
-        chan_a, _, _, delivered_b = make_pair(sim, hub, window=4,
-                                              initial_seq=start)
-        rng = random.Random(11)
-        hub.drop_filter = lambda src, dest, data: rng.random() > 0.25
+        chan_a, _, _, delivered_b = make_pair(sim, lossy(sim, 0.25, 11),
+                                              window=4, initial_seq=start)
         messages = [f"w{i}".encode() for i in range(20)]
         for message in messages:
             chan_a.send(message)
@@ -294,13 +301,13 @@ class TestWraparound:
         assert delivered_b == messages
         assert chan_a.unacked_count() == 0
 
-    def test_retransmission_spanning_wrap_is_not_misclassified(self, sim, hub):
+    def test_retransmission_spanning_wrap_is_not_misclassified(self, sim, net):
         # Drop the packet just before the wrap; its retransmission arrives
         # after later (post-wrap) sequences were buffered.
         start = 2**32 - 2
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=6,
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=6,
                                                    initial_seq=start)
-        drop_data_seq_once(hub, start)
+        drop_data_seq_once(net, start)
         messages = [f"w{i}".encode() for i in range(6)]
         for message in messages:
             chan_a.send(message)
@@ -310,13 +317,13 @@ class TestWraparound:
 
 
 class TestSelectiveAcks:
-    def test_single_loss_retransmits_only_the_hole(self, sim, hub):
+    def test_single_loss_retransmits_only_the_hole(self, sim, net):
         # Window of 8 with the third packet lost: SACKed packets 4-8 must
         # never be retransmitted (no go-back-N burst), and the dup-ack
         # fast retransmit must recover without waiting out the RTO.
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8,
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=8,
                                                    rto_initial=5.0)
-        drop_data_seq_once(hub, 3)
+        drop_data_seq_once(net, 3)
         messages = [bytes([i]) for i in range(8)]
         for message in messages:
             chan_a.send(message)
@@ -327,11 +334,11 @@ class TestSelectiveAcks:
         assert sim.now() < 1.0
         assert chan_b.stats.out_of_order == 5         # 4..8 buffered
 
-    def test_sack_ranges_reported(self, sim, hub):
-        chan_a, chan_b, _, _ = make_pair(sim, hub, window=8, rto_initial=5.0)
+    def test_sack_ranges_reported(self, sim, net):
+        chan_a, chan_b, _, _ = make_pair(sim, net, window=8, rto_initial=5.0)
         acks_with_sack = []
-        real_filter = drop_data_seq_once(hub, 2)
-        original = hub.drop_filter
+        real_filter = drop_data_seq_once(net, 2)
+        original = net.tap
 
         def spy(src, dest, data):
             packet = Packet.decode(data)
@@ -339,7 +346,7 @@ class TestSelectiveAcks:
                 acks_with_sack.append(packet.sack)
             return original(src, dest, data)
 
-        hub.drop_filter = spy
+        net.tap = spy
         for i in range(5):
             chan_a.send(bytes([i]))
         sim.run_until_idle(max_time=1.0)
@@ -347,13 +354,13 @@ class TestSelectiveAcks:
         assert any((3, 5) == r for ranges in acks_with_sack for r in ranges)
         assert real_filter[0] == 1
 
-    def test_reorder_buffer_sized_from_window(self, sim, hub, monkeypatch):
+    def test_reorder_buffer_sized_from_window(self, sim, net, monkeypatch):
         # A window of out-of-order arrivals always fits, even when the
         # buffer constant is smaller than the window.
         monkeypatch.setattr(reliability, "REORDER_BUFFER", 2)
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8,
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=8,
                                                    rto_initial=5.0)
-        drop_data_seq_once(hub, 1)
+        drop_data_seq_once(net, 1)
         messages = [bytes([i]) for i in range(8)]
         for message in messages:
             chan_a.send(message)
@@ -361,13 +368,13 @@ class TestSelectiveAcks:
         assert delivered_b == messages
         assert chan_b.stats.reorder_drops == 0        # max(window, buffer)
 
-    def test_reorder_overrun_counted_and_recovered(self, sim, hub,
+    def test_reorder_overrun_counted_and_recovered(self, sim, net,
                                                    monkeypatch):
         # A sender windowed past the receiver's buffer: drops are counted
         # in ChannelStats (not silent) and the stream still completes via
         # retransmission once the buffer drains.
         monkeypatch.setattr(reliability, "REORDER_BUFFER", 2)
-        ta, tb = hub.create("a"), hub.create("b")
+        ta, tb = net.add_node("a"), net.add_node("b")
         delivered_b = []
         chan_a = ReliableChannel(ta, sim, "b", lambda s, p: None,
                                  window=8, rto_initial=0.05)
@@ -378,7 +385,7 @@ class TestSelectiveAcks:
             lambda src, data: chan_a.handle_packet(Packet.decode(data)))
         tb.set_receiver(
             lambda src, data: chan_b.handle_packet(Packet.decode(data)))
-        drop_data_seq_once(hub, 1)
+        drop_data_seq_once(net, 1)
         messages = [bytes([i]) for i in range(8)]
         for message in messages:
             chan_a.send(message)
@@ -387,11 +394,11 @@ class TestSelectiveAcks:
         assert chan_b.stats.reorder_drops > 0
 
 
-def spy_acks(hub):
-    """Record every ACK packet crossing the hub as (src, ack, sack),
-    chaining any filter already installed."""
+def spy_acks(net):
+    """Record every ACK packet crossing the network as (src, ack, sack),
+    chaining any tap already installed."""
     seen = []
-    inner = hub.drop_filter
+    inner = net.tap
 
     def spy(src, dest, data):
         packet = Packet.decode(data)
@@ -399,20 +406,20 @@ def spy_acks(hub):
             seen.append((src, packet.ack, packet.sack))
         return inner(src, dest, data) if inner is not None else True
 
-    hub.drop_filter = spy
+    net.tap = spy
     return seen
 
 
 class TestAckCoalescing:
     """One cumulative ACK per receive turn; loss signals never deferred.
 
-    On the in-memory hub a receive turn is one scheduler instant, so a
+    On the ideal network a receive turn is one scheduler instant, so a
     burst sent from one callback arrives in one turn.
     """
 
-    def test_in_order_burst_is_acked_once(self, sim, hub):
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8)
-        acks = spy_acks(hub)
+    def test_in_order_burst_is_acked_once(self, sim, net):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=8)
+        acks = spy_acks(net)
         messages = [bytes([i]) for i in range(8)]
         for message in messages:
             chan_a.send(message)
@@ -424,8 +431,8 @@ class TestAckCoalescing:
         assert chan_a.stats.retransmissions == 0
 
     def test_isolated_arrivals_are_each_acked_in_their_turn(self, sim):
-        hub = InMemoryHub(sim, delay_s=0.010)
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8)
+        net = ideal_network(sim, fixed_latency(0.010))
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=8)
         acked_at = []
 
         def note_acks(src, dest, data):
@@ -433,7 +440,7 @@ class TestAckCoalescing:
                 acked_at.append(sim.now())
             return True
 
-        hub.drop_filter = note_acks
+        net.tap = note_acks
         for i in range(5):
             sim.call_at(0.1 * i, chan_a.send, bytes([i]))
         sim.run_until_idle()
@@ -444,10 +451,10 @@ class TestAckCoalescing:
         assert chan_a.stats.rtt_samples == 5
         assert chan_a.stats.srtt == pytest.approx(0.020)
 
-    def test_reverse_data_carries_the_ack(self, sim, hub):
+    def test_reverse_data_carries_the_ack(self, sim, net):
         # b answers every payload from inside the upcall: the reply's
         # piggy-backed ack is the acknowledgement, no ACK datagram at all.
-        chan_a, chan_b, delivered_a, _ = make_pair(sim, hub, window=8)
+        chan_a, chan_b, delivered_a, _ = make_pair(sim, net, window=8)
         chan_b._deliver = lambda sender, payload: chan_b.send(b"re:" + payload)
         for i in range(4):
             chan_a.send(bytes([i]))
@@ -460,27 +467,27 @@ class TestAckCoalescing:
         # a's side replies to nothing, so it acks b's burst once.
         assert chan_a.stats.acks_sent == 1
 
-    def test_queued_reverse_data_does_not_cancel_the_ack(self, sim, hub):
+    def test_queued_reverse_data_does_not_cancel_the_ack(self, sim, net):
         # b's window is full, so its reply only queues: the ACK still goes.
-        chan_a, chan_b, _, _ = make_pair(sim, hub, window=1)
-        hub.drop_filter = lambda src, dest, data: src != "b"
+        chan_a, chan_b, _, _ = make_pair(sim, net, window=1)
+        net.block_one_way("b", "a", True)
         chan_b.send(b"fills-the-window")
         chan_b._deliver = lambda sender, payload: chan_b.send(b"queued")
-        hub.drop_filter = None
+        net.block_one_way("b", "a", False)
         chan_a.send(b"x")
         sim.run(0.01)
         assert chan_b.pending_count() == 1
         assert chan_b.stats.acks_sent == 1
         assert chan_a.unacked_count() == 0
 
-    def test_hole_in_burst_recovered_by_fast_retransmit(self, sim, hub):
+    def test_hole_in_burst_recovered_by_fast_retransmit(self, sim, net):
         # Same-instant burst 1..8 with 3 lost.  The ACK due for 1-2 must
         # leave as its own datagram *before* the first duplicate ack, or
         # the sender is one dup-ack short and falls back to the 5 s RTO.
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=8,
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=8,
                                                    rto_initial=5.0)
-        drop_data_seq_once(hub, 3)
-        acks = spy_acks(hub)
+        drop_data_seq_once(net, 3)
+        acks = spy_acks(net)
         messages = [bytes([i]) for i in range(8)]
         for message in messages:
             chan_a.send(message)
@@ -496,23 +503,23 @@ class TestAckCoalescing:
             ("b", 8, ()),                             # after the hole filled
         ]
 
-    def test_duplicate_flushes_then_reacks(self, sim, hub):
+    def test_duplicate_flushes_then_reacks(self, sim, net):
         # A duplicate DATA in the same turn as fresh in-order DATA: the
         # due cumulative ACK goes first, then the duplicate's re-ack.
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
-        acks = spy_acks(hub)
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=4)
+        acks = spy_acks(net)
         first = Packet(type=PacketType.DATA, sender=service_id_from_name("a"),
                        seq=1, payload=b"one").encode()
-        hub.inject("a", "b", first)
-        hub.inject("a", "b", first)
+        chan_a._transport.send("b", first)
+        chan_a._transport.send("b", first)
         sim.run_until_idle()
         assert delivered_b == [b"one"]
         assert chan_b.stats.duplicates == 1
         assert acks == [("b", 1, ()), ("b", 1, ())]
 
-    def test_close_with_ack_due_sends_nothing(self, sim, hub):
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
-        acks = spy_acks(hub)
+    def test_close_with_ack_due_sends_nothing(self, sim, net):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=4)
+        acks = spy_acks(net)
 
         def deliver_then_close(sender, payload):
             delivered_b.append(payload)
@@ -525,12 +532,11 @@ class TestAckCoalescing:
         assert chan_b.closed
         assert chan_b.stats.acks_sent == 0 and acks == []
 
-    def test_move_to_with_ack_due_acks_at_new_address(self, sim, hub):
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
-        hub.create("a-roamed")
+    def test_move_to_with_ack_due_acks_at_new_address(self, sim, net):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=4)
+        net.add_node("a-roamed")
         sent_to = []
-        hub.drop_filter = (lambda src, dest, data:
-                           sent_to.append((src, dest)) or True)
+        net.tap = lambda src, dest, data: sent_to.append((src, dest)) or True
         chan_a.send(b"x")
         sim.call_soon(chan_b.move_to, "a-roamed")   # same instant, mid-turn
         sim.run(0.01)
@@ -539,18 +545,15 @@ class TestAckCoalescing:
         assert sent_to == [("a", "b"), ("b", "a-roamed")]
 
     def test_move_to_resends_in_flight_and_keeps_the_sequence(self, sim,
-                                                              hub):
+                                                              net):
         # The queue and both sequence spaces carry on; what was in flight
         # toward the old address is resent to the new one at once.
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=2)
-        tb = chan_b._transport
-        hub.drop_filter = lambda src, dest, data: False     # all lost
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=2)
+        net.block_one_way("a", "b", True)                   # all lost
         for payload in (b"1", b"2", b"3"):
             chan_a.send(payload)
-        hub.drop_filter = None
-        del hub._transports["b"]                # b's stack moves
-        tb._local_address = "b-roamed"
-        hub._transports["b-roamed"] = tb
+        net.add_node("b-roamed").set_receiver(      # b's stack moves
+            lambda src, data: chan_b.handle_packet(Packet.decode(data)))
         chan_a.move_to("b-roamed")
         assert chan_a.stats.retransmissions == 2
         sim.run(0.001)                          # well inside the RTO
@@ -558,16 +561,16 @@ class TestAckCoalescing:
         assert chan_a.unacked_count() == 0
         assert chan_b.stats.duplicates == 0
 
-    def test_transport_closed_mid_turn_sends_nothing(self, sim, hub):
-        chan_a, chan_b, _, delivered_b = make_pair(sim, hub, window=4)
+    def test_transport_closed_mid_turn_sends_nothing(self, sim, net):
+        chan_a, chan_b, _, delivered_b = make_pair(sim, net, window=4)
         chan_a.send(b"x")
         sim.call_soon(chan_b._transport.close)
         sim.run(0.01)                              # must not raise
         assert delivered_b == [b"x"]
         assert chan_b._transport.stats.datagrams_sent == 0
 
-    def test_oversized_payload_rejected_before_queueing(self, sim, hub):
-        chan_a, _, _, _ = make_pair(sim, hub, window=4)
+    def test_oversized_payload_rejected_before_queueing(self, sim, net):
+        chan_a, _, _, _ = make_pair(sim, net, window=4)
         with pytest.raises(PacketError):
             chan_a.send(b"x" * 70000)
         assert chan_a.unacked_count() == 0
@@ -584,8 +587,8 @@ class TestRttSampling:
     """Karn-filtered RFC-6298 measurement surfaced in ChannelStats."""
 
     def test_samples_accumulate_on_clean_link(self, sim):
-        hub = InMemoryHub(sim, delay_s=0.010)         # 20 ms RTT
-        chan_a, _, _, delivered_b = make_pair(sim, hub, window=4,
+        net = ideal_network(sim, fixed_latency(0.010))   # 20 ms RTT
+        chan_a, _, _, delivered_b = make_pair(sim, net, window=4,
                                               rto_initial=0.5)
         for i in range(20):
             sim.call_at(i * 0.05, chan_a.send, f"m{i}".encode())
@@ -599,11 +602,11 @@ class TestRttSampling:
         assert stats.srtt == pytest.approx(0.020, rel=0.05)
         assert stats.rttvar < stats.srtt / 2
 
-    def test_retransmitted_packets_are_never_sampled(self, sim, hub):
+    def test_retransmitted_packets_are_never_sampled(self, sim, net):
         """Karn's algorithm: an ack for a retransmitted packet is
         ambiguous, so it must not feed the estimator."""
-        chan_a, _, _, delivered_b = make_pair(sim, hub, rto_initial=0.05)
-        drop_data_seq_once(hub, 1)
+        chan_a, _, _, delivered_b = make_pair(sim, net, rto_initial=0.05)
+        drop_data_seq_once(net, 1)
         chan_a.send(b"lost-once")
         sim.run_until_idle()
         assert delivered_b == [b"lost-once"]
@@ -613,13 +616,13 @@ class TestRttSampling:
         sim.run_until_idle()
         assert chan_a.stats.rtt_samples == 1          # fresh packet samples
 
-    def test_sack_acknowledgement_samples(self, sim, hub):
+    def test_sack_acknowledgement_samples(self, sim, net):
         """A packet first acknowledged via a SACK range (cumulative ack
         held back by an earlier hole) still yields its RTT sample — and
         only once, not again at the later cumulative ack."""
-        chan_a, _, _, delivered_b = make_pair(sim, hub, window=4,
+        chan_a, _, _, delivered_b = make_pair(sim, net, window=4,
                                               rto_initial=0.2)
-        drop_data_seq_once(hub, 1)
+        drop_data_seq_once(net, 1)
         for i in range(4):
             chan_a.send(f"m{i}".encode())
         sim.run_until_idle()
@@ -627,8 +630,8 @@ class TestRttSampling:
         # seq 1 was retransmitted (no sample); 2..4 were SACKed fresh.
         assert chan_a.stats.rtt_samples == 3
 
-    def test_set_rto_actuator(self, sim, hub):
-        chan_a, _, _, _ = make_pair(sim, hub, rto_initial=0.05)
+    def test_set_rto_actuator(self, sim, net):
+        chan_a, _, _, _ = make_pair(sim, net, rto_initial=0.05)
         assert chan_a.rto_initial == 0.05
         chan_a.set_rto(0.2)
         assert chan_a.rto_initial == 0.2
@@ -640,8 +643,8 @@ class TestRttSampling:
             chan_a.set_rto(0.2, rto_max=0.1)
 
     def test_set_rto_applies_to_new_packets(self, sim):
-        hub = InMemoryHub(sim, delay_s=0.050)         # 100 ms RTT
-        chan_a, _, _, delivered_b = make_pair(sim, hub, rto_initial=0.5)
+        net = ideal_network(sim, fixed_latency(0.050))   # 100 ms RTT
+        chan_a, _, _, delivered_b = make_pair(sim, net, rto_initial=0.5)
         chan_a.set_rto(0.150)
         chan_a.send(b"x")
         sim.run_until_idle()
@@ -696,29 +699,32 @@ class TestDifferential:
                                                        burst):
         """Bursts sent from one callback arrive in one receive turn; lost,
         duplicated and late copies land *in the same instants* as later
-        bursts (every delay is a whole number of hub ticks), so one turn
+        bursts (every delay is a whole number of link ticks), so one turn
         mixes in-order, duplicate and out-of-order arrivals."""
         import random
         rng = random.Random(seed)
         tick = 0.005
         sim = Simulator()
-        hub = InMemoryHub(sim, delay_s=tick)
+        net = ideal_network(sim, fixed_latency(tick))
+        chan_a, chan_b, _, delivered = make_pair(sim, net, window=window,
+                                                 rto_initial=0.1)
+        transports = {"a": chan_a._transport, "b": chan_b._transport}
 
         def chaos(src, dest, data):
+            # The copies the tap makes skip the link: handed to the
+            # receiver now (a duplicate) or a few ticks on (reordered).
             roll = rng.random()
             if roll < 0.15:
                 return False                                   # lost
             if roll < 0.25:
-                hub.inject(src, dest, data)                    # duplicated
-            elif roll < 0.40:                                  # reordered
-                sim.call_later(tick * rng.randint(1, 4), hub.inject,
-                               src, dest, data)
+                sim.call_soon(transports[dest]._deliver, src, data)
+            elif roll < 0.40:
+                sim.call_later(tick * rng.randint(1, 4),
+                               transports[dest]._deliver, src, data)
                 return False
             return True
 
-        hub.drop_filter = chaos
-        chan_a, chan_b, _, delivered = make_pair(sim, hub, window=window,
-                                                 rto_initial=0.1)
+        net.tap = chaos
         messages = [f"m{i:04d}".encode() for i in range(96)]
 
         def send_burst(start):
@@ -730,7 +736,7 @@ class TestDifferential:
         while len(delivered) < len(messages) and sim.now() < 600.0:
             sim.run(sim.now() + 1.0)
         assert delivered == messages
-        hub.drop_filter = None          # let the tail of lost acks resolve
+        net.tap = None                  # let the tail of lost acks resolve
         sim.run(sim.now() + 60.0)
         assert delivered == messages
         assert chan_a.unacked_count() == 0
@@ -742,18 +748,18 @@ class TestDifferential:
 
 
 class TestClose:
-    def test_close_drops_queue(self, sim, hub):
-        chan_a, _, _, delivered_b = make_pair(sim, hub)
-        hub.drop_filter = lambda src, dest, data: False
+    def test_close_drops_queue(self, sim, net):
+        chan_a, _, _, delivered_b = make_pair(sim, net)
+        net.set_link_blocked("a", "b", True)
         chan_a.send(b"queued")
         chan_a.close()
-        hub.drop_filter = None
+        net.set_link_blocked("a", "b", False)
         sim.run(10.0)
         assert delivered_b == []
         assert chan_a.unacked_count() == 0
 
-    def test_send_after_close_is_dropped(self, sim, hub):
-        chan_a, _, _, delivered_b = make_pair(sim, hub)
+    def test_send_after_close_is_dropped(self, sim, net):
+        chan_a, _, _, delivered_b = make_pair(sim, net)
         chan_a.close()
         chan_a.send(b"late")
         sim.run_until_idle()
